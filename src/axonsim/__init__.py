@@ -25,14 +25,7 @@ from .grid import (
     pairing,
 )
 from .heat import KernelParams, absorbed_kernel, apply_semigroup, source_response
-from .kinetics import (
-    ChannelKinetics,
-    exit_rate,
-    generator_matrix,
-    make_kinetics,
-    rate,
-    rate_lipschitz,
-)
+from .kinetics import ChannelKinetics, make_kinetics, rate_lipschitz, rate_table
 from .deterministic import (
     DeterministicState,
     DetTrajectory,
@@ -52,7 +45,6 @@ from .stochastic import (
     step_stoch,
 )
 from .decomposition import (
-    CompensatorAccumulator,
     MartingaleSeries,
     drift_term,
     martingale_norm_series,
@@ -67,7 +59,6 @@ from .harness import DeviationMetrics, RunConfig, deviation_metrics, fit_rate, r
 __all__ = [
     "ChannelConfig",
     "ChannelKinetics",
-    "CompensatorAccumulator",
     "DeterministicState",
     "DetTrajectory",
     "DeviationMetrics",
@@ -93,9 +84,7 @@ __all__ = [
     "drift_term",
     "empirical_distribution",
     "eval_at",
-    "exit_rate",
     "fit_rate",
-    "generator_matrix",
     "h10_norm",
     "hminus1_norm",
     "init_channels",
@@ -108,8 +97,8 @@ __all__ = [
     "write_martingale_norm_csv",
     "path_log_likelihood",
     "predicted_variance",
-    "rate",
     "rate_lipschitz",
+    "rate_table",
     "reaction_coefficients",
     "run_det",
     "run_stoch",

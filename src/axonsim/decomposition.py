@@ -28,20 +28,8 @@ from .grid import (
     density_functional,
     hat_weights,
 )
-from .kinetics import ChannelKinetics, rate
+from .kinetics import ChannelKinetics, channel_rates, rate_table
 from .stochastic import ChannelConfig, StochTrajectory, _interior_hat_arrays
-
-
-@dataclass(eq=False)
-class CompensatorAccumulator:
-    """Running per-channel, per-target intensity integrals.
-
-    ``per_target[t, zeta, i]`` is int_0^{t} alpha_{s(u), zeta}(V(u, x_i)) du
-    on the frozen-rate grid; nondecreasing in t and at most alpha_max * t.
-    """
-
-    times: np.ndarray
-    per_target: np.ndarray
 
 
 @dataclass(eq=False)
@@ -143,7 +131,6 @@ def scan_path(
             )
 
     emit(0)
-    rate_to = np.zeros((n_states, count))
     for sub in range(n_sub):
         t0 = float(traj.times[sub])
         dt = float(traj.times[sub + 1] - traj.times[sub])
@@ -151,13 +138,8 @@ def scan_path(
         lo, hi = bounds[sub], bounds[sub + 1]
         jump_idx = traj.jump_channel[lo:hi]
 
-        rate_to[:] = 0.0
-        for src in range(n_states):
-            mask = states == src
-            for dst in range(n_states):
-                if dst == src:
-                    continue
-                rate_to[dst] = np.where(mask, rate(k, src, dst, v_row), rate_to[dst])
+        table = rate_table(k, v_row)
+        rate_to = channel_rates(table, states)
         exit = rate_to.sum(axis=0)
 
         if hi > lo:
@@ -166,8 +148,7 @@ def scan_path(
         else:
             w = dt
         comp += w * rate_to
-        for src in range(n_states):
-            occ[src] += np.where(states == src, w * exit, 0.0)
+        occ[states, np.arange(count)] += w * exit
 
         if hi > lo:
             # segment-exact integration for channels that jumped
@@ -175,18 +156,18 @@ def scan_path(
             for e in range(lo, hi):
                 affected.setdefault(int(traj.jump_channel[e]), []).append(e)
             for i, evs in affected.items():
-                v_i = float(v_row[i])
+                rates = table[:, :, i]
                 cursor = t0
                 s = int(states[i])
                 for e in evs:
                     te = float(traj.jump_times[e])
-                    _integrate_segment(comp, occ, k, i, s, v_i, te - cursor)
+                    _integrate_segment(comp, occ, rates, i, s, te - cursor)
                     dst = int(traj.jump_dst[e])
                     jumps_net[dst, i] += 1.0
                     jumps_net[s, i] -= 1.0
                     s = dst
                     cursor = te
-                _integrate_segment(comp, occ, k, i, s, v_i, t0 + dt - cursor)
+                _integrate_segment(comp, occ, rates, i, s, t0 + dt - cursor)
                 states[i] = s
         emit(sub + 1)
 
@@ -202,24 +183,17 @@ def scan_path(
     )
 
 
-def _integrate_segment(comp, occ, k: ChannelKinetics, i: int, s: int,
-                       v_i: float, duration: float) -> None:
+def _integrate_segment(comp, occ, rates: np.ndarray, i: int, s: int,
+                       duration: float) -> None:
+    """Add one constant-state stretch of channel i to the accumulators.
+
+    ``rates`` is the channel's (n_states, n_states) slice of the rate table.
+    """
     if duration <= 0.0:
         return
-    total = 0.0
-    for dst in range(k.n_states):
-        if dst == s:
-            continue
-        r = float(rate(k, s, dst, v_i))
-        comp[dst, i] += duration * r
-        total += r
-    occ[s, i] += duration * total
-
-
-def accumulate_compensators(traj: StochTrajectory, k: ChannelKinetics) -> CompensatorAccumulator:
-    """Per-target compensator integrals at every sample time."""
-    diag = scan_path(traj, k, want_series=False, want_comp_series=True)
-    return CompensatorAccumulator(times=diag.times, per_target=diag.comp_series)
+    col = rates[:, s]
+    comp[:, i] += duration * col
+    occ[s, i] += duration * col.sum()
 
 
 def martingale_series(traj: StochTrajectory, xi, k: ChannelKinetics,
@@ -247,22 +221,9 @@ def drift_term(
     """
     s = k.state_index(xi)
     positions = channels.positions
-    v_full = v.full()
-    cell, wl, wr = hat_weights(grid, positions)
-    v_chan = v_full[cell] * wl + v_full[cell + 1] * wr
-    coeff = np.zeros(positions.size)
-    for src in range(k.n_states):
-        mask = channels.states == src
-        if src == s:
-            total = None
-            for dst in range(k.n_states):
-                if dst == src:
-                    continue
-                r = rate(k, src, dst, v_chan)
-                total = r if total is None else total + r
-            coeff = np.where(mask, -total, coeff)
-        else:
-            coeff = np.where(mask, rate(k, src, s, v_chan), coeff)
+    v_chan = interpolate_at_channels(v, positions)
+    rate_to = channel_rates(rate_table(k, v_chan), channels.states)
+    coeff = np.where(channels.states == s, -rate_to.sum(axis=0), rate_to[s])
     idx_lo, wt_lo, idx_hi, wt_hi = _interior_hat_arrays(grid, positions)
     loads = _scatter(idx_lo, wt_lo, idx_hi, wt_hi, coeff / channels.n_scale,
                      grid.n_interior)
@@ -316,15 +277,11 @@ def path_log_likelihood(traj: StochTrajectory, k: ChannelKinetics,
     n_neighbors = traj.positions.size * (k.n_states - 1)
     ref_jump_rate = reference_total_rate / n_neighbors
 
-    log_jumps = 0.0
-    if traj.jump_times.size:
-        sub_idx = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
-        sub_idx = np.clip(sub_idx, 0, traj.n_times - 2)
-        for e in range(traj.jump_times.size):
-            i = int(traj.jump_channel[e])
-            v_i = float(history[sub_idx[e], i])
-            r = float(rate(k, int(traj.jump_src[e]), int(traj.jump_dst[e]), v_i))
-            log_jumps += np.log(r) - np.log(ref_jump_rate)
+    sub_idx = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
+    sub_idx = np.clip(sub_idx, 0, traj.n_times - 2)
+    table = rate_table(k, history[sub_idx, traj.jump_channel])
+    r = table[traj.jump_dst, traj.jump_src, np.arange(traj.jump_times.size)]
+    log_jumps = float(np.sum(np.log(r) - np.log(ref_jump_rate)))
     return log_jumps - total_model_intensity + horizon * reference_total_rate
 
 

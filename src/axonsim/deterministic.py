@@ -26,10 +26,12 @@ from .grid import (
     GridFunction,
     NodalField,
     density_functional,
+    gradient_sq,
     mass_bands,
+    squared_norms,
     stiffness_bands,
 )
-from .kinetics import ChannelKinetics, rate
+from .kinetics import ChannelKinetics, rate_table
 
 PROP_SUM_TOL = 1e-9
 PROP_RANGE_TOL = 1e-9
@@ -103,27 +105,23 @@ def reaction_coefficients(p: np.ndarray, k: ChannelKinetics, grid: Grid):
     return NodalField(grid, a), NodalField(grid, b)
 
 
-def nodal_rate_table(k: ChannelKinetics, v_full: np.ndarray) -> dict:
-    """Clamped rate vectors over the nodes for every ordered state pair."""
-    return {
-        pair: rate(k, pair[0], pair[1], v_full) for pair in k.forms
-    }
+def _generator(k: ChannelKinetics, v_full: np.ndarray) -> np.ndarray:
+    """Nodal generator G(v) = rate table - diag(exit rates), so dp/dt = G p."""
+    gen = rate_table(k, v_full)
+    diag = np.arange(k.n_states)
+    gen[diag, diag] = -gen.sum(axis=0)
+    return gen
 
 
-def _prop_derivative(p: np.ndarray, table: dict) -> np.ndarray:
-    dp = np.zeros_like(p)
-    for (i, j), r in table.items():
-        flow = r * p[i]
-        dp[i] -= flow
-        dp[j] += flow
-    return dp
+def _prop_derivative(p: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    return (gen * p).sum(axis=1)
 
 
-def _rk4_prop(p: np.ndarray, table: dict, dt: float) -> np.ndarray:
-    k1 = _prop_derivative(p, table)
-    k2 = _prop_derivative(p + 0.5 * dt * k1, table)
-    k3 = _prop_derivative(p + 0.5 * dt * k2, table)
-    k4 = _prop_derivative(p + dt * k3, table)
+def _rk4_prop(p: np.ndarray, gen: np.ndarray, dt: float) -> np.ndarray:
+    k1 = _prop_derivative(p, gen)
+    k2 = _prop_derivative(p + 0.5 * dt * k1, gen)
+    k3 = _prop_derivative(p + 0.5 * dt * k2, gen)
+    k4 = _prop_derivative(p + dt * k3, gen)
     return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -177,9 +175,7 @@ def step_det(state: DeterministicState, dt: float, k: ChannelKinetics) -> Determ
     kd, ko = stiffness_bands(grid)
     md, mo = mass_bands(grid)
 
-    v_full = state.v.full()
-    table = nodal_rate_table(k, v_full)
-    p_mid = _rk4_prop(state.p, table, 0.5 * dt)
+    p_mid = _rk4_prop(state.p, _generator(k, state.v.full()), 0.5 * dt)
     p_mid = _clip_proportions(p_mid, state.t)
 
     a, b = reaction_coefficients(p_mid, k, grid)
@@ -193,8 +189,7 @@ def step_det(state: DeterministicState, dt: float, k: ChannelKinetics) -> Determ
     v_new = _solve_tridiag(lhs_d, lhs_o, rhs)
 
     v_new_fn = GridFunction(grid, v_new)
-    table2 = nodal_rate_table(k, v_new_fn.full())
-    p_new = _rk4_prop(p_mid, table2, 0.5 * dt)
+    p_new = _rk4_prop(p_mid, _generator(k, v_new_fn.full()), 0.5 * dt)
     p_new = _clip_proportions(p_new, state.t + dt)
     return DeterministicState(t=state.t + dt, v=v_new_fn, p=p_new)
 
@@ -206,6 +201,37 @@ def dissipation_budget(
     cmax = float(np.max(k.conductance))
     vmax = float(np.max(np.abs(k.driving)))
     return s0_l2**2 + half_length * t * cmax * sup_inf * (sup_inf + vmax)
+
+
+class DissipationLedger:
+    """Running trapezoid integral of ||Dv||_L2^2, checked against its budget.
+
+    ``values[m]`` is the dissipation accumulated up to step m and ``sup_inf``
+    the running sup of |v| the budget depends on.  :meth:`record` raises
+    :class:`InvariantViolation` once the integral exceeds
+    :func:`dissipation_budget`.
+    """
+
+    def __init__(self, v0: GridFunction, k: ChannelKinetics, n_steps: int):
+        l2sq, self._grad_sq = squared_norms(v0.grid, v0.values)
+        self.s0 = float(np.sqrt(l2sq))
+        self.sup_inf = float(np.max(np.abs(v0.values)))
+        self.values = np.zeros(n_steps + 1)
+        self.grid = v0.grid
+        self.k = k
+
+    def record(self, step: int, t: float, dt: float, v: np.ndarray) -> None:
+        """Account for the step ending at time t with interior voltage v."""
+        self.sup_inf = max(self.sup_inf, float(np.max(np.abs(v))))
+        g = float(gradient_sq(self.grid, v))
+        self.values[step] = self.values[step - 1] + 0.5 * dt * (self._grad_sq + g)
+        self._grad_sq = g
+        budget = dissipation_budget(self.s0, self.sup_inf, t, self.k,
+                                    self.grid.half_length)
+        if self.values[step] > budget:
+            raise InvariantViolation(
+                f"dissipation {self.values[step]:.6f} exceeds budget {budget:.6f} at t={t}"
+            )
 
 
 def run_det(
@@ -220,7 +246,6 @@ def run_det(
         raise ValueError("time horizon must be nonnegative")
     init.validate(k)
     grid = init.v.grid
-    kd, ko = stiffness_bands(grid)
 
     n_steps = int(round(t_horizon / dt)) if t_horizon > 0 else 0
     if t_horizon > 0:
@@ -231,21 +256,16 @@ def run_det(
     v0_full = init.v.full()
     v_lo = min(k.v_minus, float(v0_full.min()))
     v_hi = max(k.v_plus, float(v0_full.max()))
-    s0 = np.sqrt(grid.h / 3.0 * np.sum(
-        v0_full[:-1] ** 2 + v0_full[:-1] * v0_full[1:] + v0_full[1:] ** 2
-    ))
 
     times = np.empty(n_steps + 1)
     v_snaps = np.empty((n_steps + 1, grid.n_interior))
     p_snaps = np.empty((n_steps + 1, k.n_states, grid.cells + 1))
-    diss = np.zeros(n_steps + 1)
+    ledger = DissipationLedger(init.v, k, n_steps)
 
     state = init
     times[0] = init.t
     v_snaps[0] = init.v.values
     p_snaps[0] = init.p
-    sup_inf = float(np.max(np.abs(v0_full)))
-    grad_sq = float(state.v.values @ _tridiag_matvec(kd, ko, state.v.values))
     max_sum_err = float(np.max(np.abs(init.p.sum(axis=0) - 1.0)))
 
     for step in range(1, n_steps + 1):
@@ -267,16 +287,7 @@ def run_det(
                 f"voltage [{vmin:.6f}, {vmax:.6f}] escaped "
                 f"[{v_lo}, {v_hi}] at t={state.t}"
             )
-        sup_inf = max(sup_inf, abs(vmin), abs(vmax))
-
-        g = float(state.v.values @ _tridiag_matvec(kd, ko, state.v.values))
-        diss[step] = diss[step - 1] + 0.5 * dt * (grad_sq + g)
-        grad_sq = g
-        budget = dissipation_budget(s0, sup_inf, state.t, k, grid.half_length)
-        if diss[step] > budget:
-            raise InvariantViolation(
-                f"dissipation {diss[step]:.6f} exceeds budget {budget:.6f} at t={state.t}"
-            )
+        ledger.record(step, state.t, dt, state.v.values)
 
     return DetTrajectory(
         grid=grid,
@@ -284,8 +295,8 @@ def run_det(
         times=times,
         v=v_snaps,
         p=p_snaps,
-        dissipation=diss,
-        sup_v_inf=sup_inf,
+        dissipation=ledger.values,
+        sup_v_inf=ledger.sup_inf,
         max_prop_sum_error=max_sum_err,
     )
 
@@ -296,8 +307,7 @@ def proportion_drift(
     """Time derivative of one proportion field along the trajectory."""
     v_full = np.zeros(traj.grid.cells + 1)
     v_full[1:-1] = traj.v[idx]
-    table = nodal_rate_table(k, v_full)
-    dp = _prop_derivative(traj.p[idx], table)
+    dp = _prop_derivative(traj.p[idx], _generator(k, v_full))
     return NodalField(traj.grid, dp[state_idx])
 
 

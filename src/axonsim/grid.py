@@ -183,20 +183,42 @@ def riesz_solve(cb: np.ndarray, loads: np.ndarray) -> np.ndarray:
 
 # --- norms and pairings -----------------------------------------------------
 
+def _padded(grid: Grid, values: np.ndarray) -> np.ndarray:
+    f = np.zeros(values.shape[:-1] + (grid.cells + 1,))
+    f[..., 1:-1] = values
+    return f
+
+
+def gradient_sq(grid: Grid, values: np.ndarray):
+    """||Du||_L2^2 of piecewise-linear functions, cell by cell.
+
+    ``values`` holds interior nodal values along its last axis; any leading
+    axes are a batch and the result keeps them.
+    """
+    d = np.diff(_padded(grid, values), axis=-1)
+    return np.sum(d * d, axis=-1) / grid.h
+
+
+def squared_norms(grid: Grid, values: np.ndarray):
+    """(||u||_L2^2, ||Du||_L2^2) of piecewise-linear functions, cell by cell.
+
+    Batched over leading axes like :func:`gradient_sq`.
+    """
+    f = _padded(grid, values)
+    a, b = f[..., :-1], f[..., 1:]
+    l2sq = grid.h / 3.0 * np.sum(a * a + a * b + b * b, axis=-1)
+    return l2sq, gradient_sq(grid, values)
+
+
 def l2_norm(u: GridFunction) -> float:
     """Exact L2 norm of the piecewise-linear interpolant."""
-    f = u.full()
-    a, b = f[:-1], f[1:]
-    return float(np.sqrt(u.grid.h / 3.0 * np.sum(a * a + a * b + b * b)))
+    l2sq, _ = squared_norms(u.grid, u.values)
+    return float(np.sqrt(l2sq))
 
 
 def h10_norm(u: GridFunction) -> float:
     """Exact full Sobolev norm sqrt(||u||_L2^2 + ||Du||_L2^2)."""
-    f = u.full()
-    a, b = f[:-1], f[1:]
-    h = u.grid.h
-    l2sq = h / 3.0 * np.sum(a * a + a * b + b * b)
-    dsq = np.sum((b - a) ** 2) / h
+    l2sq, dsq = squared_norms(u.grid, u.values)
     return float(np.sqrt(l2sq + dsq))
 
 
@@ -206,12 +228,6 @@ def hminus1_norm(F: Functional) -> float:
     u = riesz_solve(cb, F.loads)
     val = float(F.loads @ u)
     return float(np.sqrt(max(val, 0.0)))
-
-
-def hminus1_norm_factored(cb: np.ndarray, loads: np.ndarray) -> float:
-    """Dual norm from a precomputed Cholesky factor (hot path for sweeps)."""
-    u = cho_solve_banded((cb, False), loads)
-    return float(np.sqrt(max(float(loads @ u), 0.0)))
 
 
 def pairing(phi: GridFunction, F: Functional) -> float:

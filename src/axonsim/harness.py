@@ -25,7 +25,7 @@ from . import __version__
 from .decomposition import deviation_loads
 from .deterministic import DeterministicState, DetTrajectory, run_det
 from .errors import InvariantViolation
-from .grid import Grid, build_grid, riesz_cholesky, riesz_solve
+from .grid import Grid, build_grid, riesz_cholesky, riesz_solve, squared_norms
 from .kinetics import ChannelKinetics, make_kinetics
 from .profiles import build_p0, build_v0
 from .stochastic import (
@@ -35,6 +35,7 @@ from .stochastic import (
     make_rng,
     replicate_seed_sequence,
     run_stoch,
+    seed_id,
 )
 
 DEFAULT_CONFIG = {
@@ -184,12 +185,7 @@ def run_replicate(cfg: RunConfig, n_scale: int, replicate: int,
 def _sup_voltage_deviation(times_ok: np.ndarray, v_stoch: np.ndarray,
                            v_det: np.ndarray, grid: Grid) -> tuple[float, float]:
     """Sup over sample times of the L2 and full Sobolev voltage distances."""
-    h = grid.h
-    diff = np.zeros((v_stoch.shape[0], grid.cells + 1))
-    diff[:, 1:-1] = v_stoch - v_det
-    a, b = diff[:, :-1], diff[:, 1:]
-    l2sq = h / 3.0 * np.sum(a * a + a * b + b * b, axis=1)
-    dsq = np.sum((b - a) ** 2, axis=1) / h
+    l2sq, dsq = squared_norms(grid, v_stoch - v_det)
     return float(np.sqrt(l2sq.max())), float(np.sqrt((l2sq + dsq).max()))
 
 
@@ -240,13 +236,12 @@ def _sweep_task(args) -> dict:
 def _run_one(cfg: RunConfig, n_scale: int, replicate: int,
              det_times, det_v, det_p, traj_dir=None) -> dict:
     grid, kin, _, _ = cfg.build()
-    seq = replicate_seed_sequence(cfg.seed, n_scale, replicate)
-    seed_id = int(seq.generate_state(1, np.uint64)[0])
+    seed = seed_id(replicate_seed_sequence(cfg.seed, n_scale, replicate))
     started = time.perf_counter()
     row = {
         "N": n_scale,
         "replicate": replicate,
-        "seed": seed_id,
+        "seed": seed,
         "status": "ok",
     }
     try:
@@ -299,8 +294,8 @@ def run_sweep(cfg: RunConfig, out_dir, workers: int = 1,
               save_trajectories: bool = False) -> list[dict]:
     """Full convergence study; writes results.csv and manifest.json.
 
-    Replicate failures are flagged in their own rows and do not stop the
-    sweep.  Row order is canonical (sorted by N, then replicate).
+    A replicate that raises :class:`InvariantViolation` is flagged in its
+    own row and the sweep goes on; any other error stops it.  Row order is canonical (sorted by N, then replicate).
     """
     os.makedirs(out_dir, exist_ok=True)
     grid, kin, _, _ = cfg.build()

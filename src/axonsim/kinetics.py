@@ -155,41 +155,30 @@ def make_kinetics(spec: dict) -> ChannelKinetics:
     )
 
 
-def rate(k: ChannelKinetics, xi, zeta, v):
-    """Clamped transition rate from xi to zeta at voltage v (scalar or array)."""
-    i, j = k.state_index(xi), k.state_index(zeta)
-    if i == j:
-        raise ValueError(f"no self-transition rate for state {xi!r}")
-    return np.clip(k.forms[(i, j)](v), k.alpha_min, k.alpha_max)
+def rate_table(k: ChannelKinetics, v) -> np.ndarray:
+    """Clamped transition rates at voltage(s) v, shape (n_states, n_states, *v.shape).
 
-
-def exit_rate(k: ChannelKinetics, xi, v):
-    """Total rate of leaving state xi: sum of rates to every other state."""
-    i = k.state_index(xi)
-    v = np.asarray(v, dtype=float)
-    total = np.zeros_like(v)
-    for j in range(k.n_states):
-        if j != i:
-            total = total + rate(k, i, j, v)
-    return float(total) if total.ndim == 0 else total
-
-
-def generator_matrix(k: ChannelKinetics, v: float) -> np.ndarray:
-    """Generator G with dp/dt = G p: G[zeta->xi] off-diagonal, -exit on diagonal.
-
-    Every column sums to zero exactly, so the proportion total is conserved.
+    ``table[dst, src]`` is the rate src -> dst and the diagonal is zero, so
+    the column sums ``table.sum(axis=0)`` are the exit rates, each summed
+    over targets in dst order.
     """
-    n = k.n_states
-    g = np.zeros((n, n))
-    for src in range(n):
-        col = 0.0
-        for dst in range(n):
-            if dst != src:
-                r = float(rate(k, src, dst, v))
-                g[dst, src] = r
-                col += r
-        g[src, src] = -col
-    return g
+    v = np.asarray(v, dtype=float)
+    table = np.zeros((k.n_states, k.n_states) + v.shape)
+    for (src, dst), form in k.forms.items():
+        table[dst, src] = form(v).clip(k.alpha_min, k.alpha_max)
+    return table
+
+
+def channel_rates(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Rates out of each channel's current state, shape (n_states, count).
+
+    ``table`` is a rate table over the channels' voltages; entry [dst, i]
+    of the result is ``table[dst, states[i], i]``, so its column sums are
+    the channels' exit rates.
+    """
+    n_states, _, count = table.shape
+    flat = states * count + np.arange(count)
+    return np.take(table.reshape(n_states, -1), flat, axis=1)
 
 
 def rate_lipschitz(k: ChannelKinetics, xi, zeta, v_interval: tuple[float, float]) -> float:

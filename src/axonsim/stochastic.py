@@ -42,8 +42,8 @@ from .grid import (
     mass_bands,
     stiffness_bands,
 )
-from .deterministic import dissipation_budget, step_guard
-from .kinetics import ChannelKinetics, rate
+from .deterministic import DissipationLedger, step_guard
+from .kinetics import ChannelKinetics, channel_rates, rate_table
 
 STOCH_GUARD = 0.2
 
@@ -307,47 +307,31 @@ class _HybridCore:
         ab[2, :-1] = ab[0, 1:]
         self.v_full[1:-1] = solve_banded((1, 1), ab, rhs)
 
-    def _exit_rates(self, v_chan: np.ndarray) -> np.ndarray:
-        k = self.k
-        exit = np.zeros(self.count)
-        for src in range(k.n_states):
-            total = None
-            for dst in range(k.n_states):
-                if dst == src:
-                    continue
-                r = rate(k, src, dst, v_chan)
-                total = r if total is None else total + r
-            exit = np.where(self.states == src, total, exit)
-        return exit
-
-    def _jump_chain(self, i: int, first_time: float, dt: float, v_i: float,
+    def _jump_chain(self, i: int, first_time: float, dt: float, rates: np.ndarray,
                     t0: float, rng: np.random.Generator) -> list[tuple]:
-        """Exact frozen-rate chain for one channel inside a substep."""
-        k = self.k
+        """Exact frozen-rate chain for one channel inside a substep.
+
+        ``rates`` is the channel's (n_states, n_states) slice of the
+        substep's rate table.
+        """
+        exit = rates.sum(axis=0).tolist()
         events = []
         s = int(self.states[i])
         t_loc = first_time
         while t_loc <= dt:
-            rates = np.array([
-                float(rate(k, s, dst, v_i)) if dst != s else 0.0
-                for dst in range(k.n_states)
-            ])
-            total = rates.sum()
-            u = rng.random() * total
-            dst = int(np.searchsorted(np.cumsum(rates), u, side="right"))
-            dst = min(dst, k.n_states - 1)
+            u = rng.random() * exit[s]
+            dst = int(np.searchsorted(np.cumsum(rates[:, s]), u, side="right"))
+            dst = min(dst, self.k.n_states - 1)
             events.append((t0 + t_loc, i, s, dst))
             s = dst
-            exit_new = sum(
-                float(rate(k, s, d, v_i)) for d in range(k.n_states) if d != s
-            )
-            t_loc += rng.exponential() / exit_new
+            t_loc += rng.exponential() / exit[s]
         return events
 
     def substep(self, t0: float, dt: float, rng: np.random.Generator):
         """Advance by one substep; returns (events, frozen channel voltages)."""
         v_chan = self.v_at_channels()
-        exit = self._exit_rates(v_chan)
+        table = rate_table(self.k, v_chan)
+        exit = channel_rates(table, self.states).sum(axis=0)
         tau = rng.exponential(size=self.count) / exit
         jumpers = np.nonzero(tau <= dt)[0]
         if jumpers.size == 0:
@@ -356,7 +340,7 @@ class _HybridCore:
         events: list[tuple] = []
         for i in jumpers:
             events.extend(self._jump_chain(int(i), float(tau[i]), dt,
-                                           float(v_chan[i]), t0, rng))
+                                           table[:, :, i], t0, rng))
         events.sort(key=lambda e: e[0])
         cursor = t0
         for (te, i, _src, dst) in events:
@@ -400,6 +384,11 @@ def replicate_seed_sequence(base_seed: int, n_scale: int, replicate: int):
                                   spawn_key=(int(n_scale), int(replicate)))
 
 
+def seed_id(seq: np.random.SeedSequence) -> int:
+    """64-bit identifier of a stream: the ``seed`` column of results.csv."""
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
 def run_stoch(
     init: StochasticState,
     t_horizon: float,
@@ -425,25 +414,16 @@ def run_stoch(
         step_guard(dt, k, limit=STOCH_GUARD)
     rng = make_rng(seed)
     core = _HybridCore(grid, k, init.channels, init.v.values)
-    kd, ko = stiffness_bands(grid)
 
     times = init.t + dt * np.arange(n_steps + 1)
     v_snaps = np.empty((n_steps + 1, grid.n_interior))
     v_snaps[0] = init.v.values
-    diss = np.zeros(n_steps + 1)
+    ledger = DissipationLedger(init.v, k, n_steps)
     history = np.empty((n_steps, core.count)) if store_history and n_steps else None
     jt: list[float] = []
     jc: list[int] = []
     js: list[int] = []
     jd: list[int] = []
-
-    v0_full = init.v.full()
-    s0 = float(np.sqrt(grid.h / 3.0 * np.sum(
-        v0_full[:-1] ** 2 + v0_full[:-1] * v0_full[1:] + v0_full[1:] ** 2
-    )))
-    sup_inf = float(np.max(np.abs(v0_full)))
-    v = v_snaps[0]
-    grad_sq = float(v @ (kd * v) + 2.0 * (v[:-1] * ko * v[1:]).sum()) if v.size else 0.0
 
     for step in range(n_steps):
         t0 = float(times[step])
@@ -459,17 +439,7 @@ def run_stoch(
         v_snaps[step + 1] = v
         if not np.all(np.isfinite(v)):
             raise InvariantViolation(f"voltage not finite at t={times[step + 1]}")
-        sup_inf = max(sup_inf, float(np.max(np.abs(v))))
-        g = float(v @ (kd * v) + 2.0 * (v[:-1] * ko * v[1:]).sum())
-        diss[step + 1] = diss[step] + 0.5 * dt * (grad_sq + g)
-        grad_sq = g
-        budget = dissipation_budget(s0, sup_inf, float(times[step + 1]), k,
-                                    grid.half_length)
-        if diss[step + 1] > budget:
-            raise InvariantViolation(
-                f"dissipation {diss[step + 1]:.6f} exceeds budget {budget:.6f} "
-                f"at t={times[step + 1]}"
-            )
+        ledger.record(step + 1, float(times[step + 1]), dt, v)
 
     return StochTrajectory(
         grid=grid,
@@ -485,8 +455,8 @@ def run_stoch(
         jump_dst=np.asarray(jd, dtype=np.int64),
         v_chan_frozen=history,
         seed=seed,
-        dissipation=diss,
-        sup_v_inf=sup_inf,
+        dissipation=ledger.values,
+        sup_v_inf=ledger.sup_inf,
     )
 
 
@@ -517,8 +487,17 @@ def write_jump_csv(traj: StochTrajectory, path,
 
 
 def write_run_manifest(traj: StochTrajectory, path, config_digest: str = "") -> None:
+    """Run summary with the stream the run drew from.
+
+    ``base_seed`` and ``replicate`` are the coordinates of
+    :func:`replicate_seed_sequence` (``replicate`` is null for a run seeded
+    with a plain integer) and ``seed`` is that stream's :func:`seed_id`.
+    """
+    seq = make_rng(traj.seed).bit_generator.seed_seq
     payload = {
-        "seed": repr(traj.seed),
+        "base_seed": int(seq.entropy),
+        "replicate": int(seq.spawn_key[1]) if len(seq.spawn_key) == 2 else None,
+        "seed": seed_id(seq),
         "config_digest": config_digest,
         "n_scale": traj.n_scale,
         "channels": int(traj.positions.size),

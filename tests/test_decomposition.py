@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from axonsim.decomposition import (
-    accumulate_compensators,
     deviation_loads,
     drift_term,
     interpolate_at_channels,
@@ -72,11 +71,11 @@ class TestCompensators:
         cfg = RunConfig.from_dict({"time_horizon": 0.5, "dt": 5e-3, "cells": 60})
         grid, kin, _, _ = cfg.build()
         traj = run_replicate(cfg, 25, 0)
-        acc = accumulate_compensators(traj, kin)
-        diffs = np.diff(acc.per_target, axis=0)
+        diag = scan_path(traj, kin, want_comp_series=True)
+        diffs = np.diff(diag.comp_series, axis=0)
         assert diffs.min() >= -1e-15
-        for idx, t in enumerate(acc.times):
-            assert acc.per_target[idx].max() <= kin.alpha_max * t + 1e-12
+        for idx, t in enumerate(diag.times):
+            assert diag.comp_series[idx].max() <= kin.alpha_max * t + 1e-12
 
     def test_no_jump_path_is_pure_compensator(self):
         g = build_grid(1.0, 20)
@@ -386,3 +385,67 @@ class TestLogLikelihood:
             w[i] = np.exp(path_log_likelihood(traj, k, 1.0))
         est, se = w.mean(), w.std(ddof=1) / np.sqrt(reps)
         assert abs(est - 1.0) <= 3 * se
+
+
+def k_type_chain():
+    """Five-state K-type activation chain c0 <-> c1 <-> c2 <-> c3 <-> o.
+
+    Forward rates (4-i) alpha(V), backward rates (i+1) beta(V); transitions
+    between non-neighbours sit at the clamp floor.
+    """
+    names = ["c0", "c1", "c2", "c3", "o"]
+    rates = []
+    for i, (a, b) in enumerate(zip(names, names[1:])):
+        up, down = 4 - i, i + 1
+        rates.append({"from": a, "to": b, "form": "sigmoid",
+                      "params": {"a": 0.2 * up, "b": 1.0 * up, "k": 4.0, "v0": 0.2}})
+        rates.append({"from": b, "to": a, "form": "sigmoid",
+                      "params": {"a": 0.2 * down, "b": 1.0 * down, "k": -4.0, "v0": 0.2}})
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            if abs(i - j) > 1:
+                rates.append({"from": a, "to": b, "form": "constant", "params": {"a": 0.0}})
+    return {
+        "states": [{"name": n, "c": 1.0 if n == "o" else 0.0, "v": -0.3 if n == "o" else 1.0}
+                   for n in names],
+        "rates": rates,
+        "clamp": [0.05, 5.0],
+    }
+
+
+class TestMultiStateChain:
+    def test_fluid_particle_and_replay(self):
+        cfg = RunConfig.from_dict({
+            "time_horizon": 0.2, "dt": 5e-3, "cells": 40, "kinetics": k_type_chain(),
+            "p0": {"form": "uniform", "params": {"weights": {
+                "c0": 0.4, "c1": 0.3, "c2": 0.15, "c3": 0.1, "o": 0.05}}},
+        })
+        grid, kin, _, _ = cfg.build()
+        det = run_reference(cfg)
+        assert np.max(np.abs(det.p.sum(axis=1) - 1.0)) <= 1e-9
+        assert det.p.min() >= -1e-9 and det.p.max() <= 1.0 + 1e-9
+
+        traj = run_replicate(cfg, 50, 0)
+        assert np.all(np.diff(traj.jump_times) >= 0)
+        states = traj.initial_states.copy()
+        for i, src, dst in zip(traj.jump_channel, traj.jump_src, traj.jump_dst):
+            assert src == states[i] and dst != src
+            states[i] = dst
+        assert np.array_equal(states, traj.final_states())
+        assert np.unique(np.concatenate([traj.jump_src, traj.jump_dst])).size > 2
+
+        diag = scan_path(traj, kin, want_series=True)
+        occupancy = diag.c_loads.sum(axis=1)
+        assert np.max(np.abs(occupancy - occupancy[0])) <= 1e-14
+        one_hot = np.eye(kin.n_states)
+        assert np.array_equal(diag.jumps_net_final,
+                              (one_hot[states] - one_hot[traj.initial_states]).T)
+        np.testing.assert_allclose(diag.comp_final.sum(axis=0),
+                                   diag.exit_occupation_final.sum(axis=0), rtol=1e-12)
+
+        p = det.p
+        dens = grid.h / 6.0 * (p[:, :, :-2] + 4.0 * p[:, :, 1:-1] + p[:, :, 2:])
+        deviation = diag.c_loads - dens
+        int_q = diag.comp_loads[-1] - (dens[-1] - dens[0])
+        residual = deviation[-1] - deviation[0] - int_q - diag.m_loads[-1]
+        assert np.max(np.abs(residual)) <= 1e-12

@@ -228,6 +228,21 @@ class TestCli:
         manifest = json.loads((tmp_path / "st" / "stoch_manifest.json").read_text())
         assert manifest["n_scale"] == 25
 
+    def test_stoch_manifest_seed_matches_sweep_row(self, tmp_path):
+        from axonsim.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "time_horizon": 0.02}))
+        assert main(["stoch", "--config", str(cfg_path), "--n", "50", "--replicate", "1",
+                     "--out", str(tmp_path / "st")]) == 0
+        manifest = json.loads((tmp_path / "st" / "stoch_manifest.json").read_text())
+        rows = run_sweep(RunConfig.from_dict({**SMALL, "time_horizon": 0.02}),
+                         tmp_path / "sw")
+        [row] = [r for r in rows if (r["N"], r["replicate"]) == (50, 1)]
+        assert manifest["seed"] == row["seed"]
+        assert (manifest["base_seed"], manifest["n_scale"], manifest["replicate"]) == (
+            SMALL["seed"], 50, 1)
+
     def test_validate_martingale_report(self, tmp_path):
         from axonsim.validate import martingale_suite
 

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from axonsim.kinetics import (
-    exit_rate,
-    generator_matrix,
-    make_kinetics,
-    rate,
-    rate_lipschitz,
-)
+from hypothesis import given
+from hypothesis import strategies as st
+
+from axonsim.kinetics import make_kinetics, rate_lipschitz, rate_table
 
 
 def two_state(rate_a=0.5, rate_b=0.5, clamp=(0.01, 10.0)):
@@ -63,9 +60,9 @@ class TestMakeKinetics:
 
     def test_chain_rates_within_clamp(self):
         k = sodium_chain()
-        vgrid = np.linspace(-2, 2, 101)
+        table = rate_table(k, np.linspace(-2, 2, 101))
         for (i, j) in k.forms:
-            r = rate(k, i, j, vgrid)
+            r = table[j, i]
             assert np.all(r >= k.alpha_min) and np.all(r <= k.alpha_max)
 
     def test_rejects_bad_clamp(self):
@@ -102,11 +99,17 @@ class TestMakeKinetics:
             make_kinetics({"states": [{"name": "only", "c": 1.0, "v": 1.0}], "rates": []})
 
 
+def generator(k, v):
+    """G = table - diag(exit): dp/dt = G p for the proportions at voltage v."""
+    table = rate_table(k, v)
+    return table - np.diag(table.sum(axis=0))
+
+
 class TestRate:
     def test_constant(self):
         k = two_state()
         for v in (-5.0, 0.0, 3.3):
-            assert rate(k, "closed", "open", v) == 0.5
+            assert rate_table(k, v)[1, 0] == 0.5
 
     def test_exponential_hits_clamp(self):
         k = make_kinetics({
@@ -120,7 +123,7 @@ class TestRate:
             ],
             "clamp": [0.01, 10.0],
         })
-        assert rate(k, "closed", "open", 1.0) == k.alpha_max
+        assert rate_table(k, 1.0)[1, 0] == k.alpha_max
 
     def test_sigmoid_midpoint(self):
         k = make_kinetics({
@@ -135,17 +138,27 @@ class TestRate:
             ],
             "clamp": [0.01, 10.0],
         })
-        assert rate(k, "closed", "open", 0.0) == pytest.approx(0.5)
+        assert rate_table(k, 0.0)[1, 0] == pytest.approx(0.5)
 
     def test_rejects_self_transition(self):
-        k = two_state()
-        with pytest.raises(ValueError):
-            rate(k, "open", "open", 0.0)
+        # the table carries no self-transition rate, and a config cannot add one
+        table = rate_table(two_state(), np.linspace(-1.0, 1.0, 5))
+        assert np.all(table[0, 0] == 0.0) and np.all(table[1, 1] == 0.0)
+        with pytest.raises(ValueError, match="self-transition"):
+            make_kinetics({
+                "states": [
+                    {"name": "closed", "c": 0.0, "v": -0.2},
+                    {"name": "open", "c": 1.0, "v": 1.0},
+                ],
+                "rates": [
+                    {"from": "open", "to": "open", "form": "constant", "params": {"a": 0.5}},
+                ],
+            })
 
 
 class TestExitRate:
     def test_two_state(self):
-        assert exit_rate(two_state(), "closed", 0.3) == 0.5
+        assert rate_table(two_state(), 0.3).sum(axis=0)[0] == 0.5
 
     def test_three_state(self):
         states = [{"name": "a", "c": 0.0, "v": -0.2},
@@ -154,24 +167,22 @@ class TestExitRate:
         rates = [{"from": s["name"], "to": d["name"], "form": "constant", "params": {"a": 0.5}}
                  for s in states for d in states if s["name"] != d["name"]]
         k = make_kinetics({"states": states, "rates": rates, "clamp": [0.01, 10.0]})
-        assert exit_rate(k, "a", 0.0) == pytest.approx(1.0)
+        assert rate_table(k, 0.0).sum(axis=0)[0] == pytest.approx(1.0)
 
     def test_matches_rate_sum(self):
         rng = np.random.default_rng(5)
         k = sodium_chain()
         for v in rng.uniform(-1.5, 1.5, size=10):
-            total = sum(
-                rate(k, 0, j, v) for j in range(1, k.n_states)
-            )
-            assert exit_rate(k, 0, v) == pytest.approx(float(total), rel=1e-14)
+            table = rate_table(k, v)
+            total = sum(table[j, 0] for j in range(1, k.n_states))
+            assert table.sum(axis=0)[0] == pytest.approx(float(total), rel=1e-14)
 
     def test_within_band(self):
         k = sodium_chain()
         lo = (k.n_states - 1) * k.alpha_min
         hi = (k.n_states - 1) * k.alpha_max
-        for v in (-2.0, 0.0, 1.0):
-            for s in range(k.n_states):
-                assert lo <= exit_rate(k, s, v) <= hi
+        exit = rate_table(k, np.array([-2.0, 0.0, 1.0])).sum(axis=0)
+        assert np.all(lo <= exit) and np.all(exit <= hi)
 
 
 class TestGenerator:
@@ -179,11 +190,11 @@ class TestGenerator:
         rng = np.random.default_rng(9)
         k = sodium_chain()
         for v in rng.uniform(-1.5, 1.5, size=8):
-            g = generator_matrix(k, float(v))
+            g = generator(k, float(v))
             assert np.max(np.abs(g.sum(axis=0))) < 1e-14
 
     def test_symmetric_two_state_equilibrium(self):
-        g = generator_matrix(two_state(), 0.0)
+        g = generator(two_state(), 0.0)
         null = g @ np.array([0.5, 0.5])
         assert np.max(np.abs(null)) < 1e-15
 
@@ -192,7 +203,7 @@ class TestGenerator:
         k = sodium_chain()
         cap = 2 * (k.n_states - 1) * k.alpha_max
         for v in rng.uniform(-2, 2, size=6):
-            g = generator_matrix(k, float(v))
+            g = generator(k, float(v))
             assert np.max(np.abs(np.linalg.eigvals(g))) <= cap + 1e-12
 
     def test_conserves_total(self):
@@ -200,7 +211,7 @@ class TestGenerator:
         k = sodium_chain()
         p = rng.uniform(0.1, 1.0, size=k.n_states)
         p /= p.sum()
-        assert abs((generator_matrix(k, 0.4) @ p).sum()) < 1e-15
+        assert abs((generator(k, 0.4) @ p).sum()) < 1e-15
 
 
 class TestLipschitz:
@@ -210,8 +221,61 @@ class TestLipschitz:
     def test_reported_bound_holds(self):
         k = sodium_chain()
         v = np.linspace(-1.5, 1.5, 2001)
+        table = rate_table(k, v)
         for (i, j) in k.forms:
             bound = rate_lipschitz(k, i, j, (-1.5, 1.5))
-            vals = rate(k, i, j, v)
+            vals = table[j, i]
             slopes = np.abs(np.diff(vals)) / (v[1] - v[0])
             assert np.all(slopes <= bound + 1e-9)
+
+
+_FORMS = {
+    "constant": st.fixed_dictionaries({"a": st.floats(0.0, 3.0)}),
+    "sigmoid": st.fixed_dictionaries({
+        "a": st.floats(0.0, 2.0), "b": st.floats(-2.0, 4.0),
+        "k": st.floats(-8.0, 8.0), "v0": st.floats(-1.0, 1.0),
+    }),
+    "exp_clamped": st.fixed_dictionaries({"a": st.floats(0.0, 2.0),
+                                          "k": st.floats(-5.0, 5.0)}),
+}
+
+
+@st.composite
+def kinetics_and_voltage(draw):
+    n = draw(st.integers(2, 5))
+    names = [f"s{i}" for i in range(n)]
+    states = [{"name": name, "c": 1.0, "v": -0.5 if i == 0 else 1.0}
+              for i, name in enumerate(names)]
+    rates = []
+    for a in names:
+        for b in names:
+            if a != b:
+                form = draw(st.sampled_from(sorted(_FORMS)))
+                rates.append({"from": a, "to": b, "form": form,
+                              "params": draw(_FORMS[form])})
+    lo = draw(st.floats(1e-3, 1.0))
+    hi = draw(st.floats(lo, 50.0))
+    k = make_kinetics({"states": states, "rates": rates, "clamp": [lo, hi]})
+    voltage = st.floats(-3.0, 3.0)
+    if draw(st.booleans()):
+        v = draw(voltage)
+    else:
+        v = np.array(draw(st.lists(voltage, min_size=1, max_size=20)))
+    return k, v
+
+
+class TestRateTable:
+    @given(kinetics_and_voltage())
+    def test_matches_per_pair_reference(self, case):
+        k, v = case
+        table = rate_table(k, v)
+        assert table.shape == (k.n_states, k.n_states) + np.shape(v)
+        for src in range(k.n_states):
+            assert np.all(table[src, src] == 0.0)
+            exit = 0.0
+            for dst in range(k.n_states):
+                if dst != src:
+                    ref = np.clip(k.forms[(src, dst)](v), *k.clamp)
+                    assert np.array_equal(table[dst, src], ref)
+                    exit = exit + ref
+            assert np.array_equal(table.sum(axis=0)[src], exit)

@@ -35,7 +35,6 @@ from .deterministic import (
 )
 from .stochastic import (
     ChannelConfig,
-    JumpRecord,
     StochasticState,
     StochTrajectory,
     channel_source,
@@ -66,7 +65,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "InvariantViolation",
-    "JumpRecord",
     "KernelParams",
     "MartingaleSeries",
     "NodalField",

@@ -27,6 +27,7 @@ from .grid import (
     NodalField,
     density_functional,
     hat_weights,
+    hminus1_norms,
 )
 from .kinetics import ChannelKinetics, channel_rates, rate_table
 from .stochastic import ChannelConfig, StochTrajectory, _interior_hat_arrays
@@ -76,6 +77,73 @@ def _scatter(idx_lo, wt_lo, idx_hi, wt_hi, weights, n_interior) -> np.ndarray:
     )
 
 
+# Sample times per scatter block.  The block buffer holds 3 * n_states *
+# SCATTER_BLOCK doubles per channel on top of the load series, at the
+# replay's memory peak, so it stays small.
+SCATTER_BLOCK = 8
+
+
+class _SeriesScatter:
+    """Hat loads of the replay's per-channel series, a block of times at once.
+
+    Each sample time adds, for every state xi, three per-channel rows (each
+    over N): the indicator of s = xi, comp - occ, and jumps_net.  At a full
+    block each (row kind, state) is scattered for all its times by one
+    ``bincount`` per hat side, bin ``time * n_int + idx``; every bin receives
+    its channels in ascending order, as a per-time ``bincount`` does, so the
+    loads are bit-identical to scattering each time on its own.
+    """
+
+    def __init__(self, grid: Grid, positions: np.ndarray, n_states: int,
+                 n_times: int, n_scale: int):
+        idx_lo, self.wt_lo, idx_hi, self.wt_hi = _interior_hat_arrays(grid, positions)
+        self.n_int = grid.n_interior
+        self.inv_n = 1.0 / n_scale
+        self.state_ids = np.arange(n_states)[:, None]
+        shape = (n_times, n_states, self.n_int)
+        self.c_loads = np.zeros(shape)
+        self.comp_loads = np.zeros(shape)
+        self.m_loads = np.zeros(shape)
+        block = min(SCATTER_BLOCK, n_times)
+        rows = np.arange(block)[:, None] * self.n_int
+        self.bins_lo = (rows + idx_lo).ravel()
+        self.bins_hi = (rows + idx_hi).ravel()
+        self.buf = np.empty((3, n_states, block, positions.size))
+        self.filled = 0
+        self.t_next = 0
+
+    def add(self, states: np.ndarray, comp: np.ndarray, occ: np.ndarray,
+            jumps_net: np.ndarray) -> None:
+        j = self.filled
+        self.buf[0, :, j] = (states == self.state_ids) * self.inv_n
+        self.buf[1, :, j] = (comp - occ) * self.inv_n
+        self.buf[2, :, j] = jumps_net * self.inv_n
+        self.filled += 1
+        if self.filled == self.buf.shape[2]:
+            self.flush()
+
+    def _loads(self, rows: np.ndarray) -> np.ndarray:
+        """Hat loads (b, n_int) of b per-channel rows."""
+        n = rows.size
+        size = rows.shape[0] * self.n_int
+        loads = np.bincount(self.bins_lo[:n], weights=(rows * self.wt_lo).ravel(),
+                            minlength=size)
+        loads += np.bincount(self.bins_hi[:n], weights=(rows * self.wt_hi).ravel(),
+                             minlength=size)
+        return loads.reshape(rows.shape[0], self.n_int)
+
+    def flush(self) -> None:
+        b = self.filled
+        t = slice(self.t_next, self.t_next + b)
+        for s in range(self.buf.shape[1]):
+            self.c_loads[t, s] = self._loads(self.buf[0, s, :b])
+            comp = self._loads(self.buf[1, s, :b])
+            self.comp_loads[t, s] = comp
+            self.m_loads[t, s] = self._loads(self.buf[2, s, :b]) - comp
+        self.t_next += b
+        self.filled = 0
+
+
 def scan_path(
     traj: StochTrajectory,
     k: ChannelKinetics,
@@ -89,46 +157,28 @@ def scan_path(
     of the simulated chain.
     """
     history = _require_history(traj)
-    grid = traj.grid
     n_states = traj.n_states
     count = traj.positions.size
-    n_int = grid.n_interior
     n_sub = traj.n_times - 1
 
-    idx_lo, wt_lo, idx_hi, wt_hi = _interior_hat_arrays(grid, traj.positions)
     states = traj.initial_states.copy()
     comp = np.zeros((n_states, count))
     occ = np.zeros((n_states, count))
     jumps_net = np.zeros((n_states, count))
     bounds = np.searchsorted(traj.jump_times, traj.times, side="right")
 
-    c_loads = comp_loads = m_loads = comp_series = None
+    series = comp_series = None
     if want_series:
-        c_loads = np.zeros((n_sub + 1, n_states, n_int))
-        comp_loads = np.zeros((n_sub + 1, n_states, n_int))
-        m_loads = np.zeros((n_sub + 1, n_states, n_int))
+        series = _SeriesScatter(traj.grid, traj.positions, n_states,
+                                traj.n_times, traj.n_scale)
     if want_comp_series:
         comp_series = np.zeros((n_sub + 1, n_states, count))
 
     def emit(t_idx: int) -> None:
         if want_comp_series:
             comp_series[t_idx] = comp
-        if not want_series:
-            return
-        inv_n = 1.0 / traj.n_scale
-        for xi in range(n_states):
-            sel = states == xi
-            c_loads[t_idx, xi] = _scatter(
-                idx_lo[sel], wt_lo[sel], idx_hi[sel], wt_hi[sel],
-                np.full(int(sel.sum()), inv_n), n_int,
-            )
-            net = (comp[xi] - occ[xi]) * inv_n
-            comp_loads[t_idx, xi] = _scatter(idx_lo, wt_lo, idx_hi, wt_hi, net, n_int)
-            jump_part = jumps_net[xi] * inv_n
-            m_loads[t_idx, xi] = (
-                _scatter(idx_lo, wt_lo, idx_hi, wt_hi, jump_part, n_int)
-                - comp_loads[t_idx, xi]
-            )
+        if want_series:
+            series.add(states, comp, occ, jumps_net)
 
     emit(0)
     for sub in range(n_sub):
@@ -171,14 +221,16 @@ def scan_path(
                 states[i] = s
         emit(sub + 1)
 
+    if want_series:
+        series.flush()
     return PathDiagnostics(
         times=traj.times,
         comp_final=comp,
         exit_occupation_final=occ,
         jumps_net_final=jumps_net,
-        c_loads=c_loads,
-        comp_loads=comp_loads,
-        m_loads=m_loads,
+        c_loads=series.c_loads if want_series else None,
+        comp_loads=series.comp_loads if want_series else None,
+        m_loads=series.m_loads if want_series else None,
         comp_series=comp_series,
     )
 
@@ -288,17 +340,8 @@ def path_log_likelihood(traj: StochTrajectory, k: ChannelKinetics,
 def martingale_norm_series(traj: StochTrajectory, k: ChannelKinetics,
                            grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Dual norm of every state's martingale part at each sample time."""
-    from .grid import riesz_cholesky, riesz_solve
-
-    diag = scan_path(traj, k, want_series=True)
-    cb = riesz_cholesky(grid)
-    norms = np.zeros((traj.n_times, k.n_states))
-    for idx in range(traj.n_times):
-        for s in range(k.n_states):
-            loads = diag.m_loads[idx, s]
-            u = riesz_solve(cb, loads)
-            norms[idx, s] = np.sqrt(max(float(loads @ u), 0.0))
-    return diag.times, norms
+    m_loads = scan_path(traj, k, want_series=True).m_loads
+    return traj.times, hminus1_norms(grid, m_loads)
 
 
 def write_martingale_norm_csv(traj: StochTrajectory, k: ChannelKinetics,
@@ -326,8 +369,7 @@ def deviation_loads(
     Returns (c_minus_p_loads, m_loads, comp_loads).
     """
     diag = scan_path(traj, k, want_series=True)
-    grid = traj.grid
-    h = grid.h
     p = det_p
-    dens = h / 6.0 * (p[:, :, :-2] + 4.0 * p[:, :, 1:-1] + p[:, :, 2:])
-    return diag.c_loads - dens, diag.m_loads, diag.comp_loads
+    c_loads = diag.c_loads
+    c_loads -= traj.grid.h / 6.0 * (p[:, :, :-2] + 4.0 * p[:, :, 1:-1] + p[:, :, 2:])
+    return c_loads, diag.m_loads, diag.comp_loads

@@ -194,13 +194,21 @@ def step_det(state: DeterministicState, dt: float, k: ChannelKinetics) -> Determ
     return DeterministicState(t=state.t + dt, v=v_new_fn, p=p_new)
 
 
+def _budget_constants(k: ChannelKinetics) -> tuple[float, float]:
+    """(max conductance, max |driving potential|) of the budget."""
+    return float(np.max(k.conductance)), float(np.max(np.abs(k.driving)))
+
+
+def _budget(s0_l2: float, sup_inf: float, t: float, half_length: float,
+            cmax: float, vmax: float) -> float:
+    return s0_l2**2 + half_length * t * cmax * sup_inf * (sup_inf + vmax)
+
+
 def dissipation_budget(
     s0_l2: float, sup_inf: float, t: float, k: ChannelKinetics, half_length: float
 ) -> float:
     """Explicit cap on the accumulated gradient dissipation up to time t."""
-    cmax = float(np.max(k.conductance))
-    vmax = float(np.max(np.abs(k.driving)))
-    return s0_l2**2 + half_length * t * cmax * sup_inf * (sup_inf + vmax)
+    return _budget(s0_l2, sup_inf, t, half_length, *_budget_constants(k))
 
 
 class DissipationLedger:
@@ -218,7 +226,7 @@ class DissipationLedger:
         self.sup_inf = float(np.max(np.abs(v0.values)))
         self.values = np.zeros(n_steps + 1)
         self.grid = v0.grid
-        self.k = k
+        self._constants = _budget_constants(k)
 
     def record(self, step: int, t: float, dt: float, v: np.ndarray) -> None:
         """Account for the step ending at time t with interior voltage v."""
@@ -226,8 +234,8 @@ class DissipationLedger:
         g = float(gradient_sq(self.grid, v))
         self.values[step] = self.values[step - 1] + 0.5 * dt * (self._grad_sq + g)
         self._grad_sq = g
-        budget = dissipation_budget(self.s0, self.sup_inf, t, self.k,
-                                    self.grid.half_length)
+        budget = _budget(self.s0, self.sup_inf, t, self.grid.half_length,
+                         *self._constants)
         if self.values[step] > budget:
             raise InvariantViolation(
                 f"dissipation {self.values[step]:.6f} exceeds budget {budget:.6f} at t={t}"

@@ -222,12 +222,23 @@ def h10_norm(u: GridFunction) -> float:
     return float(np.sqrt(l2sq + dsq))
 
 
+def hminus1_norms(grid: Grid, loads: np.ndarray) -> np.ndarray:
+    """Dual norms sqrt(max(loads . u, 0)) with (K + M) u = loads, batched.
+
+    ``loads`` holds load vectors along its last axis; any leading axes are a
+    batch and the result keeps them.  All vectors go through one multi-RHS
+    :func:`riesz_solve`, which solves each column as a single solve would.
+    """
+    loads = np.asarray(loads, dtype=float)
+    flat = loads.reshape(-1, grid.n_interior)
+    u = riesz_solve(riesz_cholesky(grid), flat.T)
+    val = np.einsum("ij,ij->i", flat, u.T)
+    return np.sqrt(np.maximum(val, 0.0)).reshape(loads.shape[:-1])
+
+
 def hminus1_norm(F: Functional) -> float:
-    """Dual norm via the Riesz solve (K + M) u = loads; returns sqrt(loads . u)."""
-    cb = riesz_cholesky(F.grid)
-    u = riesz_solve(cb, F.loads)
-    val = float(F.loads @ u)
-    return float(np.sqrt(max(val, 0.0)))
+    """Dual norm of one functional; see :func:`hminus1_norms`."""
+    return float(hminus1_norms(F.grid, F.loads))
 
 
 def pairing(phi: GridFunction, F: Functional) -> float:

@@ -27,7 +27,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -82,20 +82,6 @@ class StochasticState:
     channels: ChannelConfig
 
 
-@dataclass(frozen=True)
-class JumpRecord:
-    """One channel transition."""
-
-    time: float
-    channel: int
-    src: int
-    dst: int
-
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError("jump must change the state")
-
-
 @dataclass(eq=False)
 class StochTrajectory:
     """Full record of one particle-model run.
@@ -133,11 +119,6 @@ class StochTrajectory:
 
     def v_at(self, idx: int) -> GridFunction:
         return GridFunction(self.grid, self.v[idx])
-
-    def jump_records(self) -> Iterator[JumpRecord]:
-        for t, i, a, b in zip(self.jump_times, self.jump_channel,
-                              self.jump_src, self.jump_dst):
-            yield JumpRecord(float(t), int(i), int(a), int(b))
 
     def final_states(self) -> np.ndarray:
         s = self.initial_states.copy()
@@ -353,7 +334,10 @@ class _HybridCore:
 
 def step_stoch(state: StochasticState, dt: float, k: ChannelKinetics,
                rng: np.random.Generator):
-    """One hybrid substep; returns the new state and the jump records."""
+    """One hybrid substep; returns the new state and its jumps.
+
+    Each jump is a tuple (t, channel, src, dst), in time order.
+    """
     step_guard(dt, k, limit=STOCH_GUARD)
     core = _HybridCore(state.v.grid, k, state.channels, state.v.values)
     events, _ = core.substep(state.t, dt, rng)
@@ -366,7 +350,7 @@ def step_stoch(state: StochasticState, dt: float, k: ChannelKinetics,
             states=core.states,
         ),
     )
-    return new_state, [JumpRecord(t, i, s, d) for (t, i, s, d) in events]
+    return new_state, events
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -480,10 +464,11 @@ def write_jump_csv(traj: StochTrajectory, path,
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "channel", "from", "to"])
-        for rec in traj.jump_records():
-            src = state_names[rec.src] if state_names else rec.src
-            dst = state_names[rec.dst] if state_names else rec.dst
-            w.writerow([repr(rec.time), rec.channel, src, dst])
+        for t, i, a, b in zip(traj.jump_times.tolist(), traj.jump_channel.tolist(),
+                              traj.jump_src.tolist(), traj.jump_dst.tolist()):
+            src = state_names[a] if state_names else a
+            dst = state_names[b] if state_names else b
+            w.writerow([repr(t), i, src, dst])
 
 
 def write_run_manifest(traj: StochTrajectory, path, config_digest: str = "") -> None:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from axonsim.decomposition import (
+    SCATTER_BLOCK,
+    _scatter,
+    _SeriesScatter,
     deviation_loads,
     drift_term,
     interpolate_at_channels,
@@ -21,6 +26,7 @@ from axonsim.stochastic import (
     StochTrajectory,
     init_channels,
     make_rng,
+    _interior_hat_arrays,
     run_stoch,
 )
 
@@ -449,3 +455,84 @@ class TestMultiStateChain:
         int_q = diag.comp_loads[-1] - (dens[-1] - dens[0])
         residual = deviation[-1] - deviation[0] - int_q - diag.m_loads[-1]
         assert np.max(np.abs(residual)) <= 1e-12
+
+
+def per_time_loads(grid, positions, n_scale, inputs):
+    """Reference: three per-state scatters per sample time, one time at a time."""
+    idx_lo, wt_lo, idx_hi, wt_hi = _interior_hat_arrays(grid, positions)
+    n_int = grid.n_interior
+    inv_n = 1.0 / n_scale
+    n_states = inputs[0][1].shape[0]
+    shape = (len(inputs), n_states, n_int)
+    c_loads, comp_loads, m_loads = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    for t, (states, comp, occ, jumps_net) in enumerate(inputs):
+        for xi in range(n_states):
+            sel = states == xi
+            c_loads[t, xi] = _scatter(
+                idx_lo[sel], wt_lo[sel], idx_hi[sel], wt_hi[sel],
+                np.full(int(sel.sum()), inv_n), n_int,
+            )
+            net = (comp[xi] - occ[xi]) * inv_n
+            comp_loads[t, xi] = _scatter(idx_lo, wt_lo, idx_hi, wt_hi, net, n_int)
+            m_loads[t, xi] = (
+                _scatter(idx_lo, wt_lo, idx_hi, wt_hi, jumps_net[xi] * inv_n, n_int)
+                - comp_loads[t, xi]
+            )
+    return c_loads, comp_loads, m_loads
+
+
+class TestSeriesScatter:
+    @given(n_states=st.integers(2, 5),
+           n_times=st.sampled_from([3, SCATTER_BLOCK - 1, SCATTER_BLOCK,
+                                    SCATTER_BLOCK + 1, 2 * SCATTER_BLOCK + 1]),
+           n_scale=st.integers(1, 40),
+           cells=st.integers(2, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_time_scatter(self, n_states, n_times, n_scale, cells, seed):
+        g = build_grid(1.0, cells)
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 40))
+        positions = rng.uniform(-0.999, 0.999, size=count)
+        inputs = [
+            (rng.integers(0, n_states, size=count),
+             rng.exponential(size=(n_states, count)),
+             rng.exponential(size=(n_states, count)),
+             rng.integers(-2, 3, size=(n_states, count)).astype(float))
+            for _ in range(n_times)
+        ]
+        series = _SeriesScatter(g, positions, n_states, n_times, n_scale)
+        for row in inputs:
+            series.add(*row)
+        series.flush()
+        ref = per_time_loads(g, positions, n_scale, inputs)
+        assert np.array_equal(series.c_loads, ref[0])
+        assert np.array_equal(series.comp_loads, ref[1])
+        assert np.array_equal(series.m_loads, ref[2])
+
+    @pytest.mark.parametrize("overrides", [
+        # 2 states, SCATTER_BLOCK + 2 sample times
+        {"time_horizon": (SCATTER_BLOCK + 1) * 2e-3, "dt": 2e-3},
+        # the 5-state chain, 41 sample times
+        {"time_horizon": 0.2, "dt": 5e-3, "kinetics": k_type_chain(),
+         "p0": {"form": "uniform", "params": {"weights": {
+             "c0": 0.4, "c1": 0.3, "c2": 0.15, "c3": 0.1, "o": 0.05}}}},
+    ])
+    def test_replay_loads_match_per_time_scatter(self, monkeypatch, overrides):
+        cfg = RunConfig.from_dict({"cells": 40, **overrides})
+        grid, kin, _, _ = cfg.build()
+        traj = run_replicate(cfg, 50, 0)
+        assert traj.jump_times.size > 0
+        inputs = []
+        add = _SeriesScatter.add
+
+        def recording_add(self, states, comp, occ, jumps_net):
+            inputs.append((states.copy(), comp.copy(), occ.copy(), jumps_net.copy()))
+            add(self, states, comp, occ, jumps_net)
+
+        monkeypatch.setattr(_SeriesScatter, "add", recording_add)
+        diag = scan_path(traj, kin, want_series=True)
+        assert len(inputs) == traj.n_times
+        ref = per_time_loads(grid, traj.positions, traj.n_scale, inputs)
+        assert np.array_equal(diag.c_loads, ref[0])
+        assert np.array_equal(diag.comp_loads, ref[1])
+        assert np.array_equal(diag.m_loads, ref[2])

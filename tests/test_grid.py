@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from axonsim.grid import (
     Functional,
@@ -12,9 +14,12 @@ from axonsim.grid import (
     eval_at,
     h10_norm,
     hminus1_norm,
+    hminus1_norms,
     l2_norm,
     mass_bands,
     pairing,
+    riesz_cholesky,
+    riesz_solve,
     stiffness_bands,
 )
 
@@ -146,6 +151,30 @@ class TestDualNorm:
         g2 = build_grid(1.0, 120)
         F2 = density_functional(NodalField(g2, np.sin(np.pi * (g2.nodes + 1) / 2)))
         assert hminus1_norm(F2) == pytest.approx(dense_riesz_norm(F2), rel=1e-12)
+
+
+class TestBatchedDualNorm:
+    @given(cells=st.integers(2, 60),
+           batch=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_single_vector_solves(self, cells, batch, seed):
+        g = build_grid(1.0, cells)
+        loads = np.random.default_rng(seed).normal(size=(*batch, g.n_interior))
+        norms = hminus1_norms(g, loads)
+        assert norms.shape == tuple(batch)
+        cb = riesz_cholesky(g)
+        flat = loads.reshape(-1, g.n_interior)
+        ref = [np.sqrt(max(float(f @ riesz_solve(cb, f)), 0.0)) for f in flat]
+        np.testing.assert_allclose(norms.ravel(), ref, rtol=1e-13, atol=0.0)
+
+    @given(cells=st.integers(2, 60), n=st.integers(1, 5))
+    def test_zero_loads_exactly_zero(self, cells, n):
+        g = build_grid(1.0, cells)
+        loads = np.zeros((n, g.n_interior))
+        loads[1:] = 1.0
+        norms = hminus1_norms(g, loads)
+        assert norms[0] == 0.0
+        assert np.all(norms[1:] > 0.0)
 
 
 class TestDelta:

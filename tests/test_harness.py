@@ -100,6 +100,21 @@ class TestDeviationMetrics:
         for name in kin.states:
             assert part.sup_hm1[name] <= full.sup_hm1[name] + 1e-15
 
+    def test_inputs_unchanged_and_repeatable(self):
+        cfg = RunConfig.from_dict(SMALL)
+        grid, kin, _, _ = cfg.build()
+        det = run_reference(cfg)
+        traj = run_replicate(cfg, 25, 0)
+        det_p, traj_v = det.p.copy(), traj.v.copy()
+        history = traj.v_chan_frozen.copy()
+        first = deviation_metrics(traj, det, grid, kin)
+        assert np.array_equal(det.p, det_p)
+        assert np.array_equal(traj.v, traj_v)
+        assert np.array_equal(traj.v_chan_frozen, history)
+        second = deviation_metrics(traj, det, grid, kin)
+        for field in ("sup_l2", "sup_h10", "sup_hm1", "sup_mart_hm1"):
+            assert getattr(second, field) == getattr(first, field)
+
     def test_time_grid_mismatch_rejected(self):
         cfg = RunConfig.from_dict(SMALL)
         grid, kin, _, _ = cfg.build()

@@ -190,6 +190,21 @@ class TestStepStoch:
         expected = solve_banded((1, 1), ab, rhs)
         assert np.array_equal(new_state.v.values, expected)
 
+    def test_jumps_are_time_ordered_tuples(self):
+        g = build_grid(1.0, 20)
+        k = kinetics(up=2.0, down=2.0)
+        cfg = init_channels(20, uniform_p0(g, 0.5), "stratified", make_rng(0))
+        state = StochasticState(0.0, fundamental_mode(g, amplitude=0.5), cfg)
+        new_state, jumps = step_stoch(state, 0.05, k, make_rng(3))
+        assert jumps
+        states = cfg.states.copy()
+        for t, i, src, dst in jumps:
+            assert 0.0 < t <= 0.05
+            assert src == states[i] and dst != src
+            states[i] = dst
+        assert [j[0] for j in jumps] == sorted(j[0] for j in jumps)
+        assert np.array_equal(new_state.channels.states, states)
+
     def test_guard(self):
         g = build_grid(1.0, 10)
         cfg = init_channels(5, uniform_p0(g, 0.5), "stratified", make_rng(0))

@@ -41,7 +41,6 @@ from .stochastic import (
     empirical_distribution,
     init_channels,
     run_stoch,
-    step_stoch,
 )
 from .decomposition import (
     MartingaleSeries,
@@ -103,5 +102,4 @@ __all__ = [
     "run_sweep",
     "source_response",
     "step_det",
-    "step_stoch",
 ]

@@ -11,17 +11,8 @@ import numpy as np
 
 from . import __version__
 from .deterministic import DeterministicState, run_det, write_summary_csv, write_trajectory_csv
-from .harness import RunConfig, fit_rate, read_results, run_sweep
-from .stochastic import (
-    StochasticState,
-    init_channels,
-    make_rng,
-    replicate_seed_sequence,
-    run_stoch,
-    write_jump_csv,
-    write_run_manifest,
-    write_voltage_csv,
-)
+from .harness import RunConfig, fit_rate, read_results, run_replicate, run_sweep
+from .stochastic import write_jump_csv, write_run_manifest, write_voltage_csv
 from .validate import SUITES, default_workers
 
 
@@ -54,13 +45,9 @@ def _cmd_det(args) -> int:
 
 def _cmd_stoch(args) -> int:
     cfg = _load_config(args)
-    grid, kin, v0, p0 = cfg.build()
+    grid, kin, _, _ = cfg.build()
     n_scale = args.n or cfg.sweep_n[0]
-    seq = replicate_seed_sequence(cfg.seed, n_scale, args.replicate)
-    rng = make_rng(seq)
-    channels = init_channels(n_scale, p0, cfg.init_mode, rng)
-    traj = run_stoch(StochasticState(t=0.0, v=v0, channels=channels),
-                     cfg.time_horizon, cfg.dt, kin, rng)
+    traj = run_replicate(cfg, n_scale, args.replicate)
     os.makedirs(args.out, exist_ok=True)
     write_voltage_csv(traj, os.path.join(args.out, "stoch_voltage.csv"),
                       stride=args.stride)

@@ -289,18 +289,36 @@ def interpolate_at_channels(phi: GridFunction, positions: np.ndarray) -> np.ndar
     return full[cell] * wl + full[cell + 1] * wr
 
 
+def terminal_martingale(diag: PathDiagnostics, phi_chan: np.ndarray,
+                        n_scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """<phi, M_xi(T)> and its path-wise predicted variance, for every state xi.
+
+    ``phi_chan`` holds phi at the channel positions.  The prediction is
+    (1/N^2) sum_i phi(x_i)^2 int [1{s=xi} alpha_exit + 1{s!=xi} alpha_{s,xi}] du,
+    whose replicate average matches the empirical variance of the value.
+    """
+    n_states = diag.comp_final.shape[0]
+    values = np.empty(n_states)
+    variances = np.empty(n_states)
+    for s in range(n_states):
+        m = (diag.jumps_net_final[s]
+             - (diag.comp_final[s] - diag.exit_occupation_final[s])) / n_scale
+        values[s] = m @ phi_chan
+        integrand = diag.comp_final[s] + diag.exit_occupation_final[s]
+        variances[s] = np.sum(phi_chan**2 * integrand) / n_scale**2
+    return values, variances
+
+
 def predicted_variance(traj: StochTrajectory, phi: GridFunction, xi,
                        k: ChannelKinetics) -> float:
     """Path-wise quadratic-variation prediction for <phi, M_xi(T)>.
 
-    (1/N^2) sum_i phi(x_i)^2 int [1{s=xi} alpha_exit + 1{s!=xi} alpha_{s,xi}] du,
-    whose replicate average matches the empirical variance.
+    See :func:`terminal_martingale`.
     """
     s = k.state_index(xi)
     diag = scan_path(traj, k, want_series=False)
     phi_chan = interpolate_at_channels(phi, traj.positions)
-    integrand = diag.comp_final[s] + diag.exit_occupation_final[s]
-    return float(np.sum(phi_chan**2 * integrand) / traj.n_scale**2)
+    return float(terminal_martingale(diag, phi_chan, traj.n_scale)[1][s])
 
 
 def martingale_variance_bound(phi: GridFunction, t: float, n_scale: int,

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import io
 import json
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,26 +209,46 @@ def deviation_metrics(stoch: StochTrajectory, det: DetTrajectory,
                             sup_mart_hm1=sup_mart, wall_ms=wall)
 
 
-_WORKER_STATE: dict = {}
+# Set only inside pool worker processes, by the pool's initializer.
+_WORKER_FUNC = None
 
 
-def _pool_init(cfg_raw: dict, det_times, det_v, det_p, traj_dir) -> None:
-    cfg = RunConfig.from_dict(cfg_raw)
-    _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["det"] = (det_times, det_v, det_p)
-    _WORKER_STATE["traj_dir"] = traj_dir
+def _init_worker(func) -> None:
+    global _WORKER_FUNC
+    _WORKER_FUNC = func
 
 
-def _sweep_task(args) -> dict:
-    n_scale, replicate = args
-    cfg: RunConfig = _WORKER_STATE["cfg"]
-    det_times, det_v, det_p = _WORKER_STATE["det"]
-    return _run_one(cfg, n_scale, replicate, det_times, det_v, det_p,
-                    _WORKER_STATE["traj_dir"])
+def _call_worker_func(task):
+    return _WORKER_FUNC(task)
 
 
-def _run_one(cfg: RunConfig, n_scale: int, replicate: int,
-             det_times, det_v, det_p, traj_dir=None) -> dict:
+def parallel_map(func, tasks: list, workers: int) -> list:
+    """``[func(t) for t in tasks]``, fanned over up to ``workers`` processes.
+
+    ``func`` reaches each worker once, through the pool's initializer, so a
+    ``functools.partial`` over large arrays crosses once per worker rather
+    than once per task; tasks go one at a time and results keep task order.
+    With ``workers <= 1`` or at most one task the map is serial.  It also
+    runs serially, with a ``RuntimeWarning``, when the pool cannot be
+    created.  An exception raised by a task, or a worker that dies
+    (``BrokenProcessPool``), propagates: no task is run twice.
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        return [func(t) for t in tasks]
+    try:
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(func,))
+    except (OSError, NotImplementedError) as exc:
+        warnings.warn(f"process pool unavailable ({exc!r}); running "
+                      f"{len(tasks)} tasks serially", RuntimeWarning, stacklevel=2)
+        return [func(t) for t in tasks]
+    with pool:
+        return list(pool.map(_call_worker_func, tasks, chunksize=1))
+
+
+def _run_one(cfg: RunConfig, det_times, det_v, det_p, traj_dir,
+             task: tuple[int, int]) -> dict:
+    n_scale, replicate = task
     grid, kin, _, _ = cfg.build()
     seed = seed_id(replicate_seed_sequence(cfg.seed, n_scale, replicate))
     started = time.perf_counter()
@@ -287,7 +309,8 @@ def run_sweep(cfg: RunConfig, out_dir, workers: int = 1,
     """Full convergence study; writes results.csv and manifest.json.
 
     A replicate that raises :class:`InvariantViolation` is flagged in its
-    own row and the sweep goes on; any other error stops it.  Row order is canonical (sorted by N, then replicate).
+    own row and the sweep goes on; any other error stops it.  Row order is
+    canonical (sorted by N, then replicate), whatever ``workers`` is.
     """
     os.makedirs(out_dir, exist_ok=True)
     grid, kin, _, _ = cfg.build()
@@ -299,18 +322,8 @@ def run_sweep(cfg: RunConfig, out_dir, workers: int = 1,
     if cfg.sweep_n:
         det = run_reference(cfg)
         tasks = [(n, r) for n in cfg.sweep_n for r in range(cfg.replicates)]
-        if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pool_init,
-                initargs=(cfg.raw, det.times, det.v, det.p, traj_dir),
-            ) as pool:
-                rows = list(pool.map(_sweep_task, tasks, chunksize=1))
-        else:
-            for task in tasks:
-                rows.append(_run_one(cfg, task[0], task[1],
-                                     det.times, det.v, det.p, traj_dir))
-        rows.sort(key=lambda r: (r["N"], r["replicate"]))
+        run_one = functools.partial(_run_one, cfg, det.times, det.v, det.p, traj_dir)
+        rows = parallel_map(run_one, tasks, workers)
     _write_results(cfg, kin, rows, out_dir)
     return rows
 

@@ -332,27 +332,6 @@ class _HybridCore:
         return events, v_chan
 
 
-def step_stoch(state: StochasticState, dt: float, k: ChannelKinetics,
-               rng: np.random.Generator):
-    """One hybrid substep; returns the new state and its jumps.
-
-    Each jump is a tuple (t, channel, src, dst), in time order.
-    """
-    step_guard(dt, k, limit=STOCH_GUARD)
-    core = _HybridCore(state.v.grid, k, state.channels, state.v.values)
-    events, _ = core.substep(state.t, dt, rng)
-    new_state = StochasticState(
-        t=state.t + dt,
-        v=GridFunction(state.v.grid, core.v_full[1:-1].copy()),
-        channels=ChannelConfig(
-            n_scale=state.channels.n_scale,
-            positions=state.channels.positions,
-            states=core.states,
-        ),
-    )
-    return new_state, events
-
-
 def make_rng(seed) -> np.random.Generator:
     """Counter-based generator from an integer seed or a SeedSequence."""
     if isinstance(seed, np.random.Generator):

@@ -8,7 +8,6 @@ with their pinned parameters.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 
 import numpy as np
@@ -18,6 +17,7 @@ from .decomposition import (
     martingale_variance_bound,
     path_log_likelihood,
     scan_path,
+    terminal_martingale,
 )
 from .grid import (
     NodalField,
@@ -26,7 +26,7 @@ from .grid import (
     density_functional,
     hminus1_norm,
 )
-from .harness import RunConfig, run_replicate
+from .harness import RunConfig, parallel_map, run_replicate
 from .heat import KernelParams, absorbed_kernel, apply_semigroup, submarkov_mass
 from .kinetics import make_kinetics
 from .profiles import fundamental_mode
@@ -34,16 +34,6 @@ from .stochastic import StochTrajectory, make_rng
 
 
 Check = tuple[str, bool, str]
-
-
-def _parallel_map(func, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        return [func(t) for t in tasks]
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(func, tasks, chunksize=1))
-    except (OSError, RuntimeError):
-        return [func(t) for t in tasks]
 
 
 def default_workers() -> int:
@@ -124,9 +114,6 @@ def kernel_suite() -> list[Check]:
 
 # --- martingale suite -------------------------------------------------------
 
-_MART_CFG: dict = {}
-
-
 def _martingale_batch(args) -> np.ndarray:
     cfg_raw, n_scale, rep_lo, rep_hi = args
     cfg = RunConfig.from_dict(cfg_raw)
@@ -137,15 +124,7 @@ def _martingale_batch(args) -> np.ndarray:
         traj = run_replicate(cfg, n_scale, r)
         diag = scan_path(traj, kin, want_series=False)
         phi_chan = interpolate_at_channels(phi, traj.positions)
-        for s in range(kin.n_states):
-            m = (diag.jumps_net_final[s]
-                 - (diag.comp_final[s] - diag.exit_occupation_final[s])) / traj.n_scale
-            out[r - rep_lo, 0, s] = float(m @ phi_chan)
-            out[r - rep_lo, 1, s] = float(
-                np.sum(phi_chan**2 * (diag.comp_final[s]
-                                      + diag.exit_occupation_final[s]))
-                / traj.n_scale**2
-            )
+        out[r - rep_lo] = terminal_martingale(diag, phi_chan, traj.n_scale)
     return out
 
 
@@ -175,7 +154,7 @@ def martingale_suite(
         (cfg.raw, n_scale, lo, min(lo + chunk, replicates))
         for lo in range(0, replicates, chunk)
     ]
-    batches = _parallel_map(_martingale_batch, tasks, workers)
+    batches = parallel_map(_martingale_batch, tasks, workers)
     data = np.concatenate(batches, axis=0)
     vals, preds = data[:, 0, :], data[:, 1, :]
 
@@ -341,7 +320,7 @@ def self_convergence_suite(
             (cfg.raw, n_scale, lo, min(lo + chunk, replicates))
             for lo in range(0, replicates, chunk)
         ]
-        vals = np.concatenate(_parallel_map(_selfconv_batch, tasks, workers))
+        vals = np.concatenate(parallel_map(_selfconv_batch, tasks, workers))
         means[level] = float(vals.mean())
         ses[level] = float(vals.std(ddof=1) / np.sqrt(replicates))
     shift = abs(means["dt"] - means["dt/2"])

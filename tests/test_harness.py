@@ -1,5 +1,8 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from axonsim.harness import (
     _sup_voltage_deviation,
     deviation_metrics,
     fit_rate,
+    parallel_map,
     read_results,
     run_reference,
     run_replicate,
@@ -189,6 +193,39 @@ class TestSweep:
         for row, ref in zip(rows, clean):
             if row["status"] == "ok":
                 assert row["dev_l2"] == ref["dev_l2"]
+
+
+def _exit_in_worker(x):
+    """Kills the worker process it runs in; returns ``x`` in the parent."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return x
+
+
+def _oserror_in_worker(x):
+    """Raises OSError in a worker process; returns ``x`` in the parent."""
+    if multiprocessing.parent_process() is not None:
+        raise OSError("task failed in a worker")
+    return x
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("task, error", [
+        (_exit_in_worker, BrokenProcessPool),
+        (_oserror_in_worker, OSError),
+    ])
+    def test_worker_fault_propagates_without_serial_rerun(self, task, error):
+        # a serial rerun in the parent would succeed and return the tasks
+        with pytest.raises(error):
+            parallel_map(task, [0, 1, 2, 3], workers=2)
+
+    def test_pool_construction_failure_runs_serially_with_warning(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(RuntimeWarning, match="serially"):
+            assert parallel_map(abs, [-1, 2, -3], workers=2) == [1, 2, 3]
 
 
 class TestFitRate:

@@ -22,7 +22,6 @@ from axonsim.stochastic import (
     init_channels,
     make_rng,
     run_stoch,
-    step_stoch,
     write_jump_csv,
     write_run_manifest,
     write_voltage_csv,
@@ -159,14 +158,17 @@ class TestChannelSource:
 
 
 class TestStepStoch:
+    """One-substep runs: ``run_stoch(init, dt, dt, k, rng)``."""
+
     def test_no_jump_branch_is_static_source_solve(self):
         g = build_grid(1.0, 50)
         k = kinetics(up=0.01, down=0.01)  # alpha_min floor, jumps unlikely
         cfg = init_channels(20, uniform_p0(g, 0.5), "stratified", make_rng(0))
         state = StochasticState(0.0, fundamental_mode(g, amplitude=0.5), cfg)
-        new_state, jumps = step_stoch(state, 1e-3, k, make_rng(42))
-        assert jumps == []
-        assert np.array_equal(new_state.channels.states, cfg.states)
+        dt = 1e-3
+        traj = run_stoch(state, dt, dt, k, make_rng(42))
+        assert traj.jump_times.size == 0
+        assert np.array_equal(traj.final_states(), cfg.states)
         # against a hand-rolled single Crank-Nicolson solve with frozen sources
         from scipy.linalg import solve_banded
         from axonsim.grid import mass_bands, stiffness_bands
@@ -175,7 +177,6 @@ class TestStepStoch:
         core = _HybridCore(g, k, cfg, state.v.values)
         kd, ko = stiffness_bands(g)
         md, mo = mass_bands(g)
-        dt = 1e-3
         diag = kd + core.bd
         off = ko + core.bo
         v = state.v.values
@@ -188,14 +189,16 @@ class TestStepStoch:
         ab[1] = md + dt / 2 * diag
         ab[2, :-1] = ab[0, 1:]
         expected = solve_banded((1, 1), ab, rhs)
-        assert np.array_equal(new_state.v.values, expected)
+        assert np.array_equal(traj.v[-1], expected)
 
     def test_jumps_are_time_ordered_tuples(self):
         g = build_grid(1.0, 20)
         k = kinetics(up=2.0, down=2.0)
         cfg = init_channels(20, uniform_p0(g, 0.5), "stratified", make_rng(0))
         state = StochasticState(0.0, fundamental_mode(g, amplitude=0.5), cfg)
-        new_state, jumps = step_stoch(state, 0.05, k, make_rng(3))
+        traj = run_stoch(state, 0.05, 0.05, k, make_rng(3))
+        jumps = list(zip(traj.jump_times.tolist(), traj.jump_channel.tolist(),
+                         traj.jump_src.tolist(), traj.jump_dst.tolist()))
         assert jumps
         states = cfg.states.copy()
         for t, i, src, dst in jumps:
@@ -203,14 +206,14 @@ class TestStepStoch:
             assert src == states[i] and dst != src
             states[i] = dst
         assert [j[0] for j in jumps] == sorted(j[0] for j in jumps)
-        assert np.array_equal(new_state.channels.states, states)
+        assert np.array_equal(traj.final_states(), states)
 
     def test_guard(self):
         g = build_grid(1.0, 10)
         cfg = init_channels(5, uniform_p0(g, 0.5), "stratified", make_rng(0))
         state = StochasticState(0.0, GridFunction(g, np.zeros(9)), cfg)
         with pytest.raises(ValueError):
-            step_stoch(state, 0.5, kinetics(), make_rng(0))
+            run_stoch(state, 0.5, 0.5, kinetics(), make_rng(0))
 
     def test_decoupled_marginal_matches_closed_form(self):
         # conductance zero decouples everything: each channel is an

@@ -43,13 +43,10 @@ from .stochastic import (
     run_stoch,
 )
 from .decomposition import (
-    MartingaleSeries,
     drift_term,
     martingale_norm_series,
-    martingale_series,
     martingale_variance_bound,
     path_log_likelihood,
-    predicted_variance,
     write_martingale_norm_csv,
 )
 from .harness import DeviationMetrics, RunConfig, deviation_metrics, fit_rate, run_sweep
@@ -57,19 +54,18 @@ from .harness import DeviationMetrics, RunConfig, deviation_metrics, fit_rate, r
 __all__ = [
     "ChannelConfig",
     "ChannelKinetics",
-    "DeterministicState",
     "DetTrajectory",
+    "DeterministicState",
     "DeviationMetrics",
     "Functional",
     "Grid",
     "GridFunction",
     "InvariantViolation",
     "KernelParams",
-    "MartingaleSeries",
     "NodalField",
     "RunConfig",
-    "StochasticState",
     "StochTrajectory",
+    "StochasticState",
     "TruncationError",
     "absorbed_kernel",
     "apply_semigroup",
@@ -88,12 +84,9 @@ __all__ = [
     "l2_norm",
     "make_kinetics",
     "martingale_norm_series",
-    "martingale_series",
     "martingale_variance_bound",
     "pairing",
-    "write_martingale_norm_csv",
     "path_log_likelihood",
-    "predicted_variance",
     "rate_lipschitz",
     "rate_table",
     "reaction_coefficients",
@@ -102,4 +95,5 @@ __all__ = [
     "run_sweep",
     "source_response",
     "step_det",
+    "write_martingale_norm_csv",
 ]

@@ -10,7 +10,9 @@ where Q collects the jump intensities minus the fluid drift and M is the
 compensated-jump (martingale) part.  This module reconstructs all the
 pieces from a recorded trajectory: per-channel compensator integrals, the
 martingale load series, its predicted variance, the a-priori variance cap,
-and the path log-likelihood against a uniform reference chain.
+and the path log-likelihood against a uniform reference chain.  The replay
+reads the frozen channel voltages from the trajectory's snapshots, by the
+same hat interpolation the simulator froze them with.
 """
 
 from __future__ import annotations
@@ -26,24 +28,12 @@ from .grid import (
     GridFunction,
     NodalField,
     density_functional,
+    hat_interpolate,
     hat_weights,
     hminus1_norms,
 )
 from .kinetics import ChannelKinetics, channel_rates, rate_table
 from .stochastic import ChannelConfig, StochTrajectory, _interior_hat_arrays
-
-
-@dataclass(eq=False)
-class MartingaleSeries:
-    """Load-vector series of one state's martingale part; zero at time 0."""
-
-    grid: Grid
-    state_index: int
-    times: np.ndarray
-    loads: np.ndarray          # (n_times, n_interior)
-
-    def functional_at(self, idx: int) -> Functional:
-        return Functional(self.grid, self.loads[idx])
 
 
 @dataclass(eq=False)
@@ -58,16 +48,10 @@ class PathDiagnostics:
     comp_final: np.ndarray           # (n_states, count)  int alpha_{s(u), zeta} du
     exit_occupation_final: np.ndarray  # (n_states, count)  int 1{s=xi} alpha_exit du
     jumps_net_final: np.ndarray      # (n_states, count)
+    jump_rates: np.ndarray           # (n_jumps,)  frozen rate of each realized jump
     c_loads: Optional[np.ndarray]    # (n_times, n_states, n_interior)
     comp_loads: Optional[np.ndarray]
     m_loads: Optional[np.ndarray]
-    comp_series: Optional[np.ndarray]  # (n_times, n_states, count)
-
-
-def _require_history(traj: StochTrajectory) -> np.ndarray:
-    if traj.v_chan_frozen is None:
-        raise ValueError("trajectory carries no frozen-rate history")
-    return traj.v_chan_frozen
 
 
 def _scatter(idx_lo, wt_lo, idx_hi, wt_hi, weights, n_interior) -> np.ndarray:
@@ -148,15 +132,14 @@ def scan_path(
     traj: StochTrajectory,
     k: ChannelKinetics,
     want_series: bool = False,
-    want_comp_series: bool = False,
 ) -> PathDiagnostics:
     """Replay a trajectory, integrating compensators on the frozen-rate grid.
 
-    Channels that jump inside a substep are integrated segment by segment
-    over their realized state path, so the accumulators are exactly those
-    of the simulated chain.
+    Each substep's rates are evaluated at V(t_k, i/N), interpolated from the
+    snapshot ``traj.v[k]``.  Channels that jump inside a substep are
+    integrated segment by segment over their realized state path, so the
+    accumulators are exactly those of the simulated chain.
     """
-    history = _require_history(traj)
     n_states = traj.n_states
     count = traj.positions.size
     n_sub = traj.n_times - 1
@@ -165,30 +148,24 @@ def scan_path(
     comp = np.zeros((n_states, count))
     occ = np.zeros((n_states, count))
     jumps_net = np.zeros((n_states, count))
+    jump_rates = np.full(traj.jump_times.size, np.nan)
     bounds = np.searchsorted(traj.jump_times, traj.times, side="right")
+    hats = hat_weights(traj.grid, traj.positions)
+    v_full = np.zeros(traj.grid.cells + 1)
 
-    series = comp_series = None
+    series = None
     if want_series:
         series = _SeriesScatter(traj.grid, traj.positions, n_states,
                                 traj.n_times, traj.n_scale)
-    if want_comp_series:
-        comp_series = np.zeros((n_sub + 1, n_states, count))
-
-    def emit(t_idx: int) -> None:
-        if want_comp_series:
-            comp_series[t_idx] = comp
-        if want_series:
-            series.add(states, comp, occ, jumps_net)
-
-    emit(0)
+        series.add(states, comp, occ, jumps_net)
     for sub in range(n_sub):
         t0 = float(traj.times[sub])
         dt = float(traj.times[sub + 1] - traj.times[sub])
-        v_row = history[sub]
         lo, hi = bounds[sub], bounds[sub + 1]
         jump_idx = traj.jump_channel[lo:hi]
 
-        table = rate_table(k, v_row)
+        v_full[1:-1] = traj.v[sub]
+        table = rate_table(k, hat_interpolate(v_full, hats))
         rate_to = channel_rates(table, states)
         exit = rate_to.sum(axis=0)
 
@@ -213,25 +190,27 @@ def scan_path(
                     te = float(traj.jump_times[e])
                     _integrate_segment(comp, occ, rates, i, s, te - cursor)
                     dst = int(traj.jump_dst[e])
+                    jump_rates[e] = rates[dst, s]
                     jumps_net[dst, i] += 1.0
                     jumps_net[s, i] -= 1.0
                     s = dst
                     cursor = te
                 _integrate_segment(comp, occ, rates, i, s, t0 + dt - cursor)
                 states[i] = s
-        emit(sub + 1)
+        if series is not None:
+            series.add(states, comp, occ, jumps_net)
 
-    if want_series:
+    if series is not None:
         series.flush()
     return PathDiagnostics(
         times=traj.times,
         comp_final=comp,
         exit_occupation_final=occ,
         jumps_net_final=jumps_net,
+        jump_rates=jump_rates,
         c_loads=series.c_loads if want_series else None,
         comp_loads=series.comp_loads if want_series else None,
         m_loads=series.m_loads if want_series else None,
-        comp_series=comp_series,
     )
 
 
@@ -246,16 +225,6 @@ def _integrate_segment(comp, occ, rates: np.ndarray, i: int, s: int,
     col = rates[:, s]
     comp[:, i] += duration * col
     occ[s, i] += duration * col.sum()
-
-
-def martingale_series(traj: StochTrajectory, xi, k: ChannelKinetics,
-                      grid: Grid) -> MartingaleSeries:
-    """Martingale part of one state's deviation, at every sample time."""
-    s = k.state_index(xi)
-    diag = scan_path(traj, k, want_series=True)
-    return MartingaleSeries(
-        grid=grid, state_index=s, times=diag.times, loads=diag.m_loads[:, s, :]
-    )
 
 
 def drift_term(
@@ -284,9 +253,7 @@ def drift_term(
 
 def interpolate_at_channels(phi: GridFunction, positions: np.ndarray) -> np.ndarray:
     """Grid-function values at the channel positions (vectorized)."""
-    full = phi.full()
-    cell, wl, wr = hat_weights(phi.grid, positions)
-    return full[cell] * wl + full[cell + 1] * wr
+    return hat_interpolate(phi.full(), hat_weights(phi.grid, positions))
 
 
 def terminal_martingale(diag: PathDiagnostics, phi_chan: np.ndarray,
@@ -309,18 +276,6 @@ def terminal_martingale(diag: PathDiagnostics, phi_chan: np.ndarray,
     return values, variances
 
 
-def predicted_variance(traj: StochTrajectory, phi: GridFunction, xi,
-                       k: ChannelKinetics) -> float:
-    """Path-wise quadratic-variation prediction for <phi, M_xi(T)>.
-
-    See :func:`terminal_martingale`.
-    """
-    s = k.state_index(xi)
-    diag = scan_path(traj, k, want_series=False)
-    phi_chan = interpolate_at_channels(phi, traj.positions)
-    return float(terminal_martingale(diag, phi_chan, traj.n_scale)[1][s])
-
-
 def martingale_variance_bound(phi: GridFunction, t: float, n_scale: int,
                               half_length: float, k: ChannelKinetics) -> float:
     """A-priori cap 8 l alpha_max ||phi||_inf^2 t / N on E<phi, M(t)>^2."""
@@ -334,24 +289,18 @@ def path_log_likelihood(traj: StochTrajectory, k: ChannelKinetics,
 
     The reference is the configuration-level chain with constant total exit
     rate ``reference_total_rate`` split uniformly over the count*(|E|-1)
-    single-channel moves.  The model intensity uses the frozen voltages the
-    trajectory recorded, so the identity E_ref[exp(log h)] = 1 holds exactly
-    for paths drawn under the reference law.
+    single-channel moves.  The model intensity is the replay's, frozen at
+    the voltage snapshots, so the identity E_ref[exp(log h)] = 1 holds
+    exactly for paths drawn under the reference law.
     """
     if reference_total_rate <= 0:
         raise ValueError("reference_total_rate must be positive")
-    history = _require_history(traj)
     diag = scan_path(traj, k, want_series=False)
     total_model_intensity = float(diag.comp_final.sum())
     horizon = float(traj.times[-1] - traj.times[0])
     n_neighbors = traj.positions.size * (k.n_states - 1)
     ref_jump_rate = reference_total_rate / n_neighbors
-
-    sub_idx = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
-    sub_idx = np.clip(sub_idx, 0, traj.n_times - 2)
-    table = rate_table(k, history[sub_idx, traj.jump_channel])
-    r = table[traj.jump_dst, traj.jump_src, np.arange(traj.jump_times.size)]
-    log_jumps = float(np.sum(np.log(r) - np.log(ref_jump_rate)))
+    log_jumps = float(np.sum(np.log(diag.jump_rates) - np.log(ref_jump_rate)))
     return log_jumps - total_model_intensity + horizon * reference_total_rate
 
 

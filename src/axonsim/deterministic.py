@@ -89,13 +89,6 @@ class DetTrajectory:
     def v_at(self, idx: int) -> GridFunction:
         return GridFunction(self.grid, self.v[idx])
 
-    def p_at(self, idx: int, state_idx: int) -> NodalField:
-        return NodalField(self.grid, self.p[idx, state_idx])
-
-    def state_at(self, idx: int) -> DeterministicState:
-        return DeterministicState(
-            t=float(self.times[idx]), v=self.v_at(idx), p=self.p[idx].copy()
-        )
 
 
 def reaction_coefficients(p: np.ndarray, k: ChannelKinetics, grid: Grid):

@@ -271,6 +271,19 @@ def hat_weights(grid: Grid, y: float | np.ndarray):
     return cell, 1.0 - frac, frac
 
 
+def hat_interpolate(full: np.ndarray, hats) -> np.ndarray:
+    """Piecewise-linear interpolant of nodal values at the positions of ``hats``.
+
+    ``full`` holds values at every node, endpoints included, along its last
+    axis (leading axes are a batch); ``hats`` is the (cell, w_left, w_right)
+    triple :func:`hat_weights` returns for the positions.
+    """
+    cell, wl, wr = hats
+    # np.take, not full[..., cell]: with numpy 2.4 the Ellipsis index is
+    # about twice as slow, and this runs twice per substep.
+    return np.take(full, cell, axis=-1) * wl + np.take(full, cell + 1, axis=-1) * wr
+
+
 def delta_functional(y: float, grid: Grid) -> Functional:
     """Dirac mass at a point strictly inside the interval, as hat loads."""
     if not (-grid.half_length < y < grid.half_length):

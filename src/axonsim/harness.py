@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .decomposition import deviation_loads
 from .deterministic import DeterministicState, DetTrajectory, run_det
-from .errors import InvariantViolation
 from .grid import Grid, build_grid, hminus1_norms, squared_norms
 from .kinetics import ChannelKinetics, make_kinetics
 from .profiles import build_p0, build_v0
@@ -172,16 +171,14 @@ def run_reference(cfg: RunConfig) -> DetTrajectory:
     return run_det(init, cfg.time_horizon, cfg.dt, kin)
 
 
-def run_replicate(cfg: RunConfig, n_scale: int, replicate: int,
-                  store_history: bool = True) -> StochTrajectory:
+def run_replicate(cfg: RunConfig, n_scale: int, replicate: int) -> StochTrajectory:
     """One seeded particle run for the (N, replicate) work item."""
     grid, kin, v0, p0 = cfg.build()
     seq = replicate_seed_sequence(cfg.seed, n_scale, replicate)
     rng = make_rng(seq)
     channels = init_channels(n_scale, p0, cfg.init_mode, rng)
     init = StochasticState(t=0.0, v=v0, channels=channels)
-    return run_stoch(init, cfg.time_horizon, cfg.dt, kin, rng,
-                     store_history=store_history)
+    return run_stoch(init, cfg.time_horizon, cfg.dt, kin, rng)
 
 
 def _sup_voltage_deviation(times_ok: np.ndarray, v_stoch: np.ndarray,
@@ -259,7 +256,7 @@ def _run_one(cfg: RunConfig, det_times, det_v, det_p, traj_dir,
         "status": "ok",
     }
     try:
-        traj = run_replicate(cfg, n_scale, replicate, store_history=True)
+        traj = run_replicate(cfg, n_scale, replicate)
         det = DetTrajectory(
             grid=grid, state_names=kin.states, times=det_times, v=det_v, p=det_p,
             dissipation=np.zeros(det_times.size), sup_v_inf=0.0,
@@ -278,8 +275,8 @@ def _run_one(cfg: RunConfig, det_times, det_v, det_p, traj_dir,
             write_voltage_csv(
                 traj, os.path.join(traj_dir, f"n{n_scale}_r{replicate}_voltage.csv")
             )
-    except InvariantViolation as exc:
-        row["status"] = f"failed:{exc}"
+    except Exception as exc:  # one replicate's failure must not stop the sweep
+        row["status"] = f"failed:{type(exc).__name__}:{exc}"
         for name in kin.states:
             row.setdefault(f"dev_hm1_{name}", float("nan"))
             row.setdefault(f"mart_hm1_{name}", float("nan"))
@@ -308,8 +305,11 @@ def run_sweep(cfg: RunConfig, out_dir, workers: int = 1,
               save_trajectories: bool = False) -> list[dict]:
     """Full convergence study; writes results.csv and manifest.json.
 
-    A replicate that raises :class:`InvariantViolation` is flagged in its
-    own row and the sweep goes on; any other error stops it.  Row order is
+    A replicate that raises any ``Exception`` (an
+    :class:`InvariantViolation` or any other error) is flagged in its own
+    row as ``failed:<TypeName>:<message>``, with its N, replicate and seed
+    and NaN metric cells, and the sweep goes on.  A crashed worker process
+    still stops the sweep (see :func:`parallel_map`).  Row order is
     canonical (sorted by N, then replicate), whatever ``workers`` is.
     """
     os.makedirs(out_dir, exist_ok=True)

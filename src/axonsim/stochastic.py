@@ -38,6 +38,7 @@ from .grid import (
     Grid,
     GridFunction,
     NodalField,
+    hat_interpolate,
     hat_weights,
     mass_bands,
     stiffness_bands,
@@ -87,10 +88,10 @@ class StochTrajectory:
     """Full record of one particle-model run.
 
     ``times`` are the substep boundaries k*dt; ``v`` holds the interior
-    voltage there.  ``jump_*`` arrays are globally time-ordered.
-    ``v_chan_frozen`` row k holds V(t_k, i/N) for every channel, the values
-    the rates were frozen at over (t_k, t_{k+1}]; it is what the compensator
-    reconstruction needs and can be dropped (None) to save memory.
+    voltage there.  ``jump_*`` arrays are globally time-ordered.  The
+    snapshots are the only voltage record: the rates over (t_k, t_{k+1}]
+    were frozen at V(t_k, i/N), the hat interpolant of ``v[k]`` at the
+    channel positions, which is how the compensator replay recovers them.
     """
 
     grid: Grid
@@ -104,7 +105,6 @@ class StochTrajectory:
     jump_channel: np.ndarray
     jump_src: np.ndarray
     jump_dst: np.ndarray
-    v_chan_frozen: Optional[np.ndarray]
     seed: object
     dissipation: np.ndarray
     sup_v_inf: float
@@ -113,23 +113,11 @@ class StochTrajectory:
     def n_times(self) -> int:
         return self.times.size
 
-    @property
-    def substep_dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if self.n_times > 1 else 0.0
-
-    def v_at(self, idx: int) -> GridFunction:
-        return GridFunction(self.grid, self.v[idx])
-
     def final_states(self) -> np.ndarray:
         s = self.initial_states.copy()
         for i, b in zip(self.jump_channel, self.jump_dst):
             s[i] = b
         return s
-
-
-def _interp_at_positions(p_values: np.ndarray, grid: Grid, x: np.ndarray) -> np.ndarray:
-    cell, wl, wr = hat_weights(grid, x)
-    return p_values[cell] * wl + p_values[cell + 1] * wr
 
 
 def init_channels(
@@ -147,7 +135,7 @@ def init_channels(
     """
     grid = p0[0].grid
     x = channel_positions(n_scale, grid.half_length)
-    probs = np.stack([_interp_at_positions(f.values, grid, x) for f in p0])
+    probs = hat_interpolate(np.stack([f.values for f in p0]), hat_weights(grid, x))
     probs = probs / probs.sum(axis=0)
     n_states, count = probs.shape
     if mode == "iid":
@@ -195,9 +183,7 @@ def empirical_distribution(channels: ChannelConfig, state, grid: Grid,
 def channel_source(channels: ChannelConfig, v: GridFunction,
                    k: ChannelKinetics, grid: Grid) -> Functional:
     """Weighted point-source functional (1/N) sum_i c_i (v_i - V(x_i)) delta_{x_i}."""
-    v_full = v.full()
-    cell, wl, wr = hat_weights(grid, channels.positions)
-    v_chan = v_full[cell] * wl + v_full[cell + 1] * wr
+    v_chan = hat_interpolate(v.full(), hat_weights(grid, channels.positions))
     c = k.conductance[channels.states]
     drive = k.driving[channels.states]
     weights = c * (drive - v_chan) / channels.n_scale
@@ -221,14 +207,11 @@ class _HybridCore:
         self.count = channels.count
         self.kd, self.ko = stiffness_bands(grid)
         self.md, self.mo = mass_bands(grid)
-        cell, wl, wr = hat_weights(grid, self.positions)
-        self.cell = cell
-        self.w_full_lo = wl
-        self.w_full_hi = wr
+        self.hats = hat_weights(grid, self.positions)
         (self.idx_lo, self.wt_lo, self.idx_hi, self.wt_hi) = _interior_hat_arrays(
             grid, self.positions
         )
-        self.off_idx = np.clip(cell - 1, 0, max(grid.n_interior - 2, 0))
+        self.off_idx = np.clip(self.hats[0] - 1, 0, max(grid.n_interior - 2, 0))
         self.wt_cross = self.wt_lo * self.wt_hi
         self.v_full = np.zeros(grid.cells + 1)
         self.v_full[1:-1] = v_interior
@@ -265,10 +248,6 @@ class _HybridCore:
             self.bo[self.off_idx[i]] += dc * self.wt_cross[i]
             self.cload[self.idx_lo[i]] += dcv * self.wt_lo[i]
             self.cload[self.idx_hi[i]] += dcv * self.wt_hi[i]
-
-    def v_at_channels(self) -> np.ndarray:
-        return (self.v_full[self.cell] * self.w_full_lo
-                + self.v_full[self.cell + 1] * self.w_full_hi)
 
     def _advance_pde(self, tau: float) -> None:
         if tau <= 0.0:
@@ -309,15 +288,14 @@ class _HybridCore:
         return events
 
     def substep(self, t0: float, dt: float, rng: np.random.Generator):
-        """Advance by one substep; returns (events, frozen channel voltages)."""
-        v_chan = self.v_at_channels()
-        table = rate_table(self.k, v_chan)
+        """Advance by one substep; returns its time-ordered jump events."""
+        table = rate_table(self.k, hat_interpolate(self.v_full, self.hats))
         exit = channel_rates(table, self.states).sum(axis=0)
         tau = rng.exponential(size=self.count) / exit
         jumpers = np.nonzero(tau <= dt)[0]
         if jumpers.size == 0:
             self._advance_pde(dt)
-            return [], v_chan
+            return []
         events: list[tuple] = []
         for i in jumpers:
             events.extend(self._jump_chain(int(i), float(tau[i]), dt,
@@ -329,7 +307,7 @@ class _HybridCore:
             self._apply_jump(i, dst)
             cursor = te
         self._advance_pde(t0 + dt - cursor)
-        return events, v_chan
+        return events
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -358,14 +336,12 @@ def run_stoch(
     dt: float,
     k: ChannelKinetics,
     seed,
-    store_history: bool = True,
 ) -> StochTrajectory:
     """Simulate the particle model to the horizon with substeps of length dt.
 
-    Records voltage snapshots at every substep boundary, the global jump
-    log, and (optionally) the frozen channel voltages each substep used.
-    Aborts with :class:`InvariantViolation` if the voltage leaves the finite
-    range or the dissipation budget fails.
+    Records voltage snapshots at every substep boundary and the global jump
+    log.  Aborts with :class:`InvariantViolation` if the voltage leaves the
+    finite range or the dissipation budget fails.
     """
     if t_horizon < 0:
         raise ValueError("time horizon must be nonnegative")
@@ -382,7 +358,6 @@ def run_stoch(
     v_snaps = np.empty((n_steps + 1, grid.n_interior))
     v_snaps[0] = init.v.values
     ledger = DissipationLedger(init.v, k, n_steps)
-    history = np.empty((n_steps, core.count)) if store_history and n_steps else None
     jt: list[float] = []
     jc: list[int] = []
     js: list[int] = []
@@ -390,9 +365,7 @@ def run_stoch(
 
     for step in range(n_steps):
         t0 = float(times[step])
-        events, v_chan = core.substep(t0, dt, rng)
-        if history is not None:
-            history[step] = v_chan
+        events = core.substep(t0, dt, rng)
         for (te, i, s, d) in events:
             jt.append(te)
             jc.append(i)
@@ -416,7 +389,6 @@ def run_stoch(
         jump_channel=np.asarray(jc, dtype=np.int64),
         jump_src=np.asarray(js, dtype=np.int64),
         jump_dst=np.asarray(jd, dtype=np.int64),
-        v_chan_frozen=history,
         seed=seed,
         dissipation=ledger.values,
         sup_v_inf=ledger.sup_inf,

@@ -242,7 +242,6 @@ def _frozen_reference_trajectory(grid, rng, reference_total_rate, t_horizon,
         jump_channel=np.zeros(len(times), dtype=np.int64),
         jump_src=np.asarray(srcs, dtype=np.int64),
         jump_dst=np.asarray(dsts, dtype=np.int64),
-        v_chan_frozen=np.zeros((n_sub, 1)),
         seed=None,
         dissipation=np.zeros(n_sub + 1),
         sup_v_inf=0.0,
@@ -293,7 +292,7 @@ def _selfconv_batch(args) -> np.ndarray:
     phi_loads = density_functional(NodalField(grid, phi.full())).loads
     out = np.empty(rep_hi - rep_lo)
     for r in range(rep_lo, rep_hi):
-        traj = run_replicate(cfg, n_scale, r, store_history=False)
+        traj = run_replicate(cfg, n_scale, r)
         out[r - rep_lo] = float(traj.v[-1] @ phi_loads)
     return out
 

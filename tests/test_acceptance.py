@@ -120,7 +120,7 @@ def test_criterion_4_dissipation_bounds(default_cfg, default_det, sweep_outcome)
             s0, det.sup_v_inf, float(det.times[i]), kin, grid.half_length)
         for i in range(det.n_times)
     )
-    stoch = run_replicate(default_cfg, 100, 0, store_history=False)
+    stoch = run_replicate(default_cfg, 100, 0)
     st_ok = all(
         stoch.dissipation[i] <= dissipation_budget(
             s0, stoch.sup_v_inf, float(stoch.times[i]), kin, grid.half_length)

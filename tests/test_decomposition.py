@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,15 +12,22 @@ from axonsim.decomposition import (
     deviation_loads,
     drift_term,
     interpolate_at_channels,
-    martingale_series,
     martingale_variance_bound,
     path_log_likelihood,
-    predicted_variance,
     scan_path,
+    terminal_martingale,
 )
-from axonsim.grid import GridFunction, NodalField, build_grid, pairing
+from axonsim.grid import (
+    Functional,
+    GridFunction,
+    NodalField,
+    build_grid,
+    hat_interpolate,
+    hat_weights,
+    pairing,
+)
 from axonsim.harness import RunConfig, run_reference, run_replicate
-from axonsim.kinetics import make_kinetics
+from axonsim.kinetics import make_kinetics, rate_table
 from axonsim.profiles import fundamental_mode
 from axonsim.stochastic import (
     ChannelConfig,
@@ -65,11 +74,32 @@ def manual_trajectory(grid, jumps, T=1.0, n_sub=10, start_state=0, n_scale=1,
         jump_channel=np.array([j[1] for j in jumps], dtype=np.int64),
         jump_src=np.array([j[2] for j in jumps], dtype=np.int64),
         jump_dst=np.array([j[3] for j in jumps], dtype=np.int64),
-        v_chan_frozen=np.zeros((n_sub, count)),
         seed=None,
         dissipation=np.zeros(n_sub + 1),
         sup_v_inf=0.0,
     )
+
+
+def prefix(traj, n_times):
+    """The trajectory cut at its sample time ``n_times - 1``."""
+    end = np.searchsorted(traj.jump_times, traj.times[n_times - 1], side="right")
+    return dataclasses.replace(
+        traj, times=traj.times[:n_times], v=traj.v[:n_times],
+        jump_times=traj.jump_times[:end], jump_channel=traj.jump_channel[:end],
+        jump_src=traj.jump_src[:end], jump_dst=traj.jump_dst[:end])
+
+
+def m_functional(traj, k, xi, idx):
+    """Martingale part of state xi at sample time idx, as a functional."""
+    loads = scan_path(traj, k, want_series=True).m_loads[idx, k.state_index(xi)]
+    return Functional(traj.grid, loads)
+
+
+def predicted(traj, phi, xi, k):
+    """Path-wise predicted variance of <phi, M_xi(T)>."""
+    phi_chan = interpolate_at_channels(phi, traj.positions)
+    diag = scan_path(traj, k)
+    return terminal_martingale(diag, phi_chan, traj.n_scale)[1][k.state_index(xi)]
 
 
 class TestCompensators:
@@ -77,21 +107,22 @@ class TestCompensators:
         cfg = RunConfig.from_dict({"time_horizon": 0.5, "dt": 5e-3, "cells": 60})
         grid, kin, _, _ = cfg.build()
         traj = run_replicate(cfg, 25, 0)
-        diag = scan_path(traj, kin, want_comp_series=True)
-        diffs = np.diff(diag.comp_series, axis=0)
-        assert diffs.min() >= -1e-15
-        for idx, t in enumerate(diag.times):
-            assert diag.comp_series[idx].max() <= kin.alpha_max * t + 1e-12
+        assert traj.jump_times.size > 0
+        previous = np.zeros((kin.n_states, traj.positions.size))
+        for n_times in range(1, traj.n_times + 1, 10):
+            comp = scan_path(prefix(traj, n_times), kin).comp_final
+            assert (comp - previous).min() >= -1e-15
+            assert comp.max() <= kin.alpha_max * traj.times[n_times - 1] + 1e-12
+            previous = comp
 
     def test_no_jump_path_is_pure_compensator(self):
         g = build_grid(1.0, 20)
         k = constant_kinetics(up=0.8, down=0.4)
         traj = manual_trajectory(g, jumps=[], T=1.0)
-        series = martingale_series(traj, "open", k, g)
         # channel sits in "closed" whole time: only the gain-rate compensator
         # accumulates, so <phi, M_open(t)> = -0.8 t phi(0)
         phi = fundamental_mode(g)
-        val = pairing(phi, series.functional_at(10))
+        val = pairing(phi, m_functional(traj, k, "open", 10))
         expected = -0.8 * 1.0 * float(interpolate_at_channels(phi, traj.positions)[0])
         assert val == pytest.approx(expected, rel=1e-12)
 
@@ -103,15 +134,14 @@ class TestCompensators:
         no_jump = manual_trajectory(g, jumps=[], T=1.0)
         phi = fundamental_mode(g)
         phi0 = float(interpolate_at_channels(phi, with_jump.positions)[0])
-        sj = martingale_series(with_jump, "open", k, g)
         # before the jump the two paths agree; from the jump onward the
         # jump part contributes +phi(0)/N and the compensator switches to
         # the open-state exit rate
-        val_before = pairing(phi, sj.functional_at(3))  # t=0.3 < t_jump
-        s0 = martingale_series(no_jump, "open", k, g)
-        assert val_before == pytest.approx(pairing(phi, s0.functional_at(3)), rel=1e-12)
+        val_before = pairing(phi, m_functional(with_jump, k, "open", 3))  # t=0.3 < t_jump
+        no_jump_before = pairing(phi, m_functional(no_jump, k, "open", 3))
+        assert val_before == pytest.approx(no_jump_before, rel=1e-12)
         # jump +1; compensator: gain-rate 0.8 while closed, -exit 0.4 while open
-        val_after = pairing(phi, sj.functional_at(10))
+        val_after = pairing(phi, m_functional(with_jump, k, "open", 10))
         expected = phi0 * (1.0 - (0.8 * t_jump - 0.4 * (1.0 - t_jump)))
         assert val_after == pytest.approx(expected, rel=1e-12)
 
@@ -121,8 +151,8 @@ class TestMartingaleSeries:
         cfg = RunConfig.from_dict({"time_horizon": 0.2, "dt": 2e-3, "cells": 60})
         grid, kin, _, _ = cfg.build()
         traj = run_replicate(cfg, 50, 1)
-        series = martingale_series(traj, "open", kin, grid)
-        assert np.max(np.abs(series.loads[0])) == 0.0
+        m_open = scan_path(traj, kin, want_series=True).m_loads[:, kin.state_index("open")]
+        assert np.max(np.abs(m_open[0])) == 0.0
 
     def test_states_sum_to_zero(self):
         cfg = RunConfig.from_dict({"time_horizon": 0.3, "dt": 2e-3, "cells": 60})
@@ -151,13 +181,6 @@ class TestMartingaleSeries:
             mean = vals[:, j].mean()
             se = vals[:, j].std(ddof=1) / np.sqrt(reps)
             assert abs(mean) <= 3 * se
-
-    def test_missing_history_rejected(self):
-        cfg = RunConfig.from_dict({"time_horizon": 0.1, "dt": 2e-3, "cells": 40})
-        grid, kin, _, _ = cfg.build()
-        traj = run_replicate(cfg, 25, 0, store_history=False)
-        with pytest.raises(ValueError, match="history"):
-            martingale_series(traj, "open", kin, grid)
 
 
 class TestDriftTerm:
@@ -237,7 +260,7 @@ class TestPredictedVariance:
         k = constant_kinetics()
         traj = manual_trajectory(g, jumps=[], T=1.0)
         phi = GridFunction(g, np.zeros(g.n_interior))
-        assert predicted_variance(traj, phi, "open", k) == 0.0
+        assert predicted(traj, phi, "open", k) == 0.0
 
     def test_frozen_channel_formula(self):
         # channel parked in "closed" with gain rate alpha into "open":
@@ -249,9 +272,7 @@ class TestPredictedVariance:
         phi = fundamental_mode(g)
         phi0 = float(interpolate_at_channels(phi, traj.positions)[0])
         expected = phi0**2 * alpha * 1.0 / 9
-        assert predicted_variance(traj, phi, "open", k) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert predicted(traj, phi, "open", k) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_empirical_variance(self):
         cfg = RunConfig.from_dict({"time_horizon": 0.5, "dt": 5e-3})
@@ -296,7 +317,7 @@ class TestVarianceBound:
         phi = fundamental_mode(grid)
         traj = run_replicate(cfg, 50, 3)
         bound = martingale_variance_bound(phi, 0.5, 50, 1.0, kin)
-        assert predicted_variance(traj, phi, "open", kin) <= bound
+        assert predicted(traj, phi, "open", kin) <= bound
 
 
 class TestDecompositionIdentity:
@@ -338,9 +359,8 @@ class TestDiagnosticsExport:
         times, norms = martingale_norm_series(traj, kin, grid)
         assert norms.shape == (traj.n_times, 2)
         assert np.all(norms[0] == 0.0)
-        series = martingale_series(traj, "open", kin, grid)
         assert norms[-1, 1] == pytest.approx(
-            hminus1_norm(series.functional_at(traj.n_times - 1)), rel=1e-12)
+            hminus1_norm(m_functional(traj, kin, "open", traj.n_times - 1)), rel=1e-12)
         path = tmp_path / "mart.csv"
         write_martingale_norm_csv(traj, kin, grid, path)
         with open(path) as fh:
@@ -455,6 +475,53 @@ class TestMultiStateChain:
         int_q = diag.comp_loads[-1] - (dens[-1] - dens[0])
         residual = deviation[-1] - deviation[0] - int_q - diag.m_loads[-1]
         assert np.max(np.abs(residual)) <= 1e-12
+
+
+class TestReplayVoltages:
+    """The replay's frozen voltages, read from the snapshots, are the simulator's."""
+
+    @pytest.mark.parametrize("n_scale, overrides", [
+        (25, {}),
+        (800, {}),
+        (50, {"time_horizon": 0.2, "dt": 5e-3, "cells": 40, "kinetics": k_type_chain(),
+              "p0": {"form": "uniform", "params": {"weights": {
+                  "c0": 0.4, "c1": 0.3, "c2": 0.15, "c3": 0.1, "o": 0.05}}}}),
+    ], ids=["default-n25", "default-n800", "chain5-n50"])
+    def test_snapshots_reproduce_frozen_voltages(self, monkeypatch, n_scale, overrides):
+        from axonsim import stochastic
+
+        cfg = RunConfig.from_dict(overrides)
+        grid, kin, _, _ = cfg.build()
+        frozen = []
+        simulator_table = stochastic.rate_table
+
+        def recording_table(k, v):
+            frozen.append(np.array(v, copy=True))
+            return simulator_table(k, v)
+
+        monkeypatch.setattr(stochastic, "rate_table", recording_table)
+        traj = run_replicate(cfg, n_scale, 0)
+        monkeypatch.undo()
+        frozen = np.stack(frozen)
+        assert frozen.shape == (traj.n_times - 1, traj.positions.size)
+        assert traj.jump_times.size > 0
+
+        snapshots = np.zeros((traj.n_times - 1, grid.cells + 1))
+        snapshots[:, 1:-1] = traj.v[:-1]
+        hats = hat_weights(grid, traj.positions)
+        assert np.array_equal(frozen, hat_interpolate(snapshots, hats))
+
+        # per-jump reference at the captured voltages
+        ref_rate = 2.0
+        sub = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
+        table = rate_table(kin, frozen[sub, traj.jump_channel])
+        r = table[traj.jump_dst, traj.jump_src, np.arange(traj.jump_times.size)]
+        ref_jump_rate = ref_rate / (traj.positions.size * (kin.n_states - 1))
+        log_jumps = float(np.sum(np.log(r) - np.log(ref_jump_rate)))
+        horizon = float(traj.times[-1] - traj.times[0])
+        expected = (log_jumps - float(scan_path(traj, kin).comp_final.sum())
+                    + horizon * ref_rate)
+        assert path_log_likelihood(traj, kin, ref_rate) == expected
 
 
 def per_time_loads(grid, positions, n_scale, inputs):

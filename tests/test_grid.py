@@ -13,6 +13,8 @@ from axonsim.grid import (
     density_functional,
     eval_at,
     h10_norm,
+    hat_interpolate,
+    hat_weights,
     hminus1_norm,
     hminus1_norms,
     l2_norm,
@@ -260,6 +262,21 @@ class TestEvalAt:
         u = GridFunction(g, np.zeros(3))
         with pytest.raises(ValueError):
             eval_at(u, 1.2)
+
+
+class TestHatInterpolate:
+    @given(cells=st.integers(2, 40), batch=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_linear_interpolation(self, cells, batch, seed):
+        g = build_grid(1.0, cells)
+        rng = np.random.default_rng(seed)
+        full = rng.normal(size=(batch, cells + 1))
+        x = rng.uniform(-1.0, 1.0, size=17)
+        got = hat_interpolate(full, hat_weights(g, x))
+        for b in range(batch):
+            assert np.array_equal(got[b], hat_interpolate(full[b], hat_weights(g, x)))
+            np.testing.assert_allclose(got[b], np.interp(x, g.nodes, full[b]),
+                                       rtol=0, atol=1e-12)
 
 
 class TestPairing:

@@ -7,6 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from axonsim.errors import InvariantViolation
 from axonsim.grid import build_grid
 from axonsim.harness import (
     RunConfig,
@@ -21,6 +22,7 @@ from axonsim.harness import (
     strip_wall_clock,
 )
 from axonsim.profiles import fundamental_mode
+from axonsim.stochastic import replicate_seed_sequence, seed_id
 
 SMALL = {
     "time_horizon": 0.2,
@@ -95,9 +97,7 @@ class TestDeviationMetrics:
         det_half = dataclasses.replace(
             det, times=det.times[:half], v=det.v[:half], p=det.p[:half],
             dissipation=det.dissipation[:half])
-        traj_half = dataclasses.replace(
-            traj, times=traj.times[:half], v=traj.v[:half],
-            v_chan_frozen=traj.v_chan_frozen[:half - 1])
+        traj_half = dataclasses.replace(traj, times=traj.times[:half], v=traj.v[:half])
         part = deviation_metrics(traj_half, det_half, grid, kin)
         assert part.sup_l2 <= full.sup_l2 + 1e-15
         assert part.sup_h10 <= full.sup_h10 + 1e-15
@@ -110,11 +110,9 @@ class TestDeviationMetrics:
         det = run_reference(cfg)
         traj = run_replicate(cfg, 25, 0)
         det_p, traj_v = det.p.copy(), traj.v.copy()
-        history = traj.v_chan_frozen.copy()
         first = deviation_metrics(traj, det, grid, kin)
         assert np.array_equal(det.p, det_p)
         assert np.array_equal(traj.v, traj_v)
-        assert np.array_equal(traj.v_chan_frozen, history)
         second = deviation_metrics(traj, det, grid, kin)
         for field in ("sup_l2", "sup_h10", "sup_hm1", "sup_mart_hm1"):
             assert getattr(second, field) == getattr(first, field)
@@ -169,24 +167,28 @@ class TestSweep:
         saved = sorted(os.listdir(tmp_path / "trajectories"))
         assert saved == ["n25_r0_voltage.csv", "n25_r1_voltage.csv"]
 
-    def test_replicate_failure_is_isolated(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("error", [InvariantViolation, ValueError])
+    def test_replicate_failure_is_isolated(self, tmp_path, monkeypatch, error):
         import axonsim.harness as harness
-        from axonsim.errors import InvariantViolation
 
         real = harness.run_replicate
 
-        def flaky(cfg, n_scale, replicate, store_history=True):
+        def flaky(cfg, n_scale, replicate):
             if (n_scale, replicate) == (25, 1):
-                raise InvariantViolation("forced failure at t=0.1")
-            return real(cfg, n_scale, replicate, store_history=store_history)
+                raise error("forced failure at t=0.1")
+            return real(cfg, n_scale, replicate)
 
         monkeypatch.setattr(harness, "run_replicate", flaky)
         cfg = RunConfig.from_dict(SMALL)
         rows = run_sweep(cfg, tmp_path, workers=1)
         flagged = [r for r in rows if r["status"] != "ok"]
         assert len(flagged) == 1
-        assert flagged[0]["N"] == 25 and flagged[0]["replicate"] == 1
-        assert "forced failure" in flagged[0]["status"]
+        bad = flagged[0]
+        assert bad["N"] == 25 and bad["replicate"] == 1
+        assert bad["seed"] == seed_id(replicate_seed_sequence(cfg.seed, 25, 1))
+        assert bad["status"] == f"failed:{error.__name__}:forced failure at t=0.1"
+        metric_cols = [c for c in bad if c.startswith(("dev_", "mart_"))]
+        assert metric_cols and all(np.isnan(bad[c]) for c in metric_cols)
         # the healthy rows match an unperturbed sweep exactly
         monkeypatch.setattr(harness, "run_replicate", real)
         clean = run_sweep(cfg, tmp_path / "clean", workers=1)

@@ -226,7 +226,7 @@ class TestStepStoch:
         cfg = init_channels(5001, p0, "iid", rng)
         assert cfg.count == 10001
         state = StochasticState(0.0, GridFunction(g, np.zeros(39)), cfg)
-        traj = run_stoch(state, 0.5, 0.05, k, rng, store_history=False)
+        traj = run_stoch(state, 0.5, 0.05, k, rng)
         frac_open = (traj.final_states() == 1).mean()
         pi = alpha / (alpha + beta)
         expected = pi + (0.1 - pi) * np.exp(-(alpha + beta) * 0.5)
@@ -263,8 +263,7 @@ class TestRunStoch:
         k = kinetics(c_open=0.0)
         cfg = init_channels(100, uniform_p0(g, 0.3), "stratified", make_rng(7))
         v0 = fundamental_mode(g, amplitude=0.5)
-        traj = run_stoch(StochasticState(0.0, v0, cfg), 0.2, 1e-3, k, 7,
-                         store_history=False)
+        traj = run_stoch(StochasticState(0.0, v0, cfg), 0.2, 1e-3, k, 7)
         oracle = apply_semigroup(0.2, v0, KernelParams(1.0))
         assert np.max(np.abs(traj.v[-1] - oracle.values)) < 1e-4
 
@@ -277,7 +276,7 @@ class TestRunStoch:
         for rep in range(20):
             cfg = init_channels(50, uniform_p0(g, 0.3), "stratified", make_rng(rep))
             traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
-                             t_hor, 5e-3, k, rep, store_history=False)
+                             t_hor, 5e-3, k, rep)
             counts.append(traj.jump_times.size)
         mean = np.mean(counts)
         lo = cfg0.count * 1 * k.alpha_min * t_hor
@@ -289,7 +288,7 @@ class TestRunStoch:
         k = kinetics()
         cfg = init_channels(60, uniform_p0(g, 0.3), "stratified", make_rng(3))
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
-                         0.5, 2e-3, k, 3, store_history=False)
+                         0.5, 2e-3, k, 3)
         total0 = cfg.count
         states = traj.initial_states.copy()
         bounds = np.searchsorted(traj.jump_times, traj.times, side="right")
@@ -303,7 +302,7 @@ class TestRunStoch:
         k = kinetics()
         cfg = init_channels(60, uniform_p0(g, 0.3), "stratified", make_rng(9))
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
-                         0.3, 2e-3, k, 9, store_history=False)
+                         0.3, 2e-3, k, 9)
         ones = GridFunction(g, np.ones(g.n_interior))
         from axonsim.stochastic import ChannelConfig
 
@@ -328,7 +327,7 @@ class TestRunStoch:
         # channels in the outermost cells exercise the truncated hat weights
         assert np.max(np.abs(cfg.positions)) > g.nodes[-2]
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
-                         0.1, 1e-3, k, 1, store_history=False)
+                         0.1, 1e-3, k, 1)
         assert traj.v.shape[1] == g.n_interior
 
 

@@ -13,21 +13,32 @@ martingale load series, its predicted variance, the a-priori variance cap,
 and the path log-likelihood against a uniform reference chain.  The replay
 reads the frozen channel voltages from the trajectory's snapshots, by the
 same hat interpolation the simulator froze them with.
+
+The replay works a block of substeps per call: one interpolation and one
+rate table for the block's snapshots, each substep's starting states
+rebuilt from the jump log.  Its accumulators are the bits a per-substep
+loop would produce.  Every elementwise value (voltage, rate, increment) is
+computed by the same operation on the same operands, and each accumulator
+is then advanced by sequential adds in loop order.  A channel that jumps
+gets one increment slot per segment of its path; the other channels' slots
+in those rows hold +0.0, and adding +0.0 is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
+from .csvtext import csv_lines, write_csv
 from .grid import (
     Functional,
     Grid,
     GridFunction,
     NodalField,
     density_functional,
+    density_loads,
     hat_interpolate,
     hat_weights,
     hminus1_norms,
@@ -61,50 +72,64 @@ def _scatter(idx_lo, wt_lo, idx_hi, wt_hi, weights, n_interior) -> np.ndarray:
     )
 
 
-# Sample times per scatter block.  The block buffer holds 3 * n_states *
-# SCATTER_BLOCK doubles per channel on top of the load series, at the
-# replay's memory peak, so it stays small.
-SCATTER_BLOCK = 8
+# Load series scan_path can keep: hat loads of the state indicators 1{s = xi}/N
+# ("c"), of the compensators (comp - occ)/N ("comp"), and of the martingale
+# parts jumps_net/N - comp ("m").
+SERIES = ("c", "comp", "m")
+
+# Bytes of block-sized replay arrays (rate table, increment slots, series
+# rows), at about 8 * count * n_states * (n_states + 6) per substep.  A block
+# only amortizes per-call cost: the accumulators are advanced row by row, by
+# sequential adds in loop order, and the zero-padded slots add +0.0, which is
+# exact, so every block size gives the same bits.  1 MiB makes 5-substep
+# blocks at the default N=800 and 41-substep ones at N=100; doubling it speeds
+# the N=800 replay by about a tenth but adds about a megabyte to every
+# replay's peak memory.
+REPLAY_BLOCK_BYTES = 1 << 20
 
 
 class _SeriesScatter:
-    """Hat loads of the replay's per-channel series, a block of times at once.
+    """Hat loads of the replay's kept series, filled a block of times at once.
 
-    Each sample time adds, for every state xi, three per-channel rows (each
-    over N): the indicator of s = xi, comp - occ, and jumps_net.  At a full
-    block each (row kind, state) is scattered for all its times by one
-    ``bincount`` per hat side, bin ``time * n_int + idx``; every bin receives
-    its channels in ascending order, as a per-time ``bincount`` does, so the
-    loads are bit-identical to scattering each time on its own.
+    Each sample time has, for every state xi, up to three per-channel rows
+    (each over N): the indicator of s = xi, comp - occ, and jumps_net.  For a
+    block of b times each (row kind, state) is scattered by one ``bincount``
+    per hat side, bin ``time * n_int + idx``; every bin receives its channels
+    in ascending order, as a per-time ``bincount`` does, so the loads are
+    bit-identical to scattering each time on its own.
     """
 
     def __init__(self, grid: Grid, positions: np.ndarray, n_states: int,
-                 n_times: int, n_scale: int):
+                 n_times: int, n_scale: int, keep, block: int):
         idx_lo, self.wt_lo, idx_hi, self.wt_hi = _interior_hat_arrays(grid, positions)
         self.n_int = grid.n_interior
+        self.n_states = n_states
         self.inv_n = 1.0 / n_scale
-        self.state_ids = np.arange(n_states)[:, None]
         shape = (n_times, n_states, self.n_int)
-        self.c_loads = np.zeros(shape)
-        self.comp_loads = np.zeros(shape)
-        self.m_loads = np.zeros(shape)
-        block = min(SCATTER_BLOCK, n_times)
+        self.c_loads = np.zeros(shape) if "c" in keep else None
+        self.comp_loads = np.zeros(shape) if "comp" in keep else None
+        self.m_loads = np.zeros(shape) if "m" in keep else None
         rows = np.arange(block)[:, None] * self.n_int
         self.bins_lo = (rows + idx_lo).ravel()
         self.bins_hi = (rows + idx_hi).ravel()
-        self.buf = np.empty((3, n_states, block, positions.size))
-        self.filled = 0
-        self.t_next = 0
 
-    def add(self, states: np.ndarray, comp: np.ndarray, occ: np.ndarray,
-            jumps_net: np.ndarray) -> None:
-        j = self.filled
-        self.buf[0, :, j] = (states == self.state_ids) * self.inv_n
-        self.buf[1, :, j] = (comp - occ) * self.inv_n
-        self.buf[2, :, j] = jumps_net * self.inv_n
-        self.filled += 1
-        if self.filled == self.buf.shape[2]:
-            self.flush()
+    def fill(self, t: int, states: np.ndarray, comp, occ, jumps_net) -> None:
+        """Loads at the sample times t, t+1, ... of b per-time rows.
+
+        ``states`` is (b, count); ``comp``, ``occ`` and ``jumps_net`` are
+        (b, n_states, count), and ``jumps_net`` may be None unless "m" is kept.
+        """
+        times = slice(t, t + states.shape[0])
+        for s in range(self.n_states):
+            if self.c_loads is not None:
+                self.c_loads[times, s] = self._loads((states == s) * self.inv_n)
+            if self.comp_loads is None and self.m_loads is None:
+                continue
+            net = self._loads((comp[:, s] - occ[:, s]) * self.inv_n)
+            if self.comp_loads is not None:
+                self.comp_loads[times, s] = net
+            if self.m_loads is not None:
+                self.m_loads[times, s] = self._loads(jumps_net[:, s] * self.inv_n) - net
 
     def _loads(self, rows: np.ndarray) -> np.ndarray:
         """Hat loads (b, n_int) of b per-channel rows."""
@@ -116,115 +141,211 @@ class _SeriesScatter:
                              minlength=size)
         return loads.reshape(rows.shape[0], self.n_int)
 
-    def flush(self) -> None:
-        b = self.filled
-        t = slice(self.t_next, self.t_next + b)
-        for s in range(self.buf.shape[1]):
-            self.c_loads[t, s] = self._loads(self.buf[0, s, :b])
-            comp = self._loads(self.buf[1, s, :b])
-            self.comp_loads[t, s] = comp
-            self.m_loads[t, s] = self._loads(self.buf[2, s, :b]) - comp
-        self.t_next += b
-        self.filled = 0
+
+def _kept_series(want_series) -> frozenset:
+    if isinstance(want_series, bool):
+        return frozenset(SERIES if want_series else ())
+    names = frozenset(want_series)
+    if not names <= set(SERIES):
+        raise ValueError(f"unknown series {sorted(names - set(SERIES))}; "
+                         f"choose from {SERIES}")
+    return names
+
+
+@dataclass(eq=False)
+class _JumpPlan:
+    """The jump log laid out for the block replay.
+
+    Jumps keep log order (by time, so by substep).  A (substep, channel)
+    group is a channel's jumps inside one substep; groups are sorted by
+    substep.  Each group's channel follows the segment path of its chain,
+    one segment per slot, the last one running to the substep's end; the
+    substep gets as many increment rows as its busiest channel has slots.
+    """
+
+    sub: np.ndarray             # (n_jumps,) substep of each jump
+    channel: np.ndarray
+    src: np.ndarray             # replayed state before each jump
+    dst: np.ndarray
+    group_sub: np.ndarray       # (n_groups,)
+    group_channel: np.ndarray
+    group_last: np.ndarray      # the group's last jump
+    seg_sub: np.ndarray         # (n_segments,) positive-duration segments only
+    seg_channel: np.ndarray
+    seg_state: np.ndarray
+    seg_slot: np.ndarray
+    seg_duration: np.ndarray
+    row_start: np.ndarray       # (n_sub + 1,) first increment row of each substep
+
+
+def _jump_plan(traj: StochTrajectory, bounds: np.ndarray) -> _JumpPlan:
+    n_sub = traj.n_times - 1
+    times = traj.times
+    lo, hi = int(bounds[0]), int(bounds[-1])
+    sub = np.repeat(np.arange(n_sub), np.diff(bounds))
+    channel = traj.jump_channel[lo:hi]
+    dst = traj.jump_dst[lo:hi]
+    t_jump = traj.jump_times[lo:hi]
+
+    # by channel, then in time; prev is the jump before in that order
+    order = np.argsort(channel, kind="stable")
+    ch, sb = channel[order], sub[order]
+    prev = np.concatenate((order[-1:], order[:-1]))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = ch[1:] != ch[:-1]
+    new_group = first.copy()
+    new_group[1:] |= sb[1:] != sb[:-1]
+    src = np.empty_like(dst)
+    src[order] = np.where(first, traj.initial_states[ch], dst[prev])
+    cursor = np.where(new_group, times[sb], t_jump[prev])
+    slot = np.arange(order.size) - np.flatnonzero(new_group)[np.cumsum(new_group) - 1]
+    last = np.ones(order.size, dtype=bool)
+    last[:-1] = new_group[1:]
+    g_last, g_sub, g_ch = order[last], sb[last], ch[last]
+    g_end = times[g_sub] + (times[g_sub + 1] - times[g_sub])
+
+    n_rows = np.ones(n_sub, dtype=np.int64)
+    np.maximum.at(n_rows, g_sub, slot[last] + 2)
+    seg_sub = np.concatenate((sb, g_sub))
+    seg_duration = np.concatenate((t_jump[order] - cursor, g_end - t_jump[g_last]))
+    by_sub = np.argsort(seg_sub, kind="stable")
+    by_sub = by_sub[seg_duration[by_sub] > 0.0]
+    g_order = np.argsort(g_sub, kind="stable")
+    return _JumpPlan(
+        sub=sub, channel=channel, src=src, dst=dst,
+        group_sub=g_sub[g_order], group_channel=g_ch[g_order],
+        group_last=g_last[g_order],
+        seg_sub=seg_sub[by_sub],
+        seg_channel=np.concatenate((ch, g_ch))[by_sub],
+        seg_state=np.concatenate((src[order], dst[g_last]))[by_sub],
+        seg_slot=np.concatenate((slot, slot[last] + 1))[by_sub],
+        seg_duration=seg_duration[by_sub],
+        row_start=np.concatenate(([0], np.cumsum(n_rows))),
+    )
 
 
 def scan_path(
     traj: StochTrajectory,
     k: ChannelKinetics,
-    want_series: bool = False,
+    want_series: bool | Iterable[str] = False,
 ) -> PathDiagnostics:
     """Replay a trajectory, integrating compensators on the frozen-rate grid.
 
     Each substep's rates are evaluated at V(t_k, i/N), interpolated from the
     snapshot ``traj.v[k]``.  Channels that jump inside a substep are
     integrated segment by segment over their realized state path, so the
-    accumulators are exactly those of the simulated chain.
+    accumulators are exactly those of the simulated chain.  Substeps are
+    replayed a block at a time (see :data:`REPLAY_BLOCK_BYTES`).
+
+    ``want_series`` names the load series to keep, from :data:`SERIES`:
+    ``True`` keeps all three, a false value none; the others are None.
     """
+    keep = _kept_series(want_series)
     n_states = traj.n_states
     count = traj.positions.size
     n_sub = traj.n_times - 1
-
-    states = traj.initial_states.copy()
-    comp = np.zeros((n_states, count))
-    occ = np.zeros((n_states, count))
-    jumps_net = np.zeros((n_states, count))
-    jump_rates = np.full(traj.jump_times.size, np.nan)
     bounds = np.searchsorted(traj.jump_times, traj.times, side="right")
+    plan = _jump_plan(traj, bounds)
+    jump_rates = np.full(traj.jump_times.size, np.nan)
+    replayed_rates = jump_rates[bounds[0]:bounds[-1]]  # the jumps plan holds
     hats = hat_weights(traj.grid, traj.positions)
-    v_full = np.zeros(traj.grid.cells + 1)
+    ids = np.arange(n_states)[:, None]
+    initial = traj.initial_states
+    initial_hot = (initial == ids).astype(float)
+    block = REPLAY_BLOCK_BYTES // (8 * count * n_states * (n_states + 6))
+    block = max(1, min(block, n_sub))
+    v_full = np.zeros((block, traj.grid.cells + 1))
 
     series = None
-    if want_series:
-        series = _SeriesScatter(traj.grid, traj.positions, n_states,
-                                traj.n_times, traj.n_scale)
-        series.add(states, comp, occ, jumps_net)
-    for sub in range(n_sub):
-        t0 = float(traj.times[sub])
-        dt = float(traj.times[sub + 1] - traj.times[sub])
-        lo, hi = bounds[sub], bounds[sub + 1]
-        jump_idx = traj.jump_channel[lo:hi]
+    if keep:
+        series = _SeriesScatter(traj.grid, traj.positions, n_states, traj.n_times,
+                                traj.n_scale, keep, block)
+        zero = np.zeros((1, n_states, count))
+        series.fill(0, initial[None], zero, zero, zero)
+    def replay_block(b0, b1, states, acc):
+        """Advance ``states`` and ``acc`` over substeps [b0, b1) and fill the series.
 
-        v_full[1:-1] = traj.v[sub]
-        table = rate_table(k, hat_interpolate(v_full, hats))
-        rate_to = channel_rates(table, states)
-        exit = rate_to.sum(axis=0)
+        The block's arrays die on return, before the next block makes its own.
+        """
+        nb = b1 - b0
+        v_full[:nb, 1:-1] = traj.v[b0:b1]
+        table = rate_table(k, hat_interpolate(v_full[:nb], hats))
+        groups = slice(*np.searchsorted(plan.group_sub, (b0, b1)))
+        jumped = groups.stop > groups.start
+        ends = np.repeat(states[None], nb, axis=0)
+        if jumped:
+            # a jumper's state after each substep is the target of its last jump so far
+            moved, col = np.unique(plan.group_channel[groups], return_inverse=True)
+            last = np.full((nb, moved.size), -1)
+            last[plan.group_sub[groups] - b0, col] = plan.group_last[groups]
+            np.maximum.accumulate(last, axis=0, out=last)
+            ends[:, moved] = np.where(last >= 0, plan.dst[last], states[moved])
+        starts = np.concatenate((states[None], ends[:-1]))
+        rate_to = channel_rates(table.reshape(n_states, n_states, -1),
+                                starts.ravel()).reshape(n_states, nb, count)
+        dt = np.diff(traj.times[b0:b1 + 1])[:, None]
 
-        if hi > lo:
-            w = np.full(count, dt)
-            w[jump_idx] = 0.0
-        else:
-            w = dt
-        comp += w * rate_to
-        occ[states, np.arange(count)] += w * exit
+        # Increment slots, one row per slot and a column per channel: comp
+        # in the first n_states entries, occ in the rest.  Row b holds
+        # substep b's frozen-rate increments; the extra slots of substeps
+        # with jumps follow in rows nb.., and `order` lists every row in
+        # loop order.
+        rows = plan.row_start[b0:b1 + 1] - plan.row_start[b0]
+        order = np.arange(rows[-1])
+        if jumped:
+            seg = slice(*np.searchsorted(plan.seg_sub, (b0, b1)))
+            sb = plan.seg_sub[seg] - b0
+            sc, ss = plan.seg_channel[seg], plan.seg_state[seg]
+            cols = table.transpose(2, 3, 1, 0)[sb, sc, ss]
+            e = slice(bounds[b0] - bounds[0], bounds[b1] - bounds[0])
+            replayed_rates[e] = table[plan.dst[e], plan.src[e], plan.sub[e] - b0,
+                                      plan.channel[e]]
+            sub_of = np.repeat(np.arange(nb), np.diff(rows))
+            order = np.where(order == rows[sub_of], sub_of, nb + order - sub_of - 1)
+        del table  # before the slots are allocated
+        inc = np.empty((rows[-1], 2 * n_states, count))
+        np.multiply(dt[:, :, None], rate_to.transpose(1, 0, 2), out=inc[:nb, :n_states])
+        exit_rate = rate_to.sum(axis=0)
+        exit_rate *= dt
+        np.multiply(starts[:, None] == ids, exit_rate[:, None], out=inc[:nb, n_states:])
+        if jumped:
+            # channels that jump follow their segment path instead
+            inc[plan.group_sub[groups] - b0, :, plan.group_channel[groups]] = 0.0
+            inc[nb:] = 0.0
+            row = order[rows[sb] + plan.seg_slot[seg]]
+            duration = plan.seg_duration[seg]
+            inc[row, :n_states, sc] = duration[:, None] * cols
+            inc[row, n_states + ss, sc] = duration * cols.sum(axis=1)
 
-        if hi > lo:
-            # segment-exact integration for channels that jumped
-            affected: dict[int, list[int]] = {}
-            for e in range(lo, hi):
-                affected.setdefault(int(traj.jump_channel[e]), []).append(e)
-            for i, evs in affected.items():
-                rates = table[:, :, i]
-                cursor = t0
-                s = int(states[i])
-                for e in evs:
-                    te = float(traj.jump_times[e])
-                    _integrate_segment(comp, occ, rates, i, s, te - cursor)
-                    dst = int(traj.jump_dst[e])
-                    jump_rates[e] = rates[dst, s]
-                    jumps_net[dst, i] += 1.0
-                    jumps_net[s, i] -= 1.0
-                    s = dst
-                    cursor = te
-                _integrate_segment(comp, occ, rates, i, s, t0 + dt - cursor)
-                states[i] = s
+        flat = inc.reshape(rows[-1], -1)
+        for r in order.tolist():
+            np.add(acc, flat[r], out=flat[r])
+            acc = flat[r]
         if series is not None:
-            series.add(states, comp, occ, jumps_net)
+            at_end = inc[order[rows[1:] - 1]]
+            jumps_net = None
+            if series.m_loads is not None:
+                jumps_net = (ends[:, None] == ids).astype(float) - initial_hot
+            series.fill(b0 + 1, ends, at_end[:, :n_states], at_end[:, n_states:],
+                        jumps_net)
+        return ends[-1].copy(), acc.copy()
 
-    if series is not None:
-        series.flush()
+    states = initial
+    acc = np.zeros(2 * n_states * count)  # comp, then occ
+    for b0 in range(0, n_sub, block):
+        states, acc = replay_block(b0, min(b0 + block, n_sub), states, acc)
+
+    acc = acc.reshape(2, n_states, count)
     return PathDiagnostics(
         times=traj.times,
-        comp_final=comp,
-        exit_occupation_final=occ,
-        jumps_net_final=jumps_net,
+        comp_final=acc[0],
+        exit_occupation_final=acc[1],
+        jumps_net_final=(states == ids).astype(float) - initial_hot,
         jump_rates=jump_rates,
-        c_loads=series.c_loads if want_series else None,
-        comp_loads=series.comp_loads if want_series else None,
-        m_loads=series.m_loads if want_series else None,
+        c_loads=series.c_loads if series else None,
+        comp_loads=series.comp_loads if series else None,
+        m_loads=series.m_loads if series else None,
     )
-
-
-def _integrate_segment(comp, occ, rates: np.ndarray, i: int, s: int,
-                       duration: float) -> None:
-    """Add one constant-state stretch of channel i to the accumulators.
-
-    ``rates`` is the channel's (n_states, n_states) slice of the rate table.
-    """
-    if duration <= 0.0:
-        return
-    col = rates[:, s]
-    comp[:, i] += duration * col
-    occ[s, i] += duration * col.sum()
 
 
 def drift_term(
@@ -307,22 +428,16 @@ def path_log_likelihood(traj: StochTrajectory, k: ChannelKinetics,
 def martingale_norm_series(traj: StochTrajectory, k: ChannelKinetics,
                            grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Dual norm of every state's martingale part at each sample time."""
-    m_loads = scan_path(traj, k, want_series=True).m_loads
+    m_loads = scan_path(traj, k, want_series=("m",)).m_loads
     return traj.times, hminus1_norms(grid, m_loads)
 
 
 def write_martingale_norm_csv(traj: StochTrajectory, k: ChannelKinetics,
                               grid: Grid, path) -> None:
     """CSV time series (t, mart_hm1_<state>...) of the martingale size."""
-    import csv
-
     times, norms = martingale_norm_series(traj, k, grid)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"mart_hm1_{name}" for name in k.states])
-        for idx in range(times.size):
-            w.writerow([repr(float(times[idx]))]
-                       + [repr(float(norms[idx, s])) for s in range(k.n_states)])
+    write_csv(path, ["t"] + [f"mart_hm1_{name}" for name in k.states], [csv_lines(
+        map(repr, times.tolist()), *(map(repr, col) for col in norms.T.tolist()))])
 
 
 def deviation_loads(
@@ -336,7 +451,6 @@ def deviation_loads(
     Returns (c_minus_p_loads, m_loads, comp_loads).
     """
     diag = scan_path(traj, k, want_series=True)
-    p = det_p
     c_loads = diag.c_loads
-    c_loads -= traj.grid.h / 6.0 * (p[:, :, :-2] + 4.0 * p[:, :, 1:-1] + p[:, :, 2:])
+    c_loads -= density_loads(traj.grid, det_p)
     return c_loads, diag.m_loads, diag.comp_loads

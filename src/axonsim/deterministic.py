@@ -14,12 +14,12 @@ system preserves the nodal total sum(p) exactly up to roundoff.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .csvtext import csv_lines, write_csv
 from .errors import InvariantViolation
 from .grid import (
     Grid,
@@ -27,6 +27,8 @@ from .grid import (
     NodalField,
     density_functional,
     gradient_sq,
+    h10_norm,
+    l2_norm,
     mass_bands,
     squared_norms,
     stiffness_bands,
@@ -314,31 +316,25 @@ def proportion_drift(
 
 def write_trajectory_csv(traj: DetTrajectory, path, stride: int = 1) -> None:
     """Long-format nodal snapshots: (t, node index, x, v, p_<state>...)."""
-    nodes = traj.grid.nodes
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "node", "x", "v"] + [f"p_{s}" for s in traj.state_names])
+    lead = [f",{j},{x!r}" for j, x in enumerate(traj.grid.nodes.tolist())]
+    v_full = np.zeros(len(lead))
+
+    def blocks():
         for i in range(0, traj.n_times, stride):
-            v_full = np.zeros(nodes.size)
             v_full[1:-1] = traj.v[i]
-            for j in range(nodes.size):
-                w.writerow(
-                    [repr(float(traj.times[i])), j, repr(float(nodes[j])),
-                     repr(float(v_full[j]))]
-                    + [repr(float(traj.p[i, s, j])) for s in range(len(traj.state_names))]
-                )
+            t = repr(float(traj.times[i]))
+            yield csv_lines(map(t.__add__, lead), map(repr, v_full.tolist()),
+                            *(map(repr, p.tolist()) for p in traj.p[i]))
+
+    write_csv(path, ["t", "node", "x", "v"] + [f"p_{s}" for s in traj.state_names],
+              blocks())
 
 
 def write_summary_csv(traj: DetTrajectory, path, stride: int = 1) -> None:
     """Per-time norms: (t, l2, h10, dissipation)."""
-    from .grid import h10_norm, l2_norm
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "l2", "h10", "dissipation"])
-        for i in range(0, traj.n_times, stride):
-            vf = traj.v_at(i)
-            w.writerow([
-                repr(float(traj.times[i])), repr(l2_norm(vf)), repr(h10_norm(vf)),
-                repr(float(traj.dissipation[i])),
-            ])
+    rows = range(0, traj.n_times, stride)
+    write_csv(path, ["t", "l2", "h10", "dissipation"], [csv_lines(
+        map(repr, traj.times[::stride].tolist()),
+        [repr(l2_norm(traj.v_at(i))) for i in rows],
+        [repr(h10_norm(traj.v_at(i))) for i in rows],
+        map(repr, traj.dissipation[::stride].tolist()))])

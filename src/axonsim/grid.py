@@ -304,7 +304,14 @@ def density_functional(f: NodalField) -> Functional:
     loads_j = int phi_j f dx with f the piecewise-linear interpolant, so
     loads_j = h/6 * (f_{j-1} + 4 f_j + f_{j+1}) at interior nodes.
     """
-    v = f.values
-    h = f.grid.h
-    loads = h / 6.0 * (v[:-2] + 4.0 * v[1:-1] + v[2:])
-    return Functional(f.grid, loads)
+    return Functional(f.grid, density_loads(f.grid, f.values))
+
+
+def density_loads(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Loads h/6 (f_{j-1} + 4 f_j + f_{j+1}) of nodal densities, batched.
+
+    ``values`` holds every node, endpoints included, along its last axis;
+    any leading axes are a batch and the result keeps them.
+    """
+    v = values
+    return grid.h / 6.0 * (v[..., :-2] + 4.0 * v[..., 1:-1] + v[..., 2:])

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .decomposition import deviation_loads
+from .decomposition import scan_path
 from .deterministic import DeterministicState, DetTrajectory, run_det
-from .grid import Grid, build_grid, hminus1_norms, squared_norms
+from .grid import Grid, build_grid, density_loads, hminus1_norms, squared_norms
 from .kinetics import ChannelKinetics, make_kinetics
 from .profiles import build_p0, build_v0
 from .stochastic import (
@@ -195,7 +195,9 @@ def deviation_metrics(stoch: StochTrajectory, det: DetTrajectory,
         raise ValueError("trajectories do not share the sample time grid")
     t0 = time.perf_counter()
     sup_l2, sup_h10 = _sup_voltage_deviation(stoch.times, stoch.v, det.v, grid)
-    cmp_loads, m_loads = deviation_loads(stoch, kin, det.p)[:2]
+    diag = scan_path(stoch, kin, want_series=("c", "m"))
+    cmp_loads, m_loads = diag.c_loads, diag.m_loads
+    cmp_loads -= density_loads(stoch.grid, det.p)
     sup_hm1 = {}
     sup_mart = {}
     for s, name in enumerate(kin.states):

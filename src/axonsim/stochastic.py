@@ -23,7 +23,6 @@ sub-solve is a single banded solve and the step is unconditionally stable.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .csvtext import csv_lines, quote, write_csv
 from .errors import InvariantViolation
 from .grid import (
     Functional,
@@ -396,30 +396,29 @@ def run_stoch(
 
 
 def write_voltage_csv(traj: StochTrajectory, path, stride: int = 1) -> None:
-    """Voltage snapshots in long format: (t, node, x, V)."""
-    nodes = traj.grid.nodes
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "node", "x", "V"])
+    """Voltage snapshots in long format: (t, node, x, V), rows ``0, stride, ...``."""
+    lead = [f",{j},{x!r}" for j, x in enumerate(traj.grid.nodes.tolist())]
+    v_full = np.zeros(len(lead))
+
+    def blocks():
         for idx in range(0, traj.n_times, stride):
-            v_full = np.zeros(nodes.size)
             v_full[1:-1] = traj.v[idx]
-            for j in range(nodes.size):
-                w.writerow([repr(float(traj.times[idx])), j,
-                            repr(float(nodes[j])), repr(float(v_full[j]))])
+            t = repr(float(traj.times[idx]))
+            yield csv_lines(map(t.__add__, lead), map(repr, v_full.tolist()))
+
+    write_csv(path, ["t", "node", "x", "V"], blocks())
 
 
 def write_jump_csv(traj: StochTrajectory, path,
                    state_names: Optional[Sequence[str]] = None) -> None:
     """Jump log: (t, i, from, to)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "channel", "from", "to"])
-        for t, i, a, b in zip(traj.jump_times.tolist(), traj.jump_channel.tolist(),
-                              traj.jump_src.tolist(), traj.jump_dst.tolist()):
-            src = state_names[a] if state_names else a
-            dst = state_names[b] if state_names else b
-            w.writerow([repr(t), i, src, dst])
+    src, dst = traj.jump_src.tolist(), traj.jump_dst.tolist()
+    if state_names:
+        names = [quote(name) for name in state_names]
+        src, dst = [names[a] for a in src], [names[b] for b in dst]
+    write_csv(path, ["t", "channel", "from", "to"], [csv_lines(
+        map(repr, traj.jump_times.tolist()), map(str, traj.jump_channel.tolist()),
+        map(str, src), map(str, dst))])
 
 
 def write_run_manifest(traj: StochTrajectory, path, config_digest: str = "") -> None:

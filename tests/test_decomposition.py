@@ -1,12 +1,14 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from axonsim import decomposition
 from axonsim.decomposition import (
-    SCATTER_BLOCK,
+    SERIES,
     _scatter,
     _SeriesScatter,
     deviation_loads,
@@ -27,7 +29,7 @@ from axonsim.grid import (
     pairing,
 )
 from axonsim.harness import RunConfig, run_reference, run_replicate
-from axonsim.kinetics import make_kinetics, rate_table
+from axonsim.kinetics import channel_rates, make_kinetics, rate_table
 from axonsim.profiles import fundamental_mode
 from axonsim.stochastic import (
     ChannelConfig,
@@ -38,6 +40,7 @@ from axonsim.stochastic import (
     _interior_hat_arrays,
     run_stoch,
 )
+from axonsim.validate import _frozen_reference_trajectory
 
 
 def constant_kinetics(up=0.8, down=0.4, c_open=0.0, clamp=(0.01, 2.0)):
@@ -369,6 +372,25 @@ class TestDiagnosticsExport:
         assert len(rows) == 1 + traj.n_times
 
 
+    @pytest.mark.parametrize("config", ["default", "chain5"])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, config):
+        import csv
+
+        from axonsim.decomposition import martingale_norm_series, write_martingale_norm_csv
+
+        traj, kin = cached_replicate(config, 50, 2, 0.2)
+        write_martingale_norm_csv(traj, kin, traj.grid, tmp_path / "new.csv")
+        # the per-row csv.writer exporter, as the byte oracle
+        times, norms = martingale_norm_series(traj, kin, traj.grid)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t"] + [f"mart_hm1_{name}" for name in kin.states])
+            for idx in range(times.size):
+                w.writerow([repr(float(times[idx]))]
+                           + [repr(float(norms[idx, s])) for s in range(kin.n_states)])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestLogLikelihood:
     def test_no_jump_closed_form(self):
         g = build_grid(1.0, 10)
@@ -548,14 +570,77 @@ def per_time_loads(grid, positions, n_scale, inputs):
     return c_loads, comp_loads, m_loads
 
 
+def per_substep_scan(traj, k):
+    """Reference replay: the per-substep loop the block replay replaced.
+
+    Returns (comp, occ, jumps_net, jump_rates, inputs), where ``inputs``
+    holds the (states, comp, occ, jumps_net) rows at every sample time.
+    """
+    n_states = traj.n_states
+    count = traj.positions.size
+    states = traj.initial_states.copy()
+    comp = np.zeros((n_states, count))
+    occ = np.zeros((n_states, count))
+    jumps_net = np.zeros((n_states, count))
+    jump_rates = np.full(traj.jump_times.size, np.nan)
+    bounds = np.searchsorted(traj.jump_times, traj.times, side="right")
+    hats = hat_weights(traj.grid, traj.positions)
+    v_full = np.zeros(traj.grid.cells + 1)
+
+    def segment(rates, i, s, duration):
+        if duration <= 0.0:
+            return
+        col = rates[:, s]
+        comp[:, i] += duration * col
+        occ[s, i] += duration * col.sum()
+
+    inputs = [(states.copy(), comp.copy(), occ.copy(), jumps_net.copy())]
+    for sub in range(traj.n_times - 1):
+        t0 = float(traj.times[sub])
+        dt = float(traj.times[sub + 1] - traj.times[sub])
+        lo, hi = bounds[sub], bounds[sub + 1]
+        v_full[1:-1] = traj.v[sub]
+        table = rate_table(k, hat_interpolate(v_full, hats))
+        rate_to = channel_rates(table, states)
+        exit = rate_to.sum(axis=0)
+        if hi > lo:
+            w = np.full(count, dt)
+            w[traj.jump_channel[lo:hi]] = 0.0
+        else:
+            w = dt
+        comp += w * rate_to
+        occ[states, np.arange(count)] += w * exit
+        affected = {}
+        for e in range(lo, hi):
+            affected.setdefault(int(traj.jump_channel[e]), []).append(e)
+        for i, evs in affected.items():
+            rates = table[:, :, i]
+            cursor = t0
+            s = int(states[i])
+            for e in evs:
+                te = float(traj.jump_times[e])
+                segment(rates, i, s, te - cursor)
+                dst = int(traj.jump_dst[e])
+                jump_rates[e] = rates[dst, s]
+                jumps_net[dst, i] += 1.0
+                jumps_net[s, i] -= 1.0
+                s = dst
+                cursor = te
+            segment(rates, i, s, t0 + dt - cursor)
+            states[i] = s
+        inputs.append((states.copy(), comp.copy(), occ.copy(), jumps_net.copy()))
+    return comp, occ, jumps_net, jump_rates, inputs
+
+
 class TestSeriesScatter:
     @given(n_states=st.integers(2, 5),
-           n_times=st.sampled_from([3, SCATTER_BLOCK - 1, SCATTER_BLOCK,
-                                    SCATTER_BLOCK + 1, 2 * SCATTER_BLOCK + 1]),
+           n_times=st.integers(1, 20),
+           block=st.integers(1, 8),
            n_scale=st.integers(1, 40),
            cells=st.integers(2, 30),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_per_time_scatter(self, n_states, n_times, n_scale, cells, seed):
+    def test_matches_per_time_scatter(self, n_states, n_times, block, n_scale, cells,
+                                      seed):
         g = build_grid(1.0, cells)
         rng = np.random.default_rng(seed)
         count = int(rng.integers(1, 40))
@@ -567,18 +652,17 @@ class TestSeriesScatter:
              rng.integers(-2, 3, size=(n_states, count)).astype(float))
             for _ in range(n_times)
         ]
-        series = _SeriesScatter(g, positions, n_states, n_times, n_scale)
-        for row in inputs:
-            series.add(*row)
-        series.flush()
+        series = _SeriesScatter(g, positions, n_states, n_times, n_scale, SERIES, block)
+        for t in range(0, n_times, block):
+            series.fill(t, *(np.stack(rows) for rows in zip(*inputs[t:t + block])))
         ref = per_time_loads(g, positions, n_scale, inputs)
         assert np.array_equal(series.c_loads, ref[0])
         assert np.array_equal(series.comp_loads, ref[1])
         assert np.array_equal(series.m_loads, ref[2])
 
     @pytest.mark.parametrize("overrides", [
-        # 2 states, SCATTER_BLOCK + 2 sample times
-        {"time_horizon": (SCATTER_BLOCK + 1) * 2e-3, "dt": 2e-3},
+        # 2 states, 10 sample times in blocks of 4, 4 and 1
+        {"time_horizon": 9 * 2e-3, "dt": 2e-3},
         # the 5-state chain, 41 sample times
         {"time_horizon": 0.2, "dt": 5e-3, "kinetics": k_type_chain(),
          "p0": {"form": "uniform", "params": {"weights": {
@@ -589,17 +673,130 @@ class TestSeriesScatter:
         grid, kin, _, _ = cfg.build()
         traj = run_replicate(cfg, 50, 0)
         assert traj.jump_times.size > 0
+        count = traj.positions.size
+        monkeypatch.setattr(decomposition, "REPLAY_BLOCK_BYTES",
+                            4 * 8 * count * kin.n_states * (kin.n_states + 6))
         inputs = []
-        add = _SeriesScatter.add
+        fill = _SeriesScatter.fill
 
-        def recording_add(self, states, comp, occ, jumps_net):
-            inputs.append((states.copy(), comp.copy(), occ.copy(), jumps_net.copy()))
-            add(self, states, comp, occ, jumps_net)
+        def recording_fill(self, t, states, comp, occ, jumps_net):
+            assert t == len(inputs)
+            inputs.extend((states[b].copy(), comp[b].copy(), occ[b].copy(),
+                           jumps_net[b].copy()) for b in range(states.shape[0]))
+            fill(self, t, states, comp, occ, jumps_net)
 
-        monkeypatch.setattr(_SeriesScatter, "add", recording_add)
+        monkeypatch.setattr(_SeriesScatter, "fill", recording_fill)
         diag = scan_path(traj, kin, want_series=True)
         assert len(inputs) == traj.n_times
         ref = per_time_loads(grid, traj.positions, traj.n_scale, inputs)
         assert np.array_equal(diag.c_loads, ref[0])
         assert np.array_equal(diag.comp_loads, ref[1])
         assert np.array_equal(diag.m_loads, ref[2])
+
+
+CHAIN5 = {"time_horizon": 0.2, "dt": 5e-3, "cells": 40, "kinetics": k_type_chain(),
+          "p0": {"form": "uniform", "params": {"weights": {
+              "c0": 0.4, "c1": 0.3, "c2": 0.15, "c3": 0.1, "o": 0.05}}}}
+
+
+@functools.lru_cache(maxsize=None)
+def cached_replicate(config, n_scale, replicate, time_horizon=None):
+    overrides = {"default": {}, "chain5": CHAIN5}[config]
+    if time_horizon is not None:
+        overrides = {**overrides, "time_horizon": time_horizon}
+    cfg = RunConfig.from_dict(overrides)
+    kin = cfg.build()[1]
+    return run_replicate(cfg, n_scale, replicate), kin
+
+
+def most_jumps_in_one_substep(traj):
+    """The most jumps any one channel makes inside one substep."""
+    sub = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
+    pairs = np.stack([sub, traj.jump_channel])
+    return int(np.unique(pairs, axis=1, return_counts=True)[1].max())
+
+
+def assert_replay_matches_loop(traj, kin):
+    """Every accumulator and kept series equals the per-substep loop's bits."""
+    comp, occ, jumps_net, jump_rates, inputs = per_substep_scan(traj, kin)
+    loads = dict(zip(SERIES, per_time_loads(traj.grid, traj.positions, traj.n_scale,
+                                            inputs)))
+    for want in (False, ("m",), ("c", "m"), True):
+        diag = scan_path(traj, kin, want_series=want)
+        assert np.array_equal(diag.comp_final, comp)
+        assert np.array_equal(diag.exit_occupation_final, occ)
+        assert np.array_equal(diag.jumps_net_final, jumps_net)
+        assert np.array_equal(diag.jump_rates, jump_rates, equal_nan=True)
+        kept = SERIES if want is True else (want or ())
+        for name in SERIES:
+            series = getattr(diag, f"{name}_loads")
+            if name in kept:
+                assert np.array_equal(series, loads[name])
+            else:
+                assert series is None
+
+
+class TestBlockReplay:
+    """The block replay is bit-identical to the per-substep loop it replaced."""
+
+    @pytest.mark.parametrize("config, n_scale, replicate", [
+        ("default", 25, 0), ("default", 200, 0), ("default", 800, 0),
+        ("chain5", 50, 2), ("chain5", 400, 0),
+    ], ids=["default-n25", "default-n200", "default-n800", "chain5-n50-r2",
+            "chain5-n400"])
+    def test_matches_per_substep_loop(self, config, n_scale, replicate):
+        traj, kin = cached_replicate(config, n_scale, replicate)
+        assert traj.jump_times.size > 0
+        if (config, n_scale, replicate) == ("chain5", 50, 2):
+            assert most_jumps_in_one_substep(traj) >= 2
+        assert_replay_matches_loop(traj, kin)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("config, n_scale, replicate, horizon", [
+        ("default", 200, 0, 0.05), ("chain5", 50, 2, None),
+    ], ids=["default-n200", "chain5-n50-r2"])
+    def test_block_sizes_that_do_not_divide_the_substeps(
+            self, monkeypatch, config, n_scale, replicate, horizon, block):
+        traj, kin = cached_replicate(config, n_scale, replicate, horizon)
+        n_sub = traj.n_times - 1
+        assert block == 1 or n_sub % block != 0
+        per_substep = 8 * traj.positions.size * kin.n_states * (kin.n_states + 6)
+        monkeypatch.setattr(decomposition, "REPLAY_BLOCK_BYTES", block * per_substep)
+        fills = []
+        fill = _SeriesScatter.fill
+
+        def recording_fill(self, t, states, *rows):
+            fills.append(states.shape[0])
+            fill(self, t, states, *rows)
+
+        monkeypatch.setattr(_SeriesScatter, "fill", recording_fill)
+        assert_replay_matches_loop(traj, kin)
+        assert max(fills) == block
+
+    def test_jumps_at_sample_times_and_zero_length_segments(self):
+        g = build_grid(1.0, 20)
+        k = constant_kinetics(up=0.8, down=0.4)
+        times = np.linspace(0.0, 1.0, 11)
+        jumps = [
+            (times[0], 1, 0, 1),     # at the start: outside every substep
+            (times[3], 0, 0, 1),     # at a sample time: ends substep 2
+            (0.55, 0, 1, 0),         # two jumps at one instant: a zero-length
+            (0.55, 0, 0, 1),         # segment between them
+            (0.57, 2, 0, 1),
+            (0.58, 2, 1, 0),
+            (0.59, 2, 0, 1),         # three jumps of one channel in one substep
+            (times[-1], 1, 0, 1),    # at the horizon
+            (1.5, 0, 1, 0),          # past the horizon: never replayed
+        ]
+        traj = manual_trajectory(g, jumps, T=1.0, n_sub=10, n_scale=2,
+                                 positions=np.array([-0.5, 0.0, 0.5]))
+        assert_replay_matches_loop(traj, k)
+
+    def test_likelihood_suite_paths(self):
+        g = build_grid(1.0, 10)
+        k = constant_kinetics(up=0.8, down=0.4, clamp=(0.01, 2.0))
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            traj = _frozen_reference_trajectory(g, rng, 3.0, 1.0)
+            assert traj.n_times == 9
+            assert_replay_matches_loop(traj, k)

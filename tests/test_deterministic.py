@@ -2,8 +2,11 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from axonsim.deterministic import (
+    DetTrajectory,
     DeterministicState,
     dissipation_budget,
     proportion_drift,
@@ -13,7 +16,7 @@ from axonsim.deterministic import (
     write_summary_csv,
     write_trajectory_csv,
 )
-from axonsim.grid import GridFunction, build_grid, l2_norm
+from axonsim.grid import GridFunction, build_grid, h10_norm, l2_norm
 from axonsim.heat import KernelParams, apply_semigroup
 from axonsim.kinetics import make_kinetics
 from axonsim.profiles import fundamental_mode, gaussian_bump
@@ -173,6 +176,50 @@ class TestRunDet:
         assert np.allclose(drift_open.values + drift_closed.values, 0.0, atol=1e-15)
 
 
+def reference_trajectory_csv(traj, path, stride=1):
+    """The per-row ``csv.writer`` trajectory writer, as the byte oracle."""
+    nodes = traj.grid.nodes
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "node", "x", "v"] + [f"p_{s}" for s in traj.state_names])
+        for i in range(0, traj.n_times, stride):
+            v_full = np.zeros(nodes.size)
+            v_full[1:-1] = traj.v[i]
+            for j in range(nodes.size):
+                w.writerow(
+                    [repr(float(traj.times[i])), j, repr(float(nodes[j])),
+                     repr(float(v_full[j]))]
+                    + [repr(float(traj.p[i, s, j])) for s in range(len(traj.state_names))]
+                )
+
+
+def reference_summary_csv(traj, path, stride=1):
+    """The per-row ``csv.writer`` summary writer, as the byte oracle."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "l2", "h10", "dissipation"])
+        for i in range(0, traj.n_times, stride):
+            vf = traj.v_at(i)
+            w.writerow([
+                repr(float(traj.times[i])), repr(l2_norm(vf)), repr(h10_norm(vf)),
+                repr(float(traj.dissipation[i])),
+            ])
+
+
+def assert_same_bytes(writer, reference, traj, tmp_path, stride):
+    writer(traj, tmp_path / "new.csv", stride=stride)
+    reference(traj, tmp_path / "ref.csv", stride=stride)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# Values whose repr is easy to get wrong: signed zero, the smallest
+# subnormal, huge magnitudes and negatives.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, -1.5, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestExports:
     def test_trajectory_csv(self, tmp_path):
         g = build_grid(1.0, 10)
@@ -196,3 +243,45 @@ class TestExports:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "l2", "h10", "dissipation"]
         assert len(rows) == 1 + traj.n_times
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("chain", ["two-state", "five-state"])
+    def test_bytes_match_csv_writer(self, tmp_path, five_state_kinetics, chain, stride):
+        g = build_grid(1.0, 12)
+        if chain == "two-state":
+            k = kinetics(form="sigmoid")
+            init = uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3)
+        else:
+            k = five_state_kinetics
+            p = np.full((5, g.cells + 1), 0.2)
+            init = DeterministicState(t=0.0, v=fundamental_mode(g, amplitude=0.5), p=p)
+        traj = run_det(init, 0.07, 1e-2, k)
+        assert traj.n_times % 3 != 0
+        assert_same_bytes(write_trajectory_csv, reference_trajectory_csv, traj,
+                          tmp_path, stride)
+        assert_same_bytes(write_summary_csv, reference_summary_csv, traj, tmp_path,
+                          stride)
+
+    @given(data=st.data(), cells=st.integers(2, 6), n_times=st.integers(1, 5),
+           stride=st.integers(1, 3),
+           names=st.lists(st.text(alphabet='ab ,"\r\n', min_size=1, max_size=3),
+                          min_size=2, max_size=3, unique=True))
+    def test_bytes_match_csv_writer_on_edge_values(self, tmp_path_factory, data, cells,
+                                                   n_times, stride, names):
+        g = build_grid(1.0, cells)
+
+        def floats(*shape):
+            flat = data.draw(st.lists(EDGE_FLOATS, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))
+            return np.array(flat, dtype=float).reshape(shape)
+
+        traj = DetTrajectory(
+            grid=g, state_names=tuple(names), times=floats(n_times),
+            v=floats(n_times, g.n_interior), p=floats(n_times, len(names), g.cells + 1),
+            dissipation=floats(n_times), sup_v_inf=0.0, max_prop_sum_error=0.0)
+        tmp_path = tmp_path_factory.mktemp("edge")
+        assert_same_bytes(write_trajectory_csv, reference_trajectory_csv, traj,
+                          tmp_path, stride)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bytes(write_summary_csv, reference_summary_csv, traj, tmp_path,
+                              stride)

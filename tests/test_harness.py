@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import multiprocessing
 import os
@@ -281,6 +282,46 @@ class TestCli:
         assert (tmp_path / "st" / "stoch_mart_norms.csv").exists()
         manifest = json.loads((tmp_path / "st" / "stoch_manifest.json").read_text())
         assert manifest["n_scale"] == 25
+
+    # sha256 of every file `det` and `stoch --n 25 --diagnostics` write for
+    # SMALL, captured from the per-row csv.writer exporters (numpy 2.4,
+    # scipy 1.17, x86-64 Linux).  The summary, jump log, manifest and norm
+    # series do not depend on the stride.
+    GOLDEN = {
+        "det_summary.csv":
+            "90e539253eba61cc9e87d9cfaee1aae32ebdb537a835a7466db7057638e69c3e",
+        "stoch_jumps.csv":
+            "dbeca3c4f23680918afc1d808fa469bc6f064f2a2cf660e2ef17ab4898c5bf17",
+        "stoch_manifest.json":
+            "c03700e07381d6d9e004187f7166f3750f80e6b83ed55c5cd71cfc828d0dc5cd",
+        "stoch_mart_norms.csv":
+            "be3f08d63318b8005055f7a8cc237d389f748fb15820af5da93b76668414b521",
+    }
+    GOLDEN_BY_STRIDE = {
+        1: {"det_trajectory.csv":
+            "c6b6db2f651eb0d6c534cf0279cb56efc88750dd2a5a8d2e75ef204f18a6196e",
+            "stoch_voltage.csv":
+            "00a775d2683a920955956eba64ba481002ef741e975e43d00f3f4eecae3e0723"},
+        5: {"det_trajectory.csv":
+            "bc3ad5164b9fb65e98ad9cdd9d0833e802b40d14431d8e017c9dda8c114d44d6",
+            "stoch_voltage.csv":
+            "dc08391759fda12eaeca327c5f9ddb5ea4172698d8dde7b8776477ea63ebeec9"},
+    }
+
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_export_bytes_match_golden_digests(self, tmp_path, stride):
+        from axonsim.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        out = tmp_path / "out"
+        assert main(["det", "--config", str(cfg_path), "--out", str(out),
+                     "--stride", str(stride)]) == 0
+        assert main(["stoch", "--config", str(cfg_path), "--n", "25", "--diagnostics",
+                     "--out", str(out), "--stride", str(stride)]) == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in out.iterdir()}
+        assert digests == {**self.GOLDEN, **self.GOLDEN_BY_STRIDE[stride]}
 
     def test_stoch_manifest_seed_matches_sweep_row(self, tmp_path):
         from axonsim.cli import main

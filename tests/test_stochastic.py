@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from axonsim.grid import (
     GridFunction,
@@ -16,6 +18,7 @@ from axonsim.kinetics import make_kinetics
 from axonsim.profiles import fundamental_mode
 from axonsim.stochastic import (
     StochasticState,
+    StochTrajectory,
     channel_positions,
     channel_source,
     empirical_distribution,
@@ -331,6 +334,38 @@ class TestRunStoch:
         assert traj.v.shape[1] == g.n_interior
 
 
+def reference_voltage_csv(traj, path, stride=1):
+    """The per-row ``csv.writer`` voltage writer, as the byte oracle."""
+    nodes = traj.grid.nodes
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "node", "x", "V"])
+        for idx in range(0, traj.n_times, stride):
+            v_full = np.zeros(nodes.size)
+            v_full[1:-1] = traj.v[idx]
+            for j in range(nodes.size):
+                w.writerow([repr(float(traj.times[idx])), j,
+                            repr(float(nodes[j])), repr(float(v_full[j]))])
+
+
+def reference_jump_csv(traj, path, state_names=None):
+    """The per-row ``csv.writer`` jump-log writer, as the byte oracle."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "channel", "from", "to"])
+        for t, i, a, b in zip(traj.jump_times.tolist(), traj.jump_channel.tolist(),
+                              traj.jump_src.tolist(), traj.jump_dst.tolist()):
+            src = state_names[a] if state_names else a
+            dst = state_names[b] if state_names else b
+            w.writerow([repr(t), i, src, dst])
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, -1.5, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestExports:
     def test_csv_and_manifest(self, tmp_path):
         g = build_grid(1.0, 10)
@@ -354,3 +389,54 @@ class TestExports:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_digest"] == "abc"
         assert manifest["n_scale"] == 10
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("chain", ["two-state", "five-state"])
+    def test_bytes_match_csv_writer(self, tmp_path, five_state_kinetics, chain, stride):
+        g = build_grid(1.0, 12)
+        k = kinetics() if chain == "two-state" else five_state_kinetics
+        p0 = [NodalField(g, np.full(g.cells + 1, 1.0 / k.n_states))] * k.n_states
+        cfg = init_channels(20, p0, "iid", make_rng(3))
+        traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
+                         0.07, 1e-2, k, 5)
+        assert traj.n_times % 3 != 0 and traj.jump_times.size > 0
+        write_voltage_csv(traj, tmp_path / "v.csv", stride=stride)
+        reference_voltage_csv(traj, tmp_path / "v_ref.csv", stride=stride)
+        assert (tmp_path / "v.csv").read_bytes() == (tmp_path / "v_ref.csv").read_bytes()
+        for names in (k.states, None):
+            write_jump_csv(traj, tmp_path / "j.csv", state_names=names)
+            reference_jump_csv(traj, tmp_path / "j_ref.csv", state_names=names)
+            assert (tmp_path / "j.csv").read_bytes() == (
+                tmp_path / "j_ref.csv").read_bytes()
+
+    @given(data=st.data(), cells=st.integers(2, 6), n_times=st.integers(1, 5),
+           n_jumps=st.integers(0, 4), stride=st.integers(1, 3),
+           names=st.lists(st.text(alphabet='ab ,"\r\n', max_size=3),
+                          min_size=2, max_size=3, unique=True))
+    def test_bytes_match_csv_writer_on_edge_values(self, tmp_path_factory, data, cells,
+                                                   n_times, n_jumps, stride, names):
+        g = build_grid(1.0, cells)
+
+        def floats(*shape):
+            flat = data.draw(st.lists(EDGE_FLOATS, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))
+            return np.array(flat, dtype=float).reshape(shape)
+
+        def states():
+            return np.array(data.draw(st.lists(st.integers(0, len(names) - 1),
+                                               min_size=n_jumps, max_size=n_jumps)),
+                            dtype=np.int64)
+
+        traj = StochTrajectory(
+            grid=g, n_scale=1, positions=np.array([0.0]),
+            initial_states=np.zeros(1, dtype=np.int64), n_states=len(names),
+            times=floats(n_times), v=floats(n_times, g.n_interior),
+            jump_times=floats(n_jumps), jump_channel=states(), jump_src=states(),
+            jump_dst=states(), seed=None, dissipation=np.zeros(n_times), sup_v_inf=0.0)
+        tmp_path = tmp_path_factory.mktemp("edge")
+        write_voltage_csv(traj, tmp_path / "v.csv", stride=stride)
+        reference_voltage_csv(traj, tmp_path / "v_ref.csv", stride=stride)
+        assert (tmp_path / "v.csv").read_bytes() == (tmp_path / "v_ref.csv").read_bytes()
+        write_jump_csv(traj, tmp_path / "j.csv", state_names=names)
+        reference_jump_csv(traj, tmp_path / "j_ref.csv", state_names=names)
+        assert (tmp_path / "j.csv").read_bytes() == (tmp_path / "j_ref.csv").read_bytes()

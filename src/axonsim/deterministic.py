@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .csvtext import csv_lines, write_csv
 from .errors import InvariantViolation
@@ -32,6 +31,7 @@ from .grid import (
     mass_bands,
     squared_norms,
     stiffness_bands,
+    tridiag_solve,
 )
 from .kinetics import ChannelKinetics, rate_table
 
@@ -144,14 +144,6 @@ def _tridiag_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndar
     return y
 
 
-def _solve_tridiag(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
-    return solve_banded((1, 1), ab, rhs)
-
-
 def step_guard(dt: float, k: ChannelKinetics, limit: float = 0.5) -> None:
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
@@ -181,7 +173,7 @@ def step_det(state: DeterministicState, dt: float, k: ChannelKinetics) -> Determ
     rhs_o = mo - 0.5 * dt * (ko + ao)
     rhs = _tridiag_matvec(rhs_d, rhs_o, state.v.values)
     rhs += dt * density_functional(b).loads
-    v_new = _solve_tridiag(lhs_d, lhs_o, rhs)
+    v_new = tridiag_solve(lhs_o, lhs_d, lhs_o, rhs)
 
     v_new_fn = GridFunction(grid, v_new)
     p_new = _rk4_prop(p_mid, _generator(k, v_new_fn.full()), 0.5 * dt)
@@ -194,8 +186,8 @@ def _budget_constants(k: ChannelKinetics) -> tuple[float, float]:
     return float(np.max(k.conductance)), float(np.max(np.abs(k.driving)))
 
 
-def _budget(s0_l2: float, sup_inf: float, t: float, half_length: float,
-            cmax: float, vmax: float) -> float:
+def _budget(s0_l2: float, sup_inf, t, half_length: float, cmax: float, vmax: float):
+    """The budget at time(s) t; ``sup_inf`` and ``t`` may be equal-length arrays."""
     return s0_l2**2 + half_length * t * cmax * sup_inf * (sup_inf + vmax)
 
 
@@ -210,9 +202,9 @@ class DissipationLedger:
     """Running trapezoid integral of ||Dv||_L2^2, checked against its budget.
 
     ``values[m]`` is the dissipation accumulated up to step m and ``sup_inf``
-    the running sup of |v| the budget depends on.  :meth:`record` raises
-    :class:`InvariantViolation` once the integral exceeds
-    :func:`dissipation_budget`.
+    the running sup of |v| the budget depends on.  :meth:`record` accounts
+    for a block of steps at once and raises :class:`InvariantViolation` at
+    the first step whose integral exceeds :func:`dissipation_budget`.
     """
 
     def __init__(self, v0: GridFunction, k: ChannelKinetics, n_steps: int):
@@ -222,18 +214,35 @@ class DissipationLedger:
         self.values = np.zeros(n_steps + 1)
         self.grid = v0.grid
         self._constants = _budget_constants(k)
+        self._done = 0
 
-    def record(self, step: int, t: float, dt: float, v: np.ndarray) -> None:
-        """Account for the step ending at time t with interior voltage v."""
-        self.sup_inf = max(self.sup_inf, float(np.max(np.abs(v))))
-        g = float(gradient_sq(self.grid, v))
-        self.values[step] = self.values[step - 1] + 0.5 * dt * (self._grad_sq + g)
-        self._grad_sq = g
-        budget = _budget(self.s0, self.sup_inf, t, self.grid.half_length,
-                         *self._constants)
-        if self.values[step] > budget:
+    def record(self, stop: int, times: np.ndarray, dt: float, v: np.ndarray) -> None:
+        """Account for every step after the last one recorded, up to ``stop``.
+
+        ``times`` and ``v`` are the run's sample times and interior voltage
+        snapshots; only their rows up to ``stop`` are read.  The sums run in
+        step order, so each value is bit-identical to a step-by-step ledger's.
+        """
+        start = self._done + 1
+        if stop < start:
+            return
+        block = v[start:stop + 1]
+        g = gradient_sq(self.grid, block)
+        # fmax, like the builtin max, passes over a NaN row's maximum
+        sup = np.fmax.accumulate(
+            np.concatenate(([self.sup_inf], np.max(np.abs(block), axis=1))))[1:]
+        prev = np.concatenate(([self._grad_sq], g[:-1]))
+        steps = np.concatenate(([self.values[start - 1]], 0.5 * dt * (prev + g)))
+        self.values[start:stop + 1] = np.cumsum(steps)[1:]
+        self.sup_inf, self._grad_sq, self._done = float(sup[-1]), float(g[-1]), stop
+        t = times[start:stop + 1]
+        budget = _budget(self.s0, sup, t, self.grid.half_length, *self._constants)
+        over = np.flatnonzero(self.values[start:stop + 1] > budget)
+        if over.size:
+            m = start + int(over[0])
             raise InvariantViolation(
-                f"dissipation {self.values[step]:.6f} exceeds budget {budget:.6f} at t={t}"
+                f"dissipation {self.values[m]:.6f} exceeds budget "
+                f"{budget[over[0]]:.6f} at t={float(times[m])}"
             )
 
 
@@ -290,7 +299,7 @@ def run_det(
                 f"voltage [{vmin:.6f}, {vmax:.6f}] escaped "
                 f"[{v_lo}, {v_hi}] at t={state.t}"
             )
-        ledger.record(step, state.t, dt, state.v.values)
+        ledger.record(step, times, dt, v_snaps)
 
     return DetTrajectory(
         grid=grid,

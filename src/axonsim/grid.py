@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,72 @@ def riesz_cholesky(grid: Grid) -> np.ndarray:
     return cholesky_banded(ab, lower=False)
 
 
+# --- direct LAPACK solves ---------------------------------------------------
+#
+# scipy.linalg's banded solvers call these same routines on the same bands,
+# so the results are bit-identical to theirs; calling them directly skips
+# the per-call argument handling, which costs several times the solve of one
+# tridiagonal system.  Their input checks stay: non-finite input raises
+# ValueError and a singular matrix LinAlgError.
+
+_gtsv, _gttrf, _gttrs, _pbtrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs", "pbtrs"),
+                                                 dtype=np.float64)
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with the given bands by LAPACK ``gtsv``.
+
+    A 1x1 system is one division, as in scipy.
+    """
+    _check_finite(lower, diag, upper, rhs)
+    if diag.size == 1:
+        return rhs / diag[0]
+    x, info = _gtsv(lower, diag, upper, rhs)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
+
+
+def tridiag_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
+    """LU factor (LAPACK ``gttrf``) of a tridiagonal matrix, for repeated solves.
+
+    :func:`tridiag_factor_solve` on it does the arithmetic of
+    :func:`tridiag_solve` on the same bands, so their results are equal.
+    A singular matrix raises ``LinAlgError`` here, or, below 3x3, in the solve.
+    """
+    _check_finite(lower, diag, upper)
+    if diag.size <= 2:
+        # scipy's gttrf wrapper rejects n = 2; so small a system keeps its
+        # bands, and each solve is a tridiag_solve
+        return (lower.copy(), diag.copy(), upper.copy())
+    *factor, info = _gttrf(lower, diag, upper)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return tuple(factor)
+
+
+def tridiag_factor_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a factor from :func:`tridiag_factor` (LAPACK ``gttrs``)."""
+    if len(factor) == 3:
+        return tridiag_solve(*factor, rhs)
+    _check_finite(rhs)
+    return _gttrs(*factor, rhs)[0]
+
+
 def riesz_solve(cb: np.ndarray, loads: np.ndarray) -> np.ndarray:
-    """Solve (K + M) u = loads given the factor from :func:`riesz_cholesky`."""
-    return cho_solve_banded((cb, False), loads)
+    """Solve (K + M) u = loads given the factor from :func:`riesz_cholesky`.
+
+    One LAPACK ``pbtrs`` call, as scipy's banded Cholesky solve makes it.
+    """
+    _check_finite(loads)
+    return _pbtrs(cb, loads)[0]
 
 
 # --- norms and pairings -----------------------------------------------------
@@ -222,17 +285,29 @@ def h10_norm(u: GridFunction) -> float:
     return float(np.sqrt(l2sq + dsq))
 
 
+# Bytes of load vectors per multi-RHS dual-norm solve: the solution of a
+# chunk sits next to the loads, so a series never holds a second copy of
+# itself.  LAPACK ``pbtrs`` solves column by column, so the chunking does not
+# change a bit of the result.
+RIESZ_CHUNK_BYTES = 1 << 19
+
+
 def hminus1_norms(grid: Grid, loads: np.ndarray) -> np.ndarray:
     """Dual norms sqrt(max(loads . u, 0)) with (K + M) u = loads, batched.
 
     ``loads`` holds load vectors along its last axis; any leading axes are a
-    batch and the result keeps them.  All vectors go through one multi-RHS
-    :func:`riesz_solve`, which solves each column as a single solve would.
+    batch and the result keeps them.  The vectors go through multi-RHS
+    :func:`riesz_solve` calls of :data:`RIESZ_CHUNK_BYTES` each, which
+    solve every column as a single solve would.
     """
     loads = np.asarray(loads, dtype=float)
     flat = loads.reshape(-1, grid.n_interior)
-    u = riesz_solve(riesz_cholesky(grid), flat.T)
-    val = np.einsum("ij,ij->i", flat, u.T)
+    cb = riesz_cholesky(grid)
+    chunk = max(1, RIESZ_CHUNK_BYTES // (8 * grid.n_interior))
+    val = np.empty(flat.shape[0])
+    for i in range(0, flat.shape[0], chunk):
+        part = flat[i:i + chunk]
+        val[i:i + chunk] = np.einsum("ij,ij->i", part, riesz_solve(cb, part.T).T)
     return np.sqrt(np.maximum(val, 0.0)).reshape(loads.shape[:-1])
 
 

@@ -14,7 +14,6 @@ import concurrent.futures
 import csv
 import functools
 import hashlib
-import io
 import json
 import os
 import time
@@ -24,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .csvtext import csv_lines, quote, write_csv
 from .decomposition import scan_path
 from .deterministic import DeterministicState, DetTrajectory, run_det
 from .grid import Grid, build_grid, density_loads, hminus1_norms, squared_norms
@@ -333,13 +333,8 @@ def run_sweep(cfg: RunConfig, out_dir, workers: int = 1,
 def _write_results(cfg: RunConfig, kin: ChannelKinetics, rows: list[dict],
                    out_dir) -> None:
     header = results_header(kin)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(row.get(col, "")) for col in header])
-    with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    write_csv(os.path.join(out_dir, "results.csv"), header, [csv_lines(
+        *([quote(_format_cell(row.get(col, ""))) for row in rows] for col in header))])
 
     medians: dict[str, dict[str, float]] = {}
     for n in cfg.sweep_n:
@@ -404,12 +399,7 @@ def fit_rate(rows: list[dict], metric: str) -> tuple[float, float, float]:
 
 def strip_wall_clock(csv_text: str) -> str:
     """Results CSV with the wall-clock column removed (reproducible body)."""
-    lines = csv_text.strip().split("\n")
-    reader = csv.reader(lines)
-    rows = list(reader)
+    rows = list(csv.reader(csv_text.strip().split("\n")))
     idx = rows[0].index("wall_ms")
-    out = io.StringIO()
-    writer = csv.writer(out)
-    for row in rows:
-        writer.writerow(row[:idx] + row[idx + 1:])
-    return out.getvalue()
+    kept = ([quote(cell) for cell in row[:idx] + row[idx + 1:]] for row in rows)
+    return csv_lines(*zip(*kept))

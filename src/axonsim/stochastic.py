@@ -18,7 +18,13 @@ The hybrid scheme per substep (t, t+dt]:
 
 The point sources make the frozen-configuration PDE linear: the V(i/N)
 feedback assembles into a symmetric tridiagonal rank-accumulation, so each
-sub-solve is a single banded solve and the step is unconditionally stable.
+sub-solve is a single tridiagonal solve (:func:`grid.tridiag_solve`) and
+the step is unconditionally stable.  Only a jump changes the operator, so a
+substep without jumps reuses the LU factor and right-hand-side bands stored
+for the full dt (:func:`grid.tridiag_factor`) until the next jump that
+changes a conductance.  The dissipation budget is checked a block of
+substeps at a time from the stored snapshots, with the same sums in the
+same order as a per-step check, and raises at the same step.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .csvtext import csv_lines, quote, write_csv
 from .errors import InvariantViolation
@@ -42,11 +47,18 @@ from .grid import (
     hat_weights,
     mass_bands,
     stiffness_bands,
+    tridiag_factor,
+    tridiag_factor_solve,
+    tridiag_solve,
 )
 from .deterministic import DissipationLedger, step_guard
 from .kinetics import ChannelKinetics, channel_rates, rate_table
 
 STOCH_GUARD = 0.2
+
+# Substeps per dissipation-ledger call: enough to amortize its numpy calls,
+# few enough that its block arrays stay small next to the snapshots.
+_LEDGER_BLOCK = 64
 
 
 def channel_positions(n_scale: int, half_length: float) -> np.ndarray:
@@ -216,10 +228,12 @@ class _HybridCore:
         self.v_full = np.zeros(grid.cells + 1)
         self.v_full[1:-1] = v_interior
         n_int = grid.n_interior
-        self._ab = np.zeros((3, n_int))
         self.bd = np.zeros(n_int)
         self.bo = np.zeros(max(n_int - 1, 0))
         self.cload = np.zeros(n_int)
+        # (dt, factor of the CN matrix, rhs diagonal, rhs off-diagonal) of a
+        # whole no-jump substep; a jump that changes the operator drops it
+        self._full_step = None
         self._assemble_source()
 
     def _assemble_source(self) -> None:
@@ -248,24 +262,44 @@ class _HybridCore:
             self.bo[self.off_idx[i]] += dc * self.wt_cross[i]
             self.cload[self.idx_lo[i]] += dcv * self.wt_lo[i]
             self.cload[self.idx_hi[i]] += dcv * self.wt_hi[i]
+            self._full_step = None
 
-    def _advance_pde(self, tau: float) -> None:
-        if tau <= 0.0:
-            return
+    def _cn_bands(self, tau: float):
+        """(lhs diagonal, lhs off-diagonal, rhs diagonal, rhs off-diagonal) of a
+        Crank-Nicolson step of length tau: M +- tau/2 (K + B)."""
         half = 0.5 * tau
         diag_op = self.kd + self.bd
         off_op = self.ko + self.bo
+        return (self.md + half * diag_op, self.mo + half * off_op,
+                self.md - half * diag_op, self.mo - half * off_op)
+
+    def _cn_rhs(self, tau: float, rhs_d: np.ndarray, rhs_o: np.ndarray) -> np.ndarray:
         v = self.v_full[1:-1]
-        rhs_off = self.mo - half * off_op
-        rhs = (self.md - half * diag_op) * v
-        rhs[:-1] += rhs_off * v[1:]
-        rhs[1:] += rhs_off * v[:-1]
+        rhs = rhs_d * v
+        rhs[:-1] += rhs_o * v[1:]
+        rhs[1:] += rhs_o * v[:-1]
         rhs += tau * self.cload
-        ab = self._ab
-        ab[0, 1:] = self.mo + half * off_op
-        ab[1] = self.md + half * diag_op
-        ab[2, :-1] = ab[0, 1:]
-        self.v_full[1:-1] = solve_banded((1, 1), ab, rhs)
+        return rhs
+
+    def _advance_pde(self, tau: float) -> None:
+        """Sub-solve over tau with the configuration held fixed."""
+        if tau <= 0.0:
+            return
+        lhs_d, lhs_o, rhs_d, rhs_o = self._cn_bands(tau)
+        rhs = self._cn_rhs(tau, rhs_d, rhs_o)
+        self.v_full[1:-1] = tridiag_solve(lhs_o, lhs_d, lhs_o, rhs)
+
+    def _advance_full(self, dt: float) -> None:
+        """A whole substep without jumps, through the stored factor.
+
+        The result equals ``_advance_pde(dt)`` bit for bit: the factor and
+        the rhs bands are the same arithmetic, done once per configuration.
+        """
+        if self._full_step is None or self._full_step[0] != dt:
+            lhs_d, lhs_o, rhs_d, rhs_o = self._cn_bands(dt)
+            self._full_step = (dt, tridiag_factor(lhs_o, lhs_d, lhs_o), rhs_d, rhs_o)
+        _, factor, rhs_d, rhs_o = self._full_step
+        self.v_full[1:-1] = tridiag_factor_solve(factor, self._cn_rhs(dt, rhs_d, rhs_o))
 
     def _jump_chain(self, i: int, first_time: float, dt: float, rates: np.ndarray,
                     t0: float, rng: np.random.Generator) -> list[tuple]:
@@ -294,7 +328,7 @@ class _HybridCore:
         tau = rng.exponential(size=self.count) / exit
         jumpers = np.nonzero(tau <= dt)[0]
         if jumpers.size == 0:
-            self._advance_pde(dt)
+            self._advance_full(dt)
             return []
         events: list[tuple] = []
         for i in jumpers:
@@ -341,7 +375,9 @@ def run_stoch(
 
     Records voltage snapshots at every substep boundary and the global jump
     log.  Aborts with :class:`InvariantViolation` if the voltage leaves the
-    finite range or the dissipation budget fails.
+    finite range or the dissipation budget fails.  The budget is checked a
+    block of substeps at a time, from the snapshots; an error inside a block
+    first flushes the ledger, so whichever check fails first raises.
     """
     if t_horizon < 0:
         raise ValueError("time horizon must be nonnegative")
@@ -364,18 +400,23 @@ def run_stoch(
     jd: list[int] = []
 
     for step in range(n_steps):
-        t0 = float(times[step])
-        events = core.substep(t0, dt, rng)
+        try:
+            events = core.substep(float(times[step]), dt, rng)
+            v = core.v_full[1:-1]
+            if not np.all(np.isfinite(v)):
+                raise InvariantViolation(f"voltage not finite at t={times[step + 1]}")
+        except Exception:
+            # a budget failure at an earlier step is the one to report
+            ledger.record(step, times, dt, v_snaps)
+            raise
         for (te, i, s, d) in events:
             jt.append(te)
             jc.append(i)
             js.append(s)
             jd.append(d)
-        v = core.v_full[1:-1]
         v_snaps[step + 1] = v
-        if not np.all(np.isfinite(v)):
-            raise InvariantViolation(f"voltage not finite at t={times[step + 1]}")
-        ledger.record(step + 1, float(times[step + 1]), dt, v)
+        if (step + 1) % _LEDGER_BLOCK == 0 or step + 1 == n_steps:
+            ledger.record(step + 1, times, dt, v_snaps)
 
     return StochTrajectory(
         grid=grid,

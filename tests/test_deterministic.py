@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from axonsim.deterministic import (
     DetTrajectory,
     DeterministicState,
+    DissipationLedger,
     dissipation_budget,
     proportion_drift,
     reaction_coefficients,
@@ -16,7 +17,15 @@ from axonsim.deterministic import (
     write_summary_csv,
     write_trajectory_csv,
 )
-from axonsim.grid import GridFunction, build_grid, h10_norm, l2_norm
+from axonsim.errors import InvariantViolation
+from axonsim.grid import (
+    GridFunction,
+    build_grid,
+    gradient_sq,
+    h10_norm,
+    l2_norm,
+    squared_norms,
+)
 from axonsim.heat import KernelParams, apply_semigroup
 from axonsim.kinetics import make_kinetics
 from axonsim.profiles import fundamental_mode, gaussian_bump
@@ -104,6 +113,68 @@ class TestStepDet:
         pi_open = alpha / (alpha + beta)
         expected = pi_open + (0.1 - pi_open) * np.exp(-(alpha + beta))
         assert np.max(np.abs(traj.p[-1, 1] - expected)) < 1e-10
+
+
+class StepLedger:
+    """The per-step dissipation ledger the block ledger replaced, as its oracle."""
+
+    def __init__(self, v0, k, n_steps):
+        l2sq, self._grad_sq = squared_norms(v0.grid, v0.values)
+        self.s0 = float(np.sqrt(l2sq))
+        self.sup_inf = float(np.max(np.abs(v0.values)))
+        self.values = np.zeros(n_steps + 1)
+        self.grid = v0.grid
+        self.k = k
+
+    def record(self, step, t, dt, v):
+        self.sup_inf = max(self.sup_inf, float(np.max(np.abs(v))))
+        g = float(gradient_sq(self.grid, v))
+        self.values[step] = self.values[step - 1] + 0.5 * dt * (self._grad_sq + g)
+        self._grad_sq = g
+        budget = dissipation_budget(self.s0, self.sup_inf, t, self.k,
+                                    self.grid.half_length)
+        if self.values[step] > budget:
+            raise InvariantViolation(
+                f"dissipation {self.values[step]:.6f} exceeds budget {budget:.6f} at t={t}"
+            )
+
+
+def ledger_outcome(record_all):
+    try:
+        record_all()
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+class TestDissipationLedger:
+    @given(cells=st.integers(2, 40), n_steps=st.integers(1, 60), block=st.integers(1, 9),
+           dt=st.sampled_from([1e-5, 1e-3, 1e-2]), t0=st.sampled_from([0.0, 0.3]),
+           c_open=st.sampled_from([0.0, 0.05, 1.0]), growth=st.floats(-0.1, 0.1),
+           nan_at=st.one_of(st.none(), st.integers(1, 60)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_match_per_step(self, cells, n_steps, block, dt, t0, c_open, growth,
+                                   nan_at, seed):
+        g = build_grid(1.0, cells)
+        k = kinetics(c_open=c_open)
+        rng = np.random.default_rng(seed)
+        scale = np.exp(growth * np.arange(n_steps + 1))[:, None]
+        v = scale * rng.normal(size=(n_steps + 1, g.n_interior))
+        if nan_at is not None and nan_at <= n_steps:
+            v[nan_at] = np.nan
+        times = t0 + dt * np.arange(n_steps + 1)
+        v0 = GridFunction(g, v[0])
+
+        oracle = StepLedger(v0, k, n_steps)
+        expected = ledger_outcome(lambda: [
+            oracle.record(m, float(times[m]), dt, v[m]) for m in range(1, n_steps + 1)])
+        ledger = DissipationLedger(v0, k, n_steps)
+        stops = [*range(block, n_steps, block), n_steps]
+        got = ledger_outcome(lambda: [ledger.record(stop, times, dt, v) for stop in stops])
+        assert got == expected
+        if expected is None:
+            assert np.array_equal(ledger.values, oracle.values, equal_nan=True)
+            assert ledger.sup_inf == oracle.sup_inf
 
 
 class TestRunDet:

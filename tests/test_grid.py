@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, cho_solve_banded, solve_banded
 
+from axonsim import grid
 from axonsim.grid import (
     Functional,
     Grid,
@@ -23,6 +25,9 @@ from axonsim.grid import (
     riesz_cholesky,
     riesz_solve,
     stiffness_bands,
+    tridiag_factor,
+    tridiag_factor_solve,
+    tridiag_solve,
 )
 
 GAUSS2 = np.polynomial.legendre.leggauss(2)
@@ -177,6 +182,126 @@ class TestBatchedDualNorm:
         norms = hminus1_norms(g, loads)
         assert norms[0] == 0.0
         assert np.all(norms[1:] > 0.0)
+
+
+class TestChunkedDualNorm:
+    """Column chunks of the multi-RHS solve leave every norm bit-identical."""
+
+    def test_riesz_solve_matches_cho_solve_banded(self):
+        g = build_grid(1.0, 40)
+        cb = riesz_cholesky(g)
+        loads = np.random.default_rng(5).normal(size=(g.n_interior, 9))
+        for rhs in (loads[:, 0], loads, loads[:, ::2]):
+            assert np.array_equal(riesz_solve(cb, rhs), cho_solve_banded((cb, False), rhs))
+        with pytest.raises(ValueError):
+            riesz_solve(cb, np.full(g.n_interior, np.nan))
+
+    @pytest.mark.parametrize("columns", [1, 3, 7, 46])
+    def test_chunks_match_one_call(self, monkeypatch, columns):
+        g = build_grid(1.0, 40)
+        loads = np.random.default_rng(11).normal(size=(23, 2, g.n_interior))
+        monkeypatch.setattr(grid, "RIESZ_CHUNK_BYTES", 1 << 30)
+        whole = hminus1_norms(g, loads)
+        whole_slice = hminus1_norms(g, loads[:, 1])
+        calls = []
+        solve = grid.riesz_solve
+
+        def counting_solve(cb, rhs):
+            calls.append(rhs.shape[1])
+            return solve(cb, rhs)
+
+        monkeypatch.setattr(grid, "riesz_solve", counting_solve)
+        monkeypatch.setattr(grid, "RIESZ_CHUNK_BYTES", columns * 8 * g.n_interior)
+        assert np.array_equal(hminus1_norms(g, loads), whole)
+        assert calls == [columns] * (46 // columns) + [46 % columns] * (46 % columns > 0)
+        assert np.array_equal(hminus1_norms(g, loads[:, 1]), whole_slice)
+
+
+def banded(lower, diag, upper):
+    """The (1, 1) banded storage scipy's solver reads."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper
+    ab[1] = diag
+    ab[2, :-1] = lower
+    return ab
+
+
+def tridiag_bands(n, seed, slack, symmetric):
+    """Random diagonally dominant bands: |d_i| = (1 + slack)(|l_i-1| + |u_i|)."""
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-1.0, 1.0, n - 1)
+    upper = lower.copy() if symmetric else rng.uniform(-1.0, 1.0, n - 1)
+    off = np.zeros(n)
+    off[1:] += np.abs(lower)
+    off[:-1] += np.abs(upper)
+    off[off == 0.0] = rng.uniform(0.5, 2.0)
+    diag = rng.choice([-1.0, 1.0], n) * off * (1.0 + slack)
+    rhs = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+    return lower, diag, upper, rhs
+
+
+class TestTridiagSolve:
+    """The direct LAPACK helpers do scipy's banded solve, bit for bit."""
+
+    @given(n=st.one_of(st.integers(1, 3), st.integers(4, 300)),
+           slack=st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 1.0]),
+           symmetric=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_solve_banded(self, n, slack, symmetric, seed):
+        lower, diag, upper, rhs = tridiag_bands(n, seed, slack, symmetric)
+        try:
+            expected = solve_banded((1, 1), banded(lower, diag, upper), rhs)
+        except LinAlgError:
+            with pytest.raises(LinAlgError):
+                tridiag_solve(lower, diag, upper, rhs)
+            with pytest.raises(LinAlgError):
+                tridiag_factor_solve(tridiag_factor(lower, diag, upper), rhs)
+            return
+        x = tridiag_solve(lower, diag, upper, rhs)
+        assert np.array_equal(x, expected)
+        factor = tridiag_factor(lower, diag, upper)
+        assert np.array_equal(tridiag_factor_solve(factor, rhs), x)
+        assert np.array_equal(tridiag_factor_solve(factor, 2.0 * rhs),
+                              tridiag_solve(lower, diag, upper, 2.0 * rhs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n, band", [
+        (1, "diag"), (1, "rhs"),
+        *((n, band) for n in (2, 6) for band in ("lower", "diag", "upper", "rhs")),
+    ])
+    def test_non_finite_input_raises_value_error(self, n, band, bad):
+        bands = dict(zip(("lower", "diag", "upper", "rhs"),
+                         tridiag_bands(n, n, 0.5, False)))
+        bands[band][-1] = bad
+        lower, diag, upper, rhs = bands.values()
+        with pytest.raises(ValueError):
+            solve_banded((1, 1), banded(lower, diag, upper), rhs)
+        with pytest.raises(ValueError):
+            tridiag_solve(lower, diag, upper, rhs)
+        with pytest.raises(ValueError):
+            tridiag_factor_solve(tridiag_factor(lower, diag, upper), rhs)
+
+    @pytest.mark.parametrize("lower, diag, upper", [
+        ([1.0], [1.0, 1.0], [1.0]),                         # rank one
+        ([0.0, 0.0], [1.0, 0.0, 2.0], [0.0, 0.0]),          # a zero pivot
+        ([2.0, 1.0], [1.0, 2.0, 1.0], [1.0, 0.0]),          # after row swaps
+    ])
+    def test_singular_raises_lin_alg_error(self, lower, diag, upper):
+        lower, diag, upper = map(np.array, (lower, diag, upper))
+        rhs = np.ones(diag.size)
+        with pytest.raises(LinAlgError):
+            solve_banded((1, 1), banded(lower, diag, upper), rhs)
+        with pytest.raises(LinAlgError):
+            tridiag_solve(lower, diag, upper, rhs)
+        with pytest.raises(LinAlgError):
+            tridiag_factor_solve(tridiag_factor(lower, diag, upper), rhs)
+
+    def test_inputs_untouched(self):
+        lower, diag, upper, rhs = tridiag_bands(9, 3, 0.1, True)
+        before = [a.copy() for a in (lower, diag, upper, rhs)]
+        tridiag_solve(lower, diag, upper, rhs)
+        tridiag_factor_solve(tridiag_factor(lower, diag, upper), rhs)
+        for a, b in zip((lower, diag, upper, rhs), before):
+            assert np.array_equal(a, b)
 
 
 class TestDelta:

@@ -1,5 +1,7 @@
 import concurrent.futures
+import csv
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -19,6 +21,7 @@ from axonsim.harness import (
     read_results,
     run_reference,
     run_replicate,
+    results_header,
     run_sweep,
     strip_wall_clock,
 )
@@ -196,6 +199,39 @@ class TestSweep:
         for row, ref in zip(rows, clean):
             if row["status"] == "ok":
                 assert row["dev_l2"] == ref["dev_l2"]
+
+
+    def test_results_bytes_match_csv_writer(self, tmp_path, monkeypatch):
+        import axonsim.harness as harness
+
+        real = harness.run_replicate
+
+        def flaky(cfg, n_scale, replicate):
+            if (n_scale, replicate) == (25, 1):
+                raise ValueError('solver said "no", twice\r\nat t=0.1')
+            return real(cfg, n_scale, replicate)
+
+        monkeypatch.setattr(harness, "run_replicate", flaky)
+        cfg = RunConfig.from_dict(SMALL)
+        rows = run_sweep(cfg, tmp_path, workers=1)
+        header = results_header(cfg.build()[1])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(row[col]) if isinstance(row[col], float) else str(row[col])
+                             for col in header])
+        written = (tmp_path / "results.csv").read_bytes()
+        assert written == buf.getvalue().encode()
+        assert b'"failed:ValueError:solver said ""no"", twice\r\nat t=0.1"' in written
+
+        lines = written.decode().strip().split("\n")
+        idx = header.index("wall_ms")
+        out = io.StringIO()
+        writer = csv.writer(out)
+        for row in csv.reader(lines):
+            writer.writerow(row[:idx] + row[idx + 1:])
+        assert strip_wall_clock(written.decode()) == out.getvalue()
 
 
 def _exit_in_worker(x):

@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
+from axonsim import deterministic, stochastic
+from axonsim.errors import InvariantViolation
 from axonsim.grid import (
     GridFunction,
     NodalField,
     build_grid,
     eval_at,
     hminus1_norm,
+    l2_norm,
     pairing,
 )
+from axonsim.harness import RunConfig, run_reference, run_replicate
 from axonsim.heat import KernelParams, apply_semigroup
 from axonsim.kinetics import make_kinetics
 from axonsim.profiles import fundamental_mode
 from axonsim.stochastic import (
+    _LEDGER_BLOCK,
     StochasticState,
     StochTrajectory,
     channel_positions,
@@ -28,8 +34,10 @@ from axonsim.stochastic import (
     write_jump_csv,
     write_run_manifest,
     write_voltage_csv,
+    _HybridCore,
 )
 from axonsim.grid import density_functional
+from test_decomposition import CHAIN5, cached_replicate, most_jumps_in_one_substep
 
 
 def kinetics(c_open=1.0, up=0.8, down=0.4, clamp=(0.01, 2.0)):
@@ -173,9 +181,7 @@ class TestStepStoch:
         assert traj.jump_times.size == 0
         assert np.array_equal(traj.final_states(), cfg.states)
         # against a hand-rolled single Crank-Nicolson solve with frozen sources
-        from scipy.linalg import solve_banded
         from axonsim.grid import mass_bands, stiffness_bands
-        from axonsim.stochastic import _HybridCore
 
         core = _HybridCore(g, k, cfg, state.v.values)
         kd, ko = stiffness_bands(g)
@@ -440,3 +446,148 @@ class TestExports:
         write_jump_csv(traj, tmp_path / "j.csv", state_names=names)
         reference_jump_csv(traj, tmp_path / "j_ref.csv", state_names=names)
         assert (tmp_path / "j.csv").read_bytes() == (tmp_path / "j_ref.csv").read_bytes()
+
+
+def uncached_advance_pde(self, tau):
+    """The sub-solve before the stored factor: bands and solve rebuilt every call."""
+    if tau <= 0.0:
+        return
+    half = 0.5 * tau
+    diag_op = self.kd + self.bd
+    off_op = self.ko + self.bo
+    v = self.v_full[1:-1]
+    rhs_off = self.mo - half * off_op
+    rhs = (self.md - half * diag_op) * v
+    rhs[:-1] += rhs_off * v[1:]
+    rhs[1:] += rhs_off * v[:-1]
+    rhs += tau * self.cload
+    ab = np.zeros((3, v.size))
+    ab[0, 1:] = self.mo + half * off_op
+    ab[1] = self.md + half * diag_op
+    ab[2, :-1] = ab[0, 1:]
+    self.v_full[1:-1] = solve_banded((1, 1), ab, rhs)
+
+
+def expected_factorizations(traj, kin):
+    """(factorizations, no-jump substeps, jumps that keep the operator).
+
+    A factorization happens at each no-jump substep that follows an operator
+    change or starts the run.  A jump changes the operator unless source and
+    target states have the same conductance and the same conductance times
+    driving potential.
+    """
+    sub = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
+    cv = kin.conductance * kin.driving
+    changes = ((kin.conductance[traj.jump_src] != kin.conductance[traj.jump_dst])
+               | (cv[traj.jump_src] != cv[traj.jump_dst]))
+    has_jump = np.zeros(traj.n_times - 1, dtype=bool)
+    has_jump[sub] = True
+    changed = np.zeros(traj.n_times - 1, dtype=bool)
+    changed[sub[changes]] = True
+    count, stale = 0, True
+    for step in range(traj.n_times - 1):
+        if has_jump[step]:
+            stale = stale or changed[step]
+        elif stale:
+            count, stale = count + 1, False
+    return count, int((~has_jump).sum()), int((~changes).sum())
+
+
+class TestStoredFactor:
+    """No-jump substeps through the stored factor equal uncached sub-solves."""
+
+    @pytest.mark.parametrize("config, n_scale, replicate", [
+        ("default", 25, 0), ("default", 200, 0), ("default", 800, 0), ("chain5", 50, 2),
+    ], ids=["default-n25", "default-n200", "default-n800", "chain5-n50-r2"])
+    def test_matches_uncached_sub_solves(self, monkeypatch, config, n_scale, replicate):
+        traj, kin = cached_replicate(config, n_scale, replicate)
+        if config == "chain5":
+            assert most_jumps_in_one_substep(traj) >= 2
+        factors = []
+        factor = stochastic.tridiag_factor
+
+        def counting_factor(*bands):
+            factors.append(1)
+            return factor(*bands)
+
+        monkeypatch.setattr(stochastic, "tridiag_factor", counting_factor)
+        cfg = RunConfig.from_dict({"default": {}, "chain5": CHAIN5}[config])
+        counted = run_replicate(cfg, n_scale, replicate)
+        assert np.array_equal(counted.v, traj.v)
+        expected, no_jump, unchanged = expected_factorizations(traj, kin)
+        assert len(factors) == expected
+        assert expected < no_jump  # the factor is reused
+        if config == "chain5":
+            assert unchanged > 0  # jumps between zero-conductance states keep it
+
+        monkeypatch.setattr(_HybridCore, "_advance_pde", uncached_advance_pde)
+        monkeypatch.setattr(_HybridCore, "_advance_full", uncached_advance_pde)
+        oracle = run_replicate(cfg, n_scale, replicate)
+        assert np.array_equal(oracle.v, traj.v)
+        for name in ("jump_times", "jump_channel", "jump_src", "jump_dst", "dissipation"):
+            assert np.array_equal(getattr(oracle, name), getattr(traj, name))
+        assert oracle.sup_v_inf == traj.sup_v_inf
+
+
+# Small initial voltage and mostly open channels: the dissipation outgrows
+# ||v0||^2 at t = 0.193, mid-way through a ledger block.
+TRIP = {"time_horizon": 0.5,
+        "v0": {"form": "eigenfunction", "params": {"mode": 1, "amplitude": 0.1}},
+        "p0": {"form": "uniform", "params": {"weights": {"closed": 0.3, "open": 0.7}}}}
+
+
+def first_budget_failure(traj):
+    """(index, message) where the budget ||v0||^2 of (cmax, vmax) = (0, 0) fails."""
+    s0sq = l2_norm(GridFunction(traj.grid, traj.v[0])) ** 2
+    m = int(np.argmax(traj.dissipation > s0sq))
+    assert traj.dissipation[m] > s0sq
+    return m, (f"dissipation {traj.dissipation[m]:.6f} exceeds budget {s0sq:.6f} "
+               f"at t={float(traj.times[m])}")
+
+
+class TestBlockLedger:
+    """The block ledger raises where the per-step ledger did."""
+
+    @pytest.mark.parametrize("simulate", [
+        lambda cfg: run_replicate(cfg, 25, 0), run_reference,
+    ], ids=["run_stoch", "run_det"])
+    def test_budget_failure_reports_first_failing_step(self, monkeypatch, simulate):
+        cfg = RunConfig.from_dict(TRIP)
+        m, message = first_budget_failure(simulate(cfg))
+        assert m % _LEDGER_BLOCK != 0
+        monkeypatch.setattr(deterministic, "_budget_constants", lambda k: (0.0, 0.0))
+        with pytest.raises(InvariantViolation) as exc:
+            simulate(cfg)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("fault", ["nan", "raise"])
+    @pytest.mark.parametrize("budget_fails", [True, False])
+    def test_earlier_budget_failure_wins_in_one_block(self, monkeypatch, fault,
+                                                      budget_fails):
+        cfg = RunConfig.from_dict(TRIP)
+        traj = run_replicate(cfg, 25, 0)
+        m, message = first_budget_failure(traj)
+        bad = m + 2  # the snapshot index that goes wrong, in the same block
+        assert (m - 1) // _LEDGER_BLOCK == (bad - 1) // _LEDGER_BLOCK
+        substep = _HybridCore.substep
+
+        def faulty(self, t0, dt, rng):
+            events = substep(self, t0, dt, rng)
+            if t0 == traj.times[bad - 1]:
+                if fault == "raise":
+                    raise ValueError("array must not contain infs or NaNs")
+                self.v_full[1:-1] = np.nan
+            return events
+
+        monkeypatch.setattr(_HybridCore, "substep", faulty)
+        if budget_fails:
+            monkeypatch.setattr(deterministic, "_budget_constants", lambda k: (0.0, 0.0))
+            expected = (InvariantViolation, message)
+        elif fault == "nan":
+            expected = (InvariantViolation,
+                        f"voltage not finite at t={traj.times[bad]}")
+        else:
+            expected = (ValueError, "array must not contain infs or NaNs")
+        with pytest.raises(expected[0]) as exc:
+            run_replicate(cfg, 25, 0)
+        assert str(exc.value) == expected[1]

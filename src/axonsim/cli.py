@@ -16,6 +16,17 @@ from .stochastic import write_jump_csv, write_run_manifest, write_voltage_csv
 from .validate import SUITES, default_workers
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_json(args.config) if args.config else RunConfig.from_dict({})
     if args.seed is not None:
@@ -46,7 +57,7 @@ def _cmd_det(args) -> int:
 def _cmd_stoch(args) -> int:
     cfg = _load_config(args)
     grid, kin, _, _ = cfg.build()
-    n_scale = args.n or cfg.sweep_n[0]
+    n_scale = cfg.sweep_n[0] if args.n is None else args.n
     traj = run_replicate(cfg, n_scale, args.replicate)
     os.makedirs(args.out, exist_ok=True)
     write_voltage_csv(traj, os.path.join(args.out, "stoch_voltage.csv"),
@@ -119,14 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("det", help="one deterministic (fluid-model) run")
     common(sp)
-    sp.add_argument("--stride", type=int, default=1, help="snapshot stride for CSV")
+    sp.add_argument("--stride", type=_positive_int, default=1,
+                    help="snapshot stride for CSV")
     sp.set_defaults(func=_cmd_det)
 
     sp = sub.add_parser("stoch", help="one stochastic (particle-model) run")
     common(sp)
-    sp.add_argument("--n", type=int, default=None, help="channel scale N")
+    sp.add_argument("--n", type=_positive_int, default=None, help="channel scale N")
     sp.add_argument("--replicate", type=int, default=0, help="replicate index")
-    sp.add_argument("--stride", type=int, default=1, help="snapshot stride for CSV")
+    sp.add_argument("--stride", type=_positive_int, default=1,
+                    help="snapshot stride for CSV")
     sp.add_argument("--diagnostics", action="store_true",
                     help="also write the martingale dual-norm series CSV")
     sp.set_defaults(func=_cmd_stoch)

@@ -10,6 +10,14 @@ the voltage frozen, a Crank-Nicolson step of the PDE with the reaction
 coefficients frozen at the proportion midpoint (one symmetric tridiagonal
 solve), then a second proportion half-step.  RK4 on the linear proportion
 system preserves the nodal total sum(p) exactly up to roundoff.
+
+:func:`step_det` and :func:`run_det` share one Strang-step kernel on plain
+arrays.  The kernel returns the generator at the new voltage, which is bit
+for bit the next step's starting generator, so :func:`run_det` evaluates
+the rate table once per step and builds the stiffness and mass bands once
+per run.  The dissipation budget is checked a block of steps at a time from
+the snapshots, with the same sums in the same order as a per-step check,
+and raises at the same step.
 """
 
 from __future__ import annotations
@@ -24,10 +32,8 @@ from .grid import (
     Grid,
     GridFunction,
     NodalField,
-    density_functional,
+    density_loads,
     gradient_sq,
-    h10_norm,
-    l2_norm,
     mass_bands,
     squared_norms,
     stiffness_bands,
@@ -154,31 +160,51 @@ def step_guard(dt: float, k: ChannelKinetics, limit: float = 0.5) -> None:
         )
 
 
+def _step_operators(grid: Grid, k: ChannelKinetics) -> tuple:
+    """What a Strang step reuses: the stiffness and mass bands (diagonal,
+    off-diagonal each) and the source weights c_xi v_xi."""
+    return (*stiffness_bands(grid), *mass_bands(grid), k.conductance * k.driving)
+
+
+def _strang_step(p: np.ndarray, v: np.ndarray, gen: np.ndarray, t: float, dt: float,
+                 k: ChannelKinetics, grid: Grid, ops: tuple):
+    """One Strang step from time t on plain arrays.
+
+    ``p`` holds the proportions, ``v`` the interior voltage, ``gen`` the
+    generator at ``v`` and ``ops`` the :func:`_step_operators` of the grid.
+    Returns the proportions and voltage at t + dt and the generator there.
+    """
+    kd, ko, md, mo, cv = ops
+    p_mid = _clip_proportions(_rk4_prop(p, gen, 0.5 * dt), t)
+
+    a = k.conductance @ p_mid
+    b = cv @ p_mid
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        # the error the reaction coefficients raise as NodalFields
+        raise ValueError("nodal field values must be finite")
+    ad, ao = _weighted_mass_bands(a, grid.h)
+    half = 0.5 * dt
+    diag_op = kd + ad
+    off_op = ko + ao
+    rhs = _tridiag_matvec(md - half * diag_op, mo - half * off_op, v)
+    rhs += dt * density_loads(grid, b)
+    lhs_o = mo + half * off_op
+    v_new = tridiag_solve(lhs_o, md + half * diag_op, lhs_o, rhs)
+
+    v_full = np.zeros(grid.cells + 1)
+    v_full[1:-1] = v_new
+    gen_new = _generator(k, v_full)
+    p_new = _clip_proportions(_rk4_prop(p_mid, gen_new, 0.5 * dt), t + dt)
+    return p_new, v_new, gen_new
+
+
 def step_det(state: DeterministicState, dt: float, k: ChannelKinetics) -> DeterministicState:
     """One Strang step of the coupled fluid model."""
     step_guard(dt, k, limit=0.5)
     grid = state.v.grid
-    h = grid.h
-    kd, ko = stiffness_bands(grid)
-    md, mo = mass_bands(grid)
-
-    p_mid = _rk4_prop(state.p, _generator(k, state.v.full()), 0.5 * dt)
-    p_mid = _clip_proportions(p_mid, state.t)
-
-    a, b = reaction_coefficients(p_mid, k, grid)
-    ad, ao = _weighted_mass_bands(a.values, h)
-    lhs_d = md + 0.5 * dt * (kd + ad)
-    lhs_o = mo + 0.5 * dt * (ko + ao)
-    rhs_d = md - 0.5 * dt * (kd + ad)
-    rhs_o = mo - 0.5 * dt * (ko + ao)
-    rhs = _tridiag_matvec(rhs_d, rhs_o, state.v.values)
-    rhs += dt * density_functional(b).loads
-    v_new = tridiag_solve(lhs_o, lhs_d, lhs_o, rhs)
-
-    v_new_fn = GridFunction(grid, v_new)
-    p_new = _rk4_prop(p_mid, _generator(k, v_new_fn.full()), 0.5 * dt)
-    p_new = _clip_proportions(p_new, state.t + dt)
-    return DeterministicState(t=state.t + dt, v=v_new_fn, p=p_new)
+    p, v, _ = _strang_step(state.p, state.v.values, _generator(k, state.v.full()),
+                           state.t, dt, k, grid, _step_operators(grid, k))
+    return DeterministicState(t=state.t + dt, v=GridFunction(grid, v), p=p)
 
 
 def _budget_constants(k: ChannelKinetics) -> tuple[float, float]:
@@ -196,6 +222,12 @@ def dissipation_budget(
 ) -> float:
     """Explicit cap on the accumulated gradient dissipation up to time t."""
     return _budget(s0_l2, sup_inf, t, half_length, *_budget_constants(k))
+
+
+# Snapshots per block of the dissipation ledger (run_det, run_stoch) and of
+# the summary norms (write_summary_csv): enough to amortize their numpy
+# calls, few enough that the block arrays stay small next to the snapshots.
+_LEDGER_BLOCK = 64
 
 
 class DissipationLedger:
@@ -253,6 +285,9 @@ def run_det(
 
     Aborts with :class:`InvariantViolation` if the proportion simplex, the
     voltage bounds, or the dissipation budget is violated beyond tolerance.
+    The budget is checked a block of steps at a time, from the snapshots; an
+    error inside a block first flushes the ledger, so whichever check fails
+    first raises.
     """
     if t_horizon < 0:
         raise ValueError("time horizon must be nonnegative")
@@ -274,32 +309,38 @@ def run_det(
     p_snaps = np.empty((n_steps + 1, k.n_states, grid.cells + 1))
     ledger = DissipationLedger(init.v, k, n_steps)
 
-    state = init
-    times[0] = init.t
-    v_snaps[0] = init.v.values
-    p_snaps[0] = init.p
-    max_sum_err = float(np.max(np.abs(init.p.sum(axis=0) - 1.0)))
+    ops = _step_operators(grid, k)
+    t, v, p = init.t, init.v.values, init.p
+    gen = _generator(k, v0_full)
+    times[0] = t
+    v_snaps[0] = v
+    p_snaps[0] = p
+    max_sum_err = float(np.max(np.abs(p.sum(axis=0) - 1.0)))
 
     for step in range(1, n_steps + 1):
-        state = step_det(state, dt, k)
-        times[step] = state.t
-        v_snaps[step] = state.v.values
-        p_snaps[step] = state.p
+        try:
+            p, v, gen = _strang_step(p, v, gen, t, dt, k, grid, ops)
+            t = t + dt
+            times[step] = t
+            v_snaps[step] = v
+            p_snaps[step] = p
 
-        sum_err = float(np.max(np.abs(state.p.sum(axis=0) - 1.0)))
-        max_sum_err = max(max_sum_err, sum_err)
-        if sum_err > PROP_SUM_TOL:
-            raise InvariantViolation(
-                f"proportion total off by {sum_err:.3e} at t={state.t}"
-            )
-        vmin, vmax = float(state.v.values.min()), float(state.v.values.max())
-        vmin, vmax = min(vmin, 0.0), max(vmax, 0.0)
-        if vmin < v_lo - VOLTAGE_TOL or vmax > v_hi + VOLTAGE_TOL:
-            raise InvariantViolation(
-                f"voltage [{vmin:.6f}, {vmax:.6f}] escaped "
-                f"[{v_lo}, {v_hi}] at t={state.t}"
-            )
-        ledger.record(step, times, dt, v_snaps)
+            sum_err = float(np.max(np.abs(p.sum(axis=0) - 1.0)))
+            max_sum_err = max(max_sum_err, sum_err)
+            if sum_err > PROP_SUM_TOL:
+                raise InvariantViolation(f"proportion total off by {sum_err:.3e} at t={t}")
+            vmin, vmax = min(float(v.min()), 0.0), max(float(v.max()), 0.0)
+            if vmin < v_lo - VOLTAGE_TOL or vmax > v_hi + VOLTAGE_TOL:
+                raise InvariantViolation(
+                    f"voltage [{vmin:.6f}, {vmax:.6f}] escaped "
+                    f"[{v_lo}, {v_hi}] at t={t}"
+                )
+        except Exception:
+            # a budget failure at an earlier step is the one to report
+            ledger.record(step - 1, times, dt, v_snaps)
+            raise
+        if step % _LEDGER_BLOCK == 0 or step == n_steps:
+            ledger.record(step, times, dt, v_snaps)
 
     return DetTrajectory(
         grid=grid,
@@ -340,10 +381,16 @@ def write_trajectory_csv(traj: DetTrajectory, path, stride: int = 1) -> None:
 
 
 def write_summary_csv(traj: DetTrajectory, path, stride: int = 1) -> None:
-    """Per-time norms: (t, l2, h10, dissipation)."""
-    rows = range(0, traj.n_times, stride)
-    write_csv(path, ["t", "l2", "h10", "dissipation"], [csv_lines(
-        map(repr, traj.times[::stride].tolist()),
-        [repr(l2_norm(traj.v_at(i))) for i in rows],
-        [repr(h10_norm(traj.v_at(i))) for i in rows],
-        map(repr, traj.dissipation[::stride].tolist()))])
+    """Per-time norms: (t, l2, h10, dissipation), one norm call per block of rows."""
+    span = _LEDGER_BLOCK * stride
+
+    def blocks():
+        for start in range(0, traj.n_times, span):
+            rows = slice(start, start + span, stride)
+            l2sq, dsq = squared_norms(traj.grid, traj.v[rows])
+            yield csv_lines(map(repr, traj.times[rows].tolist()),
+                            map(repr, np.sqrt(l2sq).tolist()),
+                            map(repr, np.sqrt(l2sq + dsq).tolist()),
+                            map(repr, traj.dissipation[rows].tolist()))
+
+    write_csv(path, ["t", "l2", "h10", "dissipation"], blocks())

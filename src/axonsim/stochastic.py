@@ -51,14 +51,10 @@ from .grid import (
     tridiag_factor_solve,
     tridiag_solve,
 )
-from .deterministic import DissipationLedger, step_guard
+from .deterministic import _LEDGER_BLOCK, DissipationLedger, step_guard
 from .kinetics import ChannelKinetics, channel_rates, rate_table
 
 STOCH_GUARD = 0.2
-
-# Substeps per dissipation-ledger call: enough to amortize its numpy calls,
-# few enough that its block arrays stay small next to the snapshots.
-_LEDGER_BLOCK = 64
 
 
 def channel_positions(n_scale: int, half_length: float) -> np.ndarray:

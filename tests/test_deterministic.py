@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
+from axonsim import deterministic
 from axonsim.deterministic import (
+    PROP_SUM_TOL,
+    VOLTAGE_TOL,
+    _LEDGER_BLOCK,
+    _clip_proportions,
+    _generator,
+    _rk4_prop,
+    _tridiag_matvec,
+    _weighted_mass_bands,
     DetTrajectory,
     DeterministicState,
     DissipationLedger,
@@ -14,6 +24,7 @@ from axonsim.deterministic import (
     reaction_coefficients,
     run_det,
     step_det,
+    step_guard,
     write_summary_csv,
     write_trajectory_csv,
 )
@@ -21,14 +32,19 @@ from axonsim.errors import InvariantViolation
 from axonsim.grid import (
     GridFunction,
     build_grid,
+    density_functional,
     gradient_sq,
     h10_norm,
     l2_norm,
+    mass_bands,
     squared_norms,
+    stiffness_bands,
 )
+from axonsim.harness import RunConfig
 from axonsim.heat import KernelParams, apply_semigroup
 from axonsim.kinetics import make_kinetics
 from axonsim.profiles import fundamental_mode, gaussian_bump
+from test_decomposition import CHAIN5
 
 
 def kinetics(c_open=1.0, up=0.5, down=0.5, form="constant"):
@@ -245,6 +261,144 @@ class TestRunDet:
         drift_open = proportion_drift(traj, 50, k, 1)
         drift_closed = proportion_drift(traj, 50, k, 0)
         assert np.allclose(drift_open.values + drift_closed.values, 0.0, atol=1e-15)
+
+
+def reference_step_det(state, dt, k):
+    """The Strang step built from GridFunction, NodalField and fresh bands on
+    every call, before step_det and run_det shared one kernel; the oracle."""
+    step_guard(dt, k, limit=0.5)
+    grid = state.v.grid
+    kd, ko = stiffness_bands(grid)
+    md, mo = mass_bands(grid)
+    p_mid = _rk4_prop(state.p, _generator(k, state.v.full()), 0.5 * dt)
+    p_mid = _clip_proportions(p_mid, state.t)
+    a, b = reaction_coefficients(p_mid, k, grid)
+    ad, ao = _weighted_mass_bands(a.values, grid.h)
+    lhs_d = md + 0.5 * dt * (kd + ad)
+    lhs_o = mo + 0.5 * dt * (ko + ao)
+    rhs_d = md - 0.5 * dt * (kd + ad)
+    rhs_o = mo - 0.5 * dt * (ko + ao)
+    rhs = _tridiag_matvec(rhs_d, rhs_o, state.v.values)
+    rhs += dt * density_functional(b).loads
+    v_new = GridFunction(grid, solve_banded((1, 1), np.stack([
+        np.concatenate(([0.0], lhs_o)), lhs_d, np.concatenate((lhs_o, [0.0]))]), rhs))
+    p_new = _rk4_prop(p_mid, _generator(k, v_new.full()), 0.5 * dt)
+    p_new = _clip_proportions(p_new, state.t + dt)
+    return DeterministicState(t=state.t + dt, v=v_new, p=p_new)
+
+
+def per_step_run_det(init, t_horizon, dt, k, step_fn=reference_step_det):
+    """run_det as one step and one ledger record per step, as its oracle."""
+    grid = init.v.grid
+    n_steps = int(round(t_horizon / dt)) if t_horizon > 0 else 0
+    v0_full = init.v.full()
+    v_lo = min(k.v_minus, float(v0_full.min()))
+    v_hi = max(k.v_plus, float(v0_full.max()))
+    times = np.empty(n_steps + 1)
+    v_snaps = np.empty((n_steps + 1, grid.n_interior))
+    p_snaps = np.empty((n_steps + 1, k.n_states, grid.cells + 1))
+    ledger = DissipationLedger(init.v, k, n_steps)
+    state = init
+    times[0] = init.t
+    v_snaps[0] = init.v.values
+    p_snaps[0] = init.p
+    max_sum_err = float(np.max(np.abs(init.p.sum(axis=0) - 1.0)))
+    for step in range(1, n_steps + 1):
+        state = step_fn(state, dt, k)
+        times[step] = state.t
+        v_snaps[step] = state.v.values
+        p_snaps[step] = state.p
+        sum_err = float(np.max(np.abs(state.p.sum(axis=0) - 1.0)))
+        max_sum_err = max(max_sum_err, sum_err)
+        if sum_err > PROP_SUM_TOL:
+            raise InvariantViolation(
+                f"proportion total off by {sum_err:.3e} at t={state.t}"
+            )
+        vmin, vmax = float(state.v.values.min()), float(state.v.values.max())
+        vmin, vmax = min(vmin, 0.0), max(vmax, 0.0)
+        if vmin < v_lo - VOLTAGE_TOL or vmax > v_hi + VOLTAGE_TOL:
+            raise InvariantViolation(
+                f"voltage [{vmin:.6f}, {vmax:.6f}] escaped "
+                f"[{v_lo}, {v_hi}] at t={state.t}"
+            )
+        ledger.record(step, times, dt, v_snaps)
+    return DetTrajectory(grid=grid, state_names=k.states, times=times, v=v_snaps,
+                         p=p_snaps, dissipation=ledger.values, sup_v_inf=ledger.sup_inf,
+                         max_prop_sum_error=max_sum_err)
+
+
+def det_args(overrides):
+    """run_det's arguments for the reference run of a config."""
+    cfg = RunConfig.from_dict(overrides)
+    _, kin, v0, p0 = cfg.build()
+    init = DeterministicState(t=0.0, v=v0, p=np.stack([f.values for f in p0]))
+    return init, cfg.time_horizon, cfg.dt, kin
+
+
+def run_outcome(run, *args, **kwargs):
+    """The trajectory, or the type and message of the error the run raises."""
+    try:
+        return run(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# A run whose 100 steps are not a multiple of the ledger block.
+SHORT = {"time_horizon": 0.1, "cells": 40}
+
+
+class TestRunDetMatchesStepLoop:
+    """run_det's kernel loop and block ledger give the per-step loop's bits."""
+
+    @pytest.mark.parametrize("step_fn", [reference_step_det, step_det],
+                             ids=["reference-step", "step_det"])
+    @pytest.mark.parametrize("overrides", [{}, CHAIN5, SHORT],
+                             ids=["default", "chain5", "short"])
+    def test_fields_match(self, overrides, step_fn):
+        args = det_args(overrides)
+        traj = run_det(*args)
+        oracle = per_step_run_det(*args, step_fn=step_fn)
+        assert (traj.n_times - 1) % _LEDGER_BLOCK != 0
+        assert traj.state_names == oracle.state_names and traj.grid == oracle.grid
+        for name in ("times", "v", "p", "dissipation"):
+            assert np.array_equal(getattr(traj, name), getattr(oracle, name))
+        assert traj.sup_v_inf == oracle.sup_v_inf
+        assert traj.max_prop_sum_error == oracle.max_prop_sum_error
+
+    def test_one_rate_table_per_step(self, monkeypatch):
+        calls = []
+        rate_table = deterministic.rate_table
+
+        def counted(k, v):
+            calls.append(1)
+            return rate_table(k, v)
+
+        monkeypatch.setattr(deterministic, "rate_table", counted)
+        traj = run_det(*det_args(SHORT))
+        assert len(calls) == traj.n_times == 101
+
+    @pytest.mark.parametrize("guard", ["proportion", "voltage"])
+    def test_guards_raise_as_the_step_loop(self, monkeypatch, guard):
+        args = det_args(SHORT)
+        times = run_det(*args).times
+        bad = 70  # mid-way through the second ledger block
+        kernel = deterministic._strang_step
+
+        def faulty(p, v, gen, t, *rest):
+            p, v, gen = kernel(p, v, gen, t, *rest)
+            if t == times[bad - 1]:
+                if guard == "proportion":
+                    p = p.copy()
+                    p[0] += 1e-6
+                else:
+                    v = v + 10.0
+            return p, v, gen
+
+        monkeypatch.setattr(deterministic, "_strang_step", faulty)
+        got = run_outcome(run_det, *args)
+        assert got == run_outcome(per_step_run_det, *args, step_fn=step_det)
+        assert got[0] is InvariantViolation
+        assert got[1].startswith(guard) and got[1].endswith(f"at t={times[bad]}")
 
 
 def reference_trajectory_csv(traj, path, stride=1):

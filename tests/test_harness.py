@@ -359,6 +359,21 @@ class TestCli:
                    for f in out.iterdir()}
         assert digests == {**self.GOLDEN, **self.GOLDEN_BY_STRIDE[stride]}
 
+    @pytest.mark.parametrize("argv", [
+        ["det", "--stride", "0"], ["det", "--stride", "-2"], ["stoch", "--n", "0"],
+    ], ids=["det-stride-0", "det-stride-negative", "stoch-n-0"])
+    def test_counts_must_be_positive(self, tmp_path, capsys, argv):
+        from axonsim.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "time_horizon": 0.02}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stoch_manifest_seed_matches_sweep_row(self, tmp_path):
         from axonsim.cli import main
 

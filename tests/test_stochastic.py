@@ -21,8 +21,8 @@ from axonsim.harness import RunConfig, run_reference, run_replicate
 from axonsim.heat import KernelParams, apply_semigroup
 from axonsim.kinetics import make_kinetics
 from axonsim.profiles import fundamental_mode
+from axonsim.deterministic import _LEDGER_BLOCK
 from axonsim.stochastic import (
-    _LEDGER_BLOCK,
     StochasticState,
     StochTrajectory,
     channel_positions,
@@ -560,34 +560,72 @@ class TestBlockLedger:
             simulate(cfg)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("fault", ["nan", "raise"])
-    @pytest.mark.parametrize("budget_fails", [True, False])
-    def test_earlier_budget_failure_wins_in_one_block(self, monkeypatch, fault,
-                                                      budget_fails):
+    @staticmethod
+    def check_earlier_budget_failure_wins(monkeypatch, simulate, inject, fault,
+                                          budget_fails, fault_error):
+        """Fault snapshot m + 2, after a budget failure at m, in the same block.
+
+        ``inject(traj, bad)`` patches the fault in, and ``fault_error`` is
+        what the run raises for it when the budget holds.
+        """
         cfg = RunConfig.from_dict(TRIP)
-        traj = run_replicate(cfg, 25, 0)
+        traj = simulate(cfg)
         m, message = first_budget_failure(traj)
         bad = m + 2  # the snapshot index that goes wrong, in the same block
         assert (m - 1) // _LEDGER_BLOCK == (bad - 1) // _LEDGER_BLOCK
-        substep = _HybridCore.substep
-
-        def faulty(self, t0, dt, rng):
-            events = substep(self, t0, dt, rng)
-            if t0 == traj.times[bad - 1]:
-                if fault == "raise":
-                    raise ValueError("array must not contain infs or NaNs")
-                self.v_full[1:-1] = np.nan
-            return events
-
-        monkeypatch.setattr(_HybridCore, "substep", faulty)
+        inject(traj, bad)
         if budget_fails:
             monkeypatch.setattr(deterministic, "_budget_constants", lambda k: (0.0, 0.0))
             expected = (InvariantViolation, message)
         elif fault == "nan":
-            expected = (InvariantViolation,
-                        f"voltage not finite at t={traj.times[bad]}")
+            expected = fault_error(traj, bad)
         else:
             expected = (ValueError, "array must not contain infs or NaNs")
         with pytest.raises(expected[0]) as exc:
-            run_replicate(cfg, 25, 0)
+            simulate(cfg)
         assert str(exc.value) == expected[1]
+
+    @pytest.mark.parametrize("fault", ["nan", "raise"])
+    @pytest.mark.parametrize("budget_fails", [True, False])
+    def test_earlier_budget_failure_wins_in_one_block(self, monkeypatch, fault,
+                                                      budget_fails):
+        def inject(traj, bad):
+            substep = _HybridCore.substep
+
+            def faulty(self, t0, dt, rng):
+                events = substep(self, t0, dt, rng)
+                if t0 == traj.times[bad - 1]:
+                    if fault == "raise":
+                        raise ValueError("array must not contain infs or NaNs")
+                    self.v_full[1:-1] = np.nan
+                return events
+
+            monkeypatch.setattr(_HybridCore, "substep", faulty)
+
+        self.check_earlier_budget_failure_wins(
+            monkeypatch, lambda cfg: run_replicate(cfg, 25, 0), inject, fault,
+            budget_fails,
+            lambda traj, bad: (InvariantViolation,
+                               f"voltage not finite at t={traj.times[bad]}"))
+
+    @pytest.mark.parametrize("fault", ["nan", "raise"])
+    @pytest.mark.parametrize("budget_fails", [True, False])
+    def test_earlier_budget_failure_wins_in_one_det_block(self, monkeypatch, fault,
+                                                          budget_fails):
+        def inject(traj, bad):
+            kernel = deterministic._strang_step
+
+            def faulty(p, v, gen, t, *args):
+                p, v, gen = kernel(p, v, gen, t, *args)
+                if t == traj.times[bad - 1]:
+                    if fault == "raise":
+                        raise ValueError("array must not contain infs or NaNs")
+                    v = np.full_like(v, np.nan)
+                return p, v, gen
+
+            monkeypatch.setattr(deterministic, "_strang_step", faulty)
+
+        # the guards pass a NaN voltage; the next step's solve rejects it
+        self.check_earlier_budget_failure_wins(
+            monkeypatch, run_reference, inject, fault, budget_fails,
+            lambda traj, bad: (ValueError, "array must not contain infs or NaNs"))

@@ -16,15 +16,24 @@ from .stochastic import write_jump_csv, write_run_manifest, write_voltage_csv
 from .validate import SUITES, default_workers
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least one."""
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least one."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type of an index that must be at least zero."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _load_config(args) -> RunConfig:
@@ -90,10 +99,10 @@ def _cmd_validate(args) -> int:
     suite = SUITES[args.suite]
     kwargs = {}
     if args.suite == "martingale":
-        kwargs = {"replicates": args.replicates or 2000, "workers": args.workers,
-                  "report_path": args.report}
+        kwargs = {"replicates": 2000 if args.replicates is None else args.replicates,
+                  "workers": args.workers, "report_path": args.report}
     elif args.suite == "likelihood":
-        kwargs = {"paths": args.replicates or 10_000}
+        kwargs = {"paths": 10_000 if args.replicates is None else args.replicates}
     checks = suite(**kwargs)
     worst = True
     for name, passed, detail in checks:
@@ -137,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stoch", help="one stochastic (particle-model) run")
     common(sp)
     sp.add_argument("--n", type=_positive_int, default=None, help="channel scale N")
-    sp.add_argument("--replicate", type=int, default=0, help="replicate index")
+    sp.add_argument("--replicate", type=_nonnegative_int, default=0,
+                    help="replicate index")
     sp.add_argument("--stride", type=_positive_int, default=1,
                     help="snapshot stride for CSV")
     sp.add_argument("--diagnostics", action="store_true",
@@ -146,16 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="full convergence study")
     common(sp)
-    sp.add_argument("--workers", type=int, default=1, help="parallel workers")
+    sp.add_argument("--workers", type=_positive_int, default=1, help="parallel workers")
     sp.add_argument("--save-trajectories", action="store_true",
                     help="write per-replicate voltage CSVs")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("validate", help="oracle suites")
     sp.add_argument("--suite", choices=sorted(SUITES), required=True)
-    sp.add_argument("--replicates", type=int, default=None,
+    sp.add_argument("--replicates", type=_positive_int, default=None,
                     help="override replicate/path count")
-    sp.add_argument("--workers", type=int, default=default_workers())
+    sp.add_argument("--workers", type=_positive_int, default=default_workers())
     sp.add_argument("--report", default=None,
                     help="write suite statistics as JSON (martingale suite)")
     sp.set_defaults(func=_cmd_validate)

@@ -22,12 +22,19 @@ computed by the same operation on the same operands, and each accumulator
 is then advanced by sequential adds in loop order.  A channel that jumps
 gets one increment slot per segment of its path; the other channels' slots
 in those rows hold +0.0, and adding +0.0 is exact.
+
+A caller that reads the load series only through their dual norms passes
+``scan_path`` a consumer: the series then stream to it one Riesz chunk of
+sample times at a time (``grid.riesz_chunk``), and no full-length series is
+held.  Riesz solves run column by column and each norm sums its own row, so
+the norms do not depend on how the times are batched.  Without a consumer
+the whole series is kept, for the tests and ``deviation_loads``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -42,6 +49,7 @@ from .grid import (
     hat_interpolate,
     hat_weights,
     hminus1_norms,
+    riesz_chunk,
 )
 from .kinetics import ChannelKinetics, channel_rates, rate_table
 from .stochastic import ChannelConfig, StochTrajectory, _interior_hat_arrays
@@ -97,15 +105,26 @@ class _SeriesScatter:
     per hat side, bin ``time * n_int + idx``; every bin receives its channels
     in ascending order, as a per-time ``bincount`` does, so the loads are
     bit-identical to scattering each time on its own.
+
+    Without a ``consumer`` the loads of every sample time are kept.  With one,
+    the series live in a buffer of :func:`grid.riesz_chunk` sample times:
+    each full buffer, and then the remainder (:meth:`flush`), goes to
+    ``consumer(start, loads)``, where ``loads`` maps each kept name to the
+    (n, n_states, n_int) loads of sample times start .. start + n - 1.  The
+    buffer is reused, so a consumer keeps no reference to it.
     """
 
     def __init__(self, grid: Grid, positions: np.ndarray, n_states: int,
-                 n_times: int, n_scale: int, keep, block: int):
+                 n_times: int, n_scale: int, keep, block: int, consumer=None):
         idx_lo, self.wt_lo, idx_hi, self.wt_hi = _interior_hat_arrays(grid, positions)
         self.n_int = grid.n_interior
         self.n_states = n_states
         self.inv_n = 1.0 / n_scale
-        shape = (n_times, n_states, self.n_int)
+        self.consumer = consumer
+        self.rows = n_times if consumer is None else min(n_times, riesz_chunk(grid))
+        self.start = 0  # the sample time of the buffer's first row
+        self.filled = 0
+        shape = (self.rows, n_states, self.n_int)
         self.c_loads = np.zeros(shape) if "c" in keep else None
         self.comp_loads = np.zeros(shape) if "comp" in keep else None
         self.m_loads = np.zeros(shape) if "m" in keep else None
@@ -118,8 +137,32 @@ class _SeriesScatter:
 
         ``states`` is (b, count); ``comp``, ``occ`` and ``jumps_net`` are
         (b, n_states, count), and ``jumps_net`` may be None unless "m" is kept.
+        The rows go into the buffer in pieces that end at its last row.
         """
-        times = slice(t, t + states.shape[0])
+        done = 0
+        while done < states.shape[0]:
+            row = t + done - self.start
+            part = slice(done, done + self.rows - row)
+            self._fill_rows(row, states[part], comp[part], occ[part],
+                            None if jumps_net is None else jumps_net[part])
+            done = min(part.stop, states.shape[0])
+            if self.filled == self.rows and self.consumer is not None:
+                self.flush()
+
+    def flush(self) -> None:
+        """Hand the buffer's filled rows to the consumer and start a new one."""
+        if self.filled:
+            self.consumer(self.start, {
+                name: loads[:self.filled] for name, loads in zip(
+                    SERIES, (self.c_loads, self.comp_loads, self.m_loads))
+                if loads is not None})
+        self.start += self.filled
+        self.filled = 0
+
+    def _fill_rows(self, row: int, states, comp, occ, jumps_net) -> None:
+        """Loads of b per-time rows into the buffer rows row .. row + b - 1."""
+        times = slice(row, row + states.shape[0])
+        self.filled = times.stop
         for s in range(self.n_states):
             if self.c_loads is not None:
                 self.c_loads[times, s] = self._loads((states == s) * self.inv_n)
@@ -228,6 +271,7 @@ def scan_path(
     traj: StochTrajectory,
     k: ChannelKinetics,
     want_series: bool | Iterable[str] = False,
+    consumer: Optional[Callable[[int, dict], None]] = None,
 ) -> PathDiagnostics:
     """Replay a trajectory, integrating compensators on the frozen-rate grid.
 
@@ -239,8 +283,14 @@ def scan_path(
 
     ``want_series`` names the load series to keep, from :data:`SERIES`:
     ``True`` keeps all three, a false value none; the others are None.
+    With a ``consumer`` the named series are not kept but streamed: it
+    receives them one :func:`grid.riesz_chunk` of sample times at a time,
+    as ``consumer(start, loads)`` (see :class:`_SeriesScatter`), and the
+    returned series are None.
     """
     keep = _kept_series(want_series)
+    if consumer is not None and not keep:
+        raise ValueError("a consumer needs at least one series in want_series")
     n_states = traj.n_states
     count = traj.positions.size
     n_sub = traj.n_times - 1
@@ -259,7 +309,7 @@ def scan_path(
     series = None
     if keep:
         series = _SeriesScatter(traj.grid, traj.positions, n_states, traj.n_times,
-                                traj.n_scale, keep, block)
+                                traj.n_scale, keep, block, consumer)
         zero = np.zeros((1, n_states, count))
         series.fill(0, initial[None], zero, zero, zero)
     def replay_block(b0, b1, states, acc):
@@ -334,6 +384,9 @@ def scan_path(
     acc = np.zeros(2 * n_states * count)  # comp, then occ
     for b0 in range(0, n_sub, block):
         states, acc = replay_block(b0, min(b0 + block, n_sub), states, acc)
+    if consumer is not None:
+        series.flush()
+        series = None
 
     acc = acc.reshape(2, n_states, count)
     return PathDiagnostics(
@@ -427,9 +480,19 @@ def path_log_likelihood(traj: StochTrajectory, k: ChannelKinetics,
 
 def martingale_norm_series(traj: StochTrajectory, k: ChannelKinetics,
                            grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Dual norm of every state's martingale part at each sample time."""
-    m_loads = scan_path(traj, k, want_series=("m",)).m_loads
-    return traj.times, hminus1_norms(grid, m_loads)
+    """Dual norm of every state's martingale part at each sample time.
+
+    The loads stream from the replay one Riesz chunk of sample times at a
+    time, so only the (n_times, n_states) norms are held.
+    """
+    norms = np.empty((traj.n_times, traj.n_states))
+
+    def take(start, loads):
+        m = loads["m"]
+        norms[start:start + m.shape[0]] = hminus1_norms(grid, m)
+
+    scan_path(traj, k, want_series=("m",), consumer=take)
+    return traj.times, norms
 
 
 def write_martingale_norm_csv(traj: StochTrajectory, k: ChannelKinetics,

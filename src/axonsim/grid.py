@@ -292,6 +292,11 @@ def h10_norm(u: GridFunction) -> float:
 RIESZ_CHUNK_BYTES = 1 << 19
 
 
+def riesz_chunk(grid: Grid) -> int:
+    """Load vectors per multi-RHS solve: :data:`RIESZ_CHUNK_BYTES` of them."""
+    return max(1, RIESZ_CHUNK_BYTES // (8 * grid.n_interior))
+
+
 def hminus1_norms(grid: Grid, loads: np.ndarray) -> np.ndarray:
     """Dual norms sqrt(max(loads . u, 0)) with (K + M) u = loads, batched.
 
@@ -303,7 +308,7 @@ def hminus1_norms(grid: Grid, loads: np.ndarray) -> np.ndarray:
     loads = np.asarray(loads, dtype=float)
     flat = loads.reshape(-1, grid.n_interior)
     cb = riesz_cholesky(grid)
-    chunk = max(1, RIESZ_CHUNK_BYTES // (8 * grid.n_interior))
+    chunk = riesz_chunk(grid)
     val = np.empty(flat.shape[0])
     for i in range(0, flat.shape[0], chunk):
         part = flat[i:i + chunk]

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from axonsim import decomposition
+from axonsim import grid as grid_module
 from axonsim.decomposition import (
     SERIES,
     _scatter,
@@ -14,6 +17,7 @@ from axonsim.decomposition import (
     deviation_loads,
     drift_term,
     interpolate_at_channels,
+    martingale_norm_series,
     martingale_variance_bound,
     path_log_likelihood,
     scan_path,
@@ -24,11 +28,15 @@ from axonsim.grid import (
     GridFunction,
     NodalField,
     build_grid,
+    density_loads,
     hat_interpolate,
     hat_weights,
+    hminus1_norms,
     pairing,
+    riesz_chunk,
+    squared_norms,
 )
-from axonsim.harness import RunConfig, run_reference, run_replicate
+from axonsim.harness import RunConfig, deviation_metrics, run_reference, run_replicate
 from axonsim.kinetics import channel_rates, make_kinetics, rate_table
 from axonsim.profiles import fundamental_mode
 from axonsim.stochastic import (
@@ -800,3 +808,159 @@ class TestBlockReplay:
             traj = _frozen_reference_trajectory(g, rng, 3.0, 1.0)
             assert traj.n_times == 9
             assert_replay_matches_loop(traj, k)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_reference(config, time_horizon=None):
+    overrides = {"default": {}, "chain5": CHAIN5}[config]
+    if time_horizon is not None:
+        overrides = {**overrides, "time_horizon": time_horizon}
+    return run_reference(RunConfig.from_dict(overrides))
+
+
+def store_all_deviation_metrics(traj, det, grid, kin):
+    """Reference: every deviation series held at full length, then one max each."""
+    l2sq, dsq = squared_norms(grid, traj.v - det.v)
+    diag = scan_path(traj, kin, want_series=("c", "m"))
+    cmp_loads = diag.c_loads - density_loads(traj.grid, det.p)
+    return (float(np.sqrt(l2sq.max())), float(np.sqrt((l2sq + dsq).max())),
+            {name: float(hminus1_norms(grid, cmp_loads[:, s]).max())
+             for s, name in enumerate(kin.states)},
+            {name: float(hminus1_norms(grid, diag.m_loads[:, s]).max())
+             for s, name in enumerate(kin.states)})
+
+
+def assert_streamed_matches_store_all(traj, det, kin):
+    metrics = deviation_metrics(traj, det, traj.grid, kin)
+    assert (metrics.sup_l2, metrics.sup_h10, metrics.sup_hm1,
+            metrics.sup_mart_hm1) == store_all_deviation_metrics(traj, det, traj.grid, kin)
+    times, norms = martingale_norm_series(traj, kin, traj.grid)
+    assert times is traj.times
+    assert np.array_equal(norms, hminus1_norms(
+        traj.grid, scan_path(traj, kin, want_series=("m",)).m_loads))
+
+
+class TestStreamedSeries:
+    """Diagnostics that stream the series equal the store-all path's bits."""
+
+    @given(n_states=st.integers(2, 4),
+           n_times=st.integers(1, 25),
+           block=st.integers(1, 6),
+           chunk=st.integers(1, 9),
+           keep=st.sets(st.sampled_from(SERIES), min_size=1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scatter_chunks_match_store_all(self, n_states, n_times, block, chunk,
+                                            keep, seed):
+        g = build_grid(1.0, 12)
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 30))
+        positions = rng.uniform(-0.999, 0.999, size=count)
+        states = rng.integers(0, n_states, size=(n_times, count))
+        comp = rng.exponential(size=(n_times, n_states, count))
+        occ = rng.exponential(size=(n_times, n_states, count))
+        jumps_net = rng.integers(-2, 3, size=(n_times, n_states, count)).astype(float)
+        store_all = _SeriesScatter(g, positions, n_states, n_times, 3, keep, block)
+        got = {name: [] for name in keep}
+        starts = []
+
+        def consumer(start, loads):
+            assert set(loads) == keep
+            starts.append((start, loads[min(keep)].shape[0]))
+            for name in keep:
+                got[name].append(loads[name].copy())
+
+        with unittest.mock.patch.object(grid_module, "RIESZ_CHUNK_BYTES",
+                                        chunk * 8 * g.n_interior):
+            streamed = _SeriesScatter(g, positions, n_states, n_times, 3, keep, block,
+                                      consumer)
+        for series in (store_all, streamed):
+            for t in range(0, n_times, block):
+                rows = slice(t, t + block)
+                series.fill(t, states[rows], comp[rows], occ[rows], jumps_net[rows])
+        streamed.flush()
+        rows = min(chunk, n_times)
+        assert starts == [(t, min(rows, n_times - t)) for t in range(0, n_times, rows)]
+        for name in keep:
+            assert np.array_equal(np.concatenate(got[name]),
+                                  getattr(store_all, f"{name}_loads"))
+
+    @pytest.mark.parametrize("config, n_scale, horizon", [
+        ("default", 25, None), ("default", 800, None), ("chain5", 50, None),
+        ("default", 200, 0.37),
+    ], ids=["default-n25", "default-n800", "chain5-n50", "default-n200-t0.37"])
+    def test_matches_store_all(self, config, n_scale, horizon):
+        traj, kin = cached_replicate(config, n_scale, 0, horizon)
+        det = cached_reference(config, horizon)
+        if horizon is not None:
+            chunk = riesz_chunk(traj.grid)
+            assert traj.n_times % chunk != 0
+        assert_streamed_matches_store_all(traj, det, kin)
+
+    @pytest.mark.parametrize("config, n_scale, horizon, block, chunk", [
+        ("default", 200, 0.37, 3, 7), ("chain5", 50, None, 4, 6),
+        ("default", 25, 0.37, 5, 1),
+    ], ids=["default-n200", "chain5-n50", "default-n25-chunk1"])
+    def test_chunks_that_straddle_replay_blocks(self, monkeypatch, config, n_scale,
+                                                horizon, block, chunk):
+        traj, kin = cached_replicate(config, n_scale, 0, horizon)
+        det = cached_reference(config, horizon)
+        per_substep = 8 * traj.positions.size * kin.n_states * (kin.n_states + 6)
+        monkeypatch.setattr(decomposition, "REPLAY_BLOCK_BYTES", block * per_substep)
+        monkeypatch.setattr(grid_module, "RIESZ_CHUNK_BYTES",
+                            chunk * 8 * traj.grid.n_interior)
+        assert riesz_chunk(traj.grid) == chunk
+        handed = []
+        flush = _SeriesScatter.flush
+
+        def recording_flush(self):
+            if self.filled:
+                handed.append((self.start, self.filled))
+            flush(self)
+
+        monkeypatch.setattr(_SeriesScatter, "flush", recording_flush)
+        assert_streamed_matches_store_all(traj, det, kin)
+        # one pass of deviation_metrics, then one of martingale_norm_series
+        passes = [(t, min(chunk, traj.n_times - t)) for t in range(0, traj.n_times, chunk)]
+        assert handed == 2 * passes
+
+    def test_consumer_needs_a_series(self):
+        traj, kin = cached_replicate("chain5", 50, 0)
+        with pytest.raises(ValueError, match="consumer needs"):
+            scan_path(traj, kin, want_series=False, consumer=lambda start, loads: None)
+
+    def test_riesz_solves_per_replicate(self, monkeypatch):
+        traj, kin = cached_replicate("default", 25, 0)
+        det = cached_reference("default")
+        calls = []
+        solve = grid_module.riesz_solve
+
+        def counting_solve(cb, loads):
+            calls.append(loads.shape[1])
+            return solve(cb, loads)
+
+        monkeypatch.setattr(grid_module, "riesz_solve", counting_solve)
+        deviation_metrics(traj, det, traj.grid, kin)
+        # one solve per state and series for each of the 7 chunks of 2,001 times
+        assert len(calls) == 28
+        assert calls[:4] == [riesz_chunk(traj.grid)] * 4
+
+    @pytest.mark.parametrize("func, n_scale, bound_mb", [
+        ("deviation_metrics", 25, 8.0), ("deviation_metrics", 800, 8.0),
+        ("martingale_norm_series", 200, 6.0),
+    ])
+    def test_traced_peak_memory(self, func, n_scale, bound_mb):
+        traj, kin = cached_replicate("default", n_scale, 0)
+        det = cached_reference("default")
+        args = {"deviation_metrics": (deviation_metrics, (traj, det, traj.grid, kin)),
+                "martingale_norm_series": (martingale_norm_series,
+                                           (traj, kin, traj.grid))}
+        fn, fn_args = args[func]
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fn(*fn_args)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # a full-length series is (2,001 x 2 x 199) doubles, 6.4 MB
+        assert peak < bound_mb * 1e6

@@ -361,7 +361,9 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["det", "--stride", "0"], ["det", "--stride", "-2"], ["stoch", "--n", "0"],
-    ], ids=["det-stride-0", "det-stride-negative", "stoch-n-0"])
+        ["sweep", "--workers", "0"], ["sweep", "--workers", "-3"],
+    ], ids=["det-stride-0", "det-stride-negative", "stoch-n-0", "sweep-workers-0",
+            "sweep-workers-negative"])
     def test_counts_must_be_positive(self, tmp_path, capsys, argv):
         from axonsim.cli import main
 
@@ -373,6 +375,35 @@ class TestCli:
         assert exc.value.code == 2
         assert f"argument {argv[1]}: must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_replicate_index_must_be_nonnegative(self, tmp_path, capsys):
+        from axonsim.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "time_horizon": 0.02}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["stoch", "--replicate", "-1", "--config", str(cfg_path),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --replicate: must be a non-negative integer, got -1" in err
+        assert err.startswith("usage:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, suite", [
+        ("--replicates", "martingale"), ("--replicates", "likelihood"),
+        ("--workers", "martingale"),
+    ])
+    def test_validate_counts_must_be_positive(self, tmp_path, capsys, option, suite):
+        from axonsim.cli import main
+
+        report = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--suite", suite, option, "0", "--report", str(report)])
+        assert exc.value.code == 2
+        assert f"argument {option}: must be a positive integer" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_stoch_manifest_seed_matches_sweep_row(self, tmp_path):
         from axonsim.cli import main

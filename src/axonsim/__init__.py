@@ -37,8 +37,6 @@ from .stochastic import (
     ChannelConfig,
     StochasticState,
     StochTrajectory,
-    channel_source,
-    empirical_distribution,
     init_channels,
     run_stoch,
 )
@@ -70,12 +68,10 @@ __all__ = [
     "absorbed_kernel",
     "apply_semigroup",
     "build_grid",
-    "channel_source",
     "delta_functional",
     "density_functional",
     "deviation_metrics",
     "drift_term",
-    "empirical_distribution",
     "eval_at",
     "fit_rate",
     "h10_norm",

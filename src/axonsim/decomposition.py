@@ -12,7 +12,9 @@ pieces from a recorded trajectory: per-channel compensator integrals, the
 martingale load series, its predicted variance, the a-priori variance cap,
 and the path log-likelihood against a uniform reference chain.  The replay
 reads the frozen channel voltages from the trajectory's snapshots, by the
-same hat interpolation the simulator froze them with.
+same hat interpolation the simulator froze them with, and puts its
+per-channel masses on the grid by its dual, ``grid.hat_scatter``, the
+kernel that also assembles the simulator's point sources.
 
 The replay works a block of substeps per call: one interpolation and one
 rate table for the block's snapshots, each substep's starting states
@@ -47,12 +49,15 @@ from .grid import (
     density_functional,
     density_loads,
     hat_interpolate,
+    hat_scatter,
+    hat_scatter_arrays,
+    hat_scatter_bins,
     hat_weights,
     hminus1_norms,
     riesz_chunk,
 )
 from .kinetics import ChannelKinetics, channel_rates, rate_table
-from .stochastic import ChannelConfig, StochTrajectory, _interior_hat_arrays
+from .stochastic import ChannelConfig, StochTrajectory
 
 
 @dataclass(eq=False)
@@ -71,13 +76,6 @@ class PathDiagnostics:
     c_loads: Optional[np.ndarray]    # (n_times, n_states, n_interior)
     comp_loads: Optional[np.ndarray]
     m_loads: Optional[np.ndarray]
-
-
-def _scatter(idx_lo, wt_lo, idx_hi, wt_hi, weights, n_interior) -> np.ndarray:
-    return (
-        np.bincount(idx_lo, weights=weights * wt_lo, minlength=n_interior)
-        + np.bincount(idx_hi, weights=weights * wt_hi, minlength=n_interior)
-    )
 
 
 # Load series scan_path can keep: hat loads of the state indicators 1{s = xi}/N
@@ -101,10 +99,9 @@ class _SeriesScatter:
 
     Each sample time has, for every state xi, up to three per-channel rows
     (each over N): the indicator of s = xi, comp - occ, and jumps_net.  For a
-    block of b times each (row kind, state) is scattered by one ``bincount``
-    per hat side, bin ``time * n_int + idx``; every bin receives its channels
-    in ascending order, as a per-time ``bincount`` does, so the loads are
-    bit-identical to scattering each time on its own.
+    block of b times each (row kind, state) is one batched
+    :func:`grid.hat_scatter` call, with its bins built once for the block
+    size; each row's loads are the bits of scattering that time on its own.
 
     Without a ``consumer`` the loads of every sample time are kept.  With one,
     the series live in a buffer of :func:`grid.riesz_chunk` sample times:
@@ -116,7 +113,7 @@ class _SeriesScatter:
 
     def __init__(self, grid: Grid, positions: np.ndarray, n_states: int,
                  n_times: int, n_scale: int, keep, block: int, consumer=None):
-        idx_lo, self.wt_lo, idx_hi, self.wt_hi = _interior_hat_arrays(grid, positions)
+        self.scatter = hat_scatter_arrays(grid, positions)
         self.n_int = grid.n_interior
         self.n_states = n_states
         self.inv_n = 1.0 / n_scale
@@ -128,9 +125,7 @@ class _SeriesScatter:
         self.c_loads = np.zeros(shape) if "c" in keep else None
         self.comp_loads = np.zeros(shape) if "comp" in keep else None
         self.m_loads = np.zeros(shape) if "m" in keep else None
-        rows = np.arange(block)[:, None] * self.n_int
-        self.bins_lo = (rows + idx_lo).ravel()
-        self.bins_hi = (rows + idx_hi).ravel()
+        self.bins = hat_scatter_bins(self.scatter[0], self.n_int, block)
 
     def fill(self, t: int, states: np.ndarray, comp, occ, jumps_net) -> None:
         """Loads at the sample times t, t+1, ... of b per-time rows.
@@ -176,13 +171,7 @@ class _SeriesScatter:
 
     def _loads(self, rows: np.ndarray) -> np.ndarray:
         """Hat loads (b, n_int) of b per-channel rows."""
-        n = rows.size
-        size = rows.shape[0] * self.n_int
-        loads = np.bincount(self.bins_lo[:n], weights=(rows * self.wt_lo).ravel(),
-                            minlength=size)
-        loads += np.bincount(self.bins_hi[:n], weights=(rows * self.wt_hi).ravel(),
-                             minlength=size)
-        return loads.reshape(rows.shape[0], self.n_int)
+        return hat_scatter(rows, self.scatter, self.n_int, self.bins)
 
 
 def _kept_series(want_series) -> frozenset:
@@ -419,9 +408,8 @@ def drift_term(
     v_chan = interpolate_at_channels(v, positions)
     rate_to = channel_rates(rate_table(k, v_chan), channels.states)
     coeff = np.where(channels.states == s, -rate_to.sum(axis=0), rate_to[s])
-    idx_lo, wt_lo, idx_hi, wt_hi = _interior_hat_arrays(grid, positions)
-    loads = _scatter(idx_lo, wt_lo, idx_hi, wt_hi, coeff / channels.n_scale,
-                     grid.n_interior)
+    loads = hat_scatter(coeff / channels.n_scale, hat_scatter_arrays(grid, positions),
+                        grid.n_interior)
     return Functional(grid, loads) - density_functional(det_drift)
 
 

@@ -22,6 +22,7 @@ and raises at the same step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +161,25 @@ def step_guard(dt: float, k: ChannelKinetics, limit: float = 0.5) -> None:
         )
 
 
+def step_count(t_horizon: float, dt: float) -> int:
+    """Steps of length dt to the horizon, which must be a whole number of them.
+
+    Rejects a negative or non-finite horizon, a step that is not positive and
+    finite, and a horizon more than 1e-9 (relative, above 1) off a multiple
+    of the step.  A zero horizon is zero steps of any dt.
+    """
+    if not (math.isfinite(t_horizon) and t_horizon >= 0):
+        raise ValueError(f"time horizon must be finite and nonnegative, got {t_horizon}")
+    if t_horizon == 0:
+        return 0
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"time step must be positive and finite, got {dt}")
+    n_steps = int(round(t_horizon / dt))
+    if abs(n_steps * dt - t_horizon) > 1e-9 * max(1.0, t_horizon):
+        raise ValueError(f"horizon {t_horizon} is not a multiple of dt={dt}")
+    return n_steps
+
+
 def _step_operators(grid: Grid, k: ChannelKinetics) -> tuple:
     """What a Strang step reuses: the stiffness and mass bands (diagonal,
     off-diagonal each) and the source weights c_xi v_xi."""
@@ -289,15 +309,10 @@ def run_det(
     error inside a block first flushes the ledger, so whichever check fails
     first raises.
     """
-    if t_horizon < 0:
-        raise ValueError("time horizon must be nonnegative")
+    n_steps = step_count(t_horizon, dt)
     init.validate(k)
     grid = init.v.grid
-
-    n_steps = int(round(t_horizon / dt)) if t_horizon > 0 else 0
-    if t_horizon > 0:
-        if abs(n_steps * dt - t_horizon) > 1e-9 * max(1.0, t_horizon):
-            raise ValueError(f"horizon {t_horizon} is not a multiple of dt={dt}")
+    if n_steps:
         step_guard(dt, k, limit=0.5)
 
     v0_full = init.v.full()

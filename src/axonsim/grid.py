@@ -17,6 +17,7 @@ functions with ||theta||_H1 <= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -341,7 +342,7 @@ def hat_weights(grid: Grid, y: float | np.ndarray):
     Returns (index, w_left, w_right) where ``index`` is the cell number c so
     that y lies in [x_c, x_{c+1}]; w_left belongs to global node c and
     w_right to global node c+1.  Weights on the two boundary nodes are
-    dropped by the callers (the hats there do not exist).
+    dropped by :func:`hat_scatter_arrays` (the hats there do not exist).
     """
     g = grid
     y = np.asarray(y, dtype=float)
@@ -364,17 +365,56 @@ def hat_interpolate(full: np.ndarray, hats) -> np.ndarray:
     return np.take(full, cell, axis=-1) * wl + np.take(full, cell + 1, axis=-1) * wr
 
 
+def hat_scatter_arrays(grid: Grid, y: np.ndarray):
+    """Interior scatter arrays (index, weight), each (2, count), of positions y.
+
+    Row 0 is the left node of each position's cell and row 1 the right one,
+    as interior indices.  A boundary node has no hat: its weight is zeroed
+    and its index clipped into range.
+    """
+    cell, wl, wr = hat_weights(grid, y)
+    last = grid.n_interior - 1
+    index = np.clip(np.stack((cell - 1, cell)), 0, last)
+    weight = np.stack((np.where(cell >= 1, wl, 0.0), np.where(cell <= last, wr, 0.0)))
+    return index, weight
+
+
+def hat_scatter_bins(index: np.ndarray, size: int, rows: int) -> np.ndarray:
+    """Flat bins (row, side, position) of :func:`hat_scatter` for ``rows`` rows."""
+    return (np.arange(rows)[:, None, None] * size + index).ravel()
+
+
+def hat_scatter(rows: np.ndarray, scatter, size: int, bins=None) -> np.ndarray:
+    """Hat loads of per-position values: the dual of :func:`hat_interpolate`.
+
+    ``rows`` holds one value per position along its last axis, as one row
+    (count,) or a batch (b, count); ``scatter`` is the (index, weight) pair
+    of :func:`hat_scatter_arrays`, or any (sides, count) pair of index and
+    weight arrays.  Returns loads of shape rows.shape[:-1] + (size,),
+    sum_i rows_i * weight[side, i] into index[side, i].
+
+    One ``bincount`` does it.  Its bins are laid out as (row, side,
+    position), so each bin receives side 0's positions in ascending order,
+    then side 1's: the sums of sequential ``np.add.at`` calls, one per side.
+    ``bins`` from :func:`hat_scatter_bins` for at least b rows may be
+    passed to skip building them.
+    """
+    index, weight = scatter
+    values = rows[..., None, :] * weight
+    n_rows = math.prod(rows.shape[:-1])
+    if bins is None:
+        bins = hat_scatter_bins(index, size, n_rows)
+    loads = np.bincount(bins[:values.size], weights=values.ravel(),
+                        minlength=n_rows * size)
+    return loads.reshape(rows.shape[:-1] + (size,))
+
+
 def delta_functional(y: float, grid: Grid) -> Functional:
     """Dirac mass at a point strictly inside the interval, as hat loads."""
     if not (-grid.half_length < y < grid.half_length):
         raise ValueError(f"delta position {y} not strictly inside the interval")
-    loads = np.zeros(grid.n_interior)
-    cell, wl, wr = hat_weights(grid, y)
-    c = int(cell)
-    if c >= 1:
-        loads[c - 1] += wl
-    if c + 1 <= grid.cells - 1:
-        loads[c] += wr
+    loads = hat_scatter(np.ones(1), hat_scatter_arrays(grid, np.array([y])),
+                        grid.n_interior)
     return Functional(grid, loads)
 
 

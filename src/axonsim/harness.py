@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__
 from .csvtext import csv_lines, quote, write_csv
 from .decomposition import scan_path
-from .deterministic import _LEDGER_BLOCK, DeterministicState, DetTrajectory, run_det
+from .deterministic import (_LEDGER_BLOCK, DeterministicState, DetTrajectory, run_det,
+                            step_count)
 from .grid import Grid, build_grid, density_loads, hminus1_norms, squared_norms
 from .kinetics import ChannelKinetics, make_kinetics
 from .profiles import build_p0, build_v0
@@ -112,8 +113,10 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def validate(self) -> None:
-        if self.half_length <= 0 or self.time_horizon < 0 or self.dt <= 0:
-            raise ValueError("half_length, time_horizon, dt must be positive")
+        if not (np.isfinite(self.half_length) and self.half_length > 0
+                and np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("half_length and dt must be positive and finite")
+        step_count(self.time_horizon, self.dt)
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         if any(n < 1 for n in self.sweep_n):

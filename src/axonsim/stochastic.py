@@ -39,11 +39,12 @@ import numpy as np
 from .csvtext import csv_lines, quote, write_csv
 from .errors import InvariantViolation
 from .grid import (
-    Functional,
     Grid,
     GridFunction,
     NodalField,
     hat_interpolate,
+    hat_scatter,
+    hat_scatter_arrays,
     hat_weights,
     mass_bands,
     stiffness_bands,
@@ -51,7 +52,7 @@ from .grid import (
     tridiag_factor_solve,
     tridiag_solve,
 )
-from .deterministic import _LEDGER_BLOCK, DissipationLedger, step_guard
+from .deterministic import _LEDGER_BLOCK, DissipationLedger, step_count, step_guard
 from .kinetics import ChannelKinetics, channel_rates, rate_table
 
 STOCH_GUARD = 0.2
@@ -164,44 +165,6 @@ def init_channels(
     return ChannelConfig(n_scale=n_scale, positions=x, states=states)
 
 
-def _interior_hat_arrays(grid: Grid, x: np.ndarray):
-    """Interior-index scatter arrays (idx, weight) x 2 for hat loads at x."""
-    cell, wl, wr = hat_weights(grid, x)
-    idx_lo = cell - 1
-    idx_hi = cell
-    wt_lo = np.where(idx_lo >= 0, wl, 0.0)
-    wt_hi = np.where(idx_hi <= grid.n_interior - 1, wr, 0.0)
-    idx_lo = np.clip(idx_lo, 0, grid.n_interior - 1)
-    idx_hi = np.clip(idx_hi, 0, grid.n_interior - 1)
-    return idx_lo, wt_lo, idx_hi, wt_hi
-
-
-def empirical_distribution(channels: ChannelConfig, state, grid: Grid,
-                           k: Optional[ChannelKinetics] = None) -> Functional:
-    """Mass 1/N at every channel currently in the given state, as hat loads."""
-    s = k.state_index(state) if k is not None else int(state)
-    idx_lo, wt_lo, idx_hi, wt_hi = _interior_hat_arrays(grid, channels.positions)
-    sel = channels.states == s
-    loads = np.zeros(grid.n_interior)
-    np.add.at(loads, idx_lo[sel], wt_lo[sel])
-    np.add.at(loads, idx_hi[sel], wt_hi[sel])
-    return Functional(grid, loads / channels.n_scale)
-
-
-def channel_source(channels: ChannelConfig, v: GridFunction,
-                   k: ChannelKinetics, grid: Grid) -> Functional:
-    """Weighted point-source functional (1/N) sum_i c_i (v_i - V(x_i)) delta_{x_i}."""
-    v_chan = hat_interpolate(v.full(), hat_weights(grid, channels.positions))
-    c = k.conductance[channels.states]
-    drive = k.driving[channels.states]
-    weights = c * (drive - v_chan) / channels.n_scale
-    idx_lo, wt_lo, idx_hi, wt_hi = _interior_hat_arrays(grid, channels.positions)
-    loads = np.zeros(grid.n_interior)
-    np.add.at(loads, idx_lo, weights * wt_lo)
-    np.add.at(loads, idx_hi, weights * wt_hi)
-    return Functional(grid, loads)
-
-
 class _HybridCore:
     """Mutable stepping engine; owns the state and the assembled operators."""
 
@@ -216,33 +179,28 @@ class _HybridCore:
         self.kd, self.ko = stiffness_bands(grid)
         self.md, self.mo = mass_bands(grid)
         self.hats = hat_weights(grid, self.positions)
-        (self.idx_lo, self.wt_lo, self.idx_hi, self.wt_hi) = _interior_hat_arrays(
-            grid, self.positions
-        )
+        self.scatter = hat_scatter_arrays(grid, self.positions)
+        (self.idx_lo, self.idx_hi), (self.wt_lo, self.wt_hi) = self.scatter
         self.off_idx = np.clip(self.hats[0] - 1, 0, max(grid.n_interior - 2, 0))
         self.wt_cross = self.wt_lo * self.wt_hi
         self.v_full = np.zeros(grid.cells + 1)
         self.v_full[1:-1] = v_interior
-        n_int = grid.n_interior
-        self.bd = np.zeros(n_int)
-        self.bo = np.zeros(max(n_int - 1, 0))
-        self.cload = np.zeros(n_int)
         # (dt, factor of the CN matrix, rhs diagonal, rhs off-diagonal) of a
         # whole no-jump substep; a jump that changes the operator drops it
         self._full_step = None
         self._assemble_source()
 
     def _assemble_source(self) -> None:
+        """The point sources' operator B and load: B's diagonal takes each
+        hat's square, its off-diagonal (one-sided) the product of a cell's
+        two hats, and the load the hats themselves."""
         c = self.k.conductance[self.states] / self.n
         cv = c * self.k.driving[self.states]
-        self.bd[:] = 0.0
-        self.bo[:] = 0.0
-        self.cload[:] = 0.0
-        np.add.at(self.bd, self.idx_lo, c * self.wt_lo**2)
-        np.add.at(self.bd, self.idx_hi, c * self.wt_hi**2)
-        np.add.at(self.bo, self.off_idx, c * self.wt_cross)
-        np.add.at(self.cload, self.idx_lo, cv * self.wt_lo)
-        np.add.at(self.cload, self.idx_hi, cv * self.wt_hi)
+        index, weight = self.scatter
+        n_int = self.grid.n_interior
+        self.bd = hat_scatter(c, (index, weight**2), n_int)
+        self.bo = hat_scatter(c, (self.off_idx[None], self.wt_cross[None]), n_int - 1)
+        self.cload = hat_scatter(cv, self.scatter, n_int)
 
     def _apply_jump(self, i: int, dst: int) -> None:
         src = self.states[i]
@@ -375,13 +333,9 @@ def run_stoch(
     block of substeps at a time, from the snapshots; an error inside a block
     first flushes the ledger, so whichever check fails first raises.
     """
-    if t_horizon < 0:
-        raise ValueError("time horizon must be nonnegative")
     grid = init.v.grid
-    n_steps = int(round(t_horizon / dt)) if t_horizon > 0 else 0
-    if t_horizon > 0:
-        if abs(n_steps * dt - t_horizon) > 1e-9 * max(1.0, t_horizon):
-            raise ValueError(f"horizon {t_horizon} is not a multiple of dt={dt}")
+    n_steps = step_count(t_horizon, dt)
+    if n_steps:
         step_guard(dt, k, limit=STOCH_GUARD)
     rng = make_rng(seed)
     core = _HybridCore(grid, k, init.channels, init.v.values)

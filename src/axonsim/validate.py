@@ -112,6 +112,15 @@ def kernel_suite() -> list[Check]:
     return checks
 
 
+def _replicate_tasks(cfg_raw: dict, n_scale: int, replicates: int, workers: int) -> list:
+    """(config, N, first, stop) batches of consecutive replicates, about 8 per
+    worker.  Streams are keyed by replicate, so the split changes no value,
+    and ``parallel_map`` returns the batches in replicate order."""
+    chunk = max(20, replicates // (8 * max(workers, 1)))
+    return [(cfg_raw, n_scale, lo, min(lo + chunk, replicates))
+            for lo in range(0, replicates, chunk)]
+
+
 # --- martingale suite -------------------------------------------------------
 
 def _martingale_batch(args) -> np.ndarray:
@@ -149,11 +158,7 @@ def martingale_suite(
     grid, kin, _, _ = cfg.build()
     phi = fundamental_mode(grid)
 
-    chunk = max(25, replicates // (8 * max(workers, 1)))
-    tasks = [
-        (cfg.raw, n_scale, lo, min(lo + chunk, replicates))
-        for lo in range(0, replicates, chunk)
-    ]
+    tasks = _replicate_tasks(cfg.raw, n_scale, replicates, workers)
     batches = parallel_map(_martingale_batch, tasks, workers)
     data = np.concatenate(batches, axis=0)
     vals, preds = data[:, 0, :], data[:, 1, :]
@@ -314,11 +319,7 @@ def self_convergence_suite(
     ses = {}
     for level, dt_scale in (("dt", 1.0), ("dt/2", 0.5)):
         cfg = RunConfig.from_dict({**raw, "dt": RunConfig.from_dict(raw).dt * dt_scale})
-        chunk = max(20, replicates // (8 * max(workers, 1)))
-        tasks = [
-            (cfg.raw, n_scale, lo, min(lo + chunk, replicates))
-            for lo in range(0, replicates, chunk)
-        ]
+        tasks = _replicate_tasks(cfg.raw, n_scale, replicates, workers)
         vals = np.concatenate(parallel_map(_selfconv_batch, tasks, workers))
         means[level] = float(vals.mean())
         ses[level] = float(vals.std(ddof=1) / np.sqrt(replicates))

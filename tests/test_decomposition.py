@@ -12,7 +12,6 @@ from axonsim import decomposition
 from axonsim import grid as grid_module
 from axonsim.decomposition import (
     SERIES,
-    _scatter,
     _SeriesScatter,
     deviation_loads,
     drift_term,
@@ -30,6 +29,8 @@ from axonsim.grid import (
     build_grid,
     density_loads,
     hat_interpolate,
+    hat_scatter,
+    hat_scatter_arrays,
     hat_weights,
     hminus1_norms,
     pairing,
@@ -45,10 +46,10 @@ from axonsim.stochastic import (
     StochTrajectory,
     init_channels,
     make_rng,
-    _interior_hat_arrays,
     run_stoch,
 )
 from axonsim.validate import _frozen_reference_trajectory
+from test_grid import add_at_scatter
 
 
 def constant_kinetics(up=0.8, down=0.4, c_open=0.0, clamp=(0.01, 2.0)):
@@ -240,7 +241,7 @@ class TestDriftTerm:
         from axonsim.grid import density_functional, h10_norm, hminus1_norm, l2_norm
 
         drift = proportion_drift(det, 0, kin, 1)
-        dens = [density_functional(p0[s]) for s in range(2)]
+        dens = np.stack([density_functional(p0[s]).loads for s in range(2)])
 
         def calibration(n, reps, seed):
             rng = make_rng(seed)
@@ -251,12 +252,11 @@ class TestDriftTerm:
                     grid, rng.normal(scale=0.05, size=grid.n_interior))
                 v = v0 + perturb
                 q = drift_term(ch, v, "open", kin, drift, grid)
-                from axonsim.stochastic import empirical_distribution
-
-                denom = (1 + h10_norm(v)) * sum(
-                    hminus1_norm(empirical_distribution(ch, s, grid) - dens[s])
-                    for s in range(2)
-                ) + l2_norm(perturb)
+                empirical = hat_scatter((ch.states == np.arange(2)[:, None]) / n,
+                                        hat_scatter_arrays(grid, ch.positions),
+                                        grid.n_interior)
+                denom = (1 + h10_norm(v)) * hminus1_norms(
+                    grid, empirical - dens).sum() + l2_norm(perturb)
                 ratios.append(hminus1_norm(q) / denom)
             return max(ratios)
 
@@ -555,8 +555,9 @@ class TestReplayVoltages:
 
 
 def per_time_loads(grid, positions, n_scale, inputs):
-    """Reference: three per-state scatters per sample time, one time at a time."""
-    idx_lo, wt_lo, idx_hi, wt_hi = _interior_hat_arrays(grid, positions)
+    """Reference: three per-state scatters per sample time, one time at a
+    time, by the per-row ``np.add.at`` oracle."""
+    scatter = hat_scatter_arrays(grid, positions)
     n_int = grid.n_interior
     inv_n = 1.0 / n_scale
     n_states = inputs[0][1].shape[0]
@@ -564,17 +565,11 @@ def per_time_loads(grid, positions, n_scale, inputs):
     c_loads, comp_loads, m_loads = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     for t, (states, comp, occ, jumps_net) in enumerate(inputs):
         for xi in range(n_states):
-            sel = states == xi
-            c_loads[t, xi] = _scatter(
-                idx_lo[sel], wt_lo[sel], idx_hi[sel], wt_hi[sel],
-                np.full(int(sel.sum()), inv_n), n_int,
-            )
+            c_loads[t, xi] = add_at_scatter((states == xi) * inv_n, scatter, n_int)
             net = (comp[xi] - occ[xi]) * inv_n
-            comp_loads[t, xi] = _scatter(idx_lo, wt_lo, idx_hi, wt_hi, net, n_int)
-            m_loads[t, xi] = (
-                _scatter(idx_lo, wt_lo, idx_hi, wt_hi, jumps_net[xi] * inv_n, n_int)
-                - comp_loads[t, xi]
-            )
+            comp_loads[t, xi] = add_at_scatter(net, scatter, n_int)
+            m_loads[t, xi] = (add_at_scatter(jumps_net[xi] * inv_n, scatter, n_int)
+                              - comp_loads[t, xi])
     return c_loads, comp_loads, m_loads
 
 

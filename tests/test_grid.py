@@ -16,6 +16,9 @@ from axonsim.grid import (
     eval_at,
     h10_norm,
     hat_interpolate,
+    hat_scatter,
+    hat_scatter_arrays,
+    hat_scatter_bins,
     hat_weights,
     hminus1_norm,
     hminus1_norms,
@@ -324,6 +327,14 @@ class TestDelta:
                 eval_at(u, y), abs=1e-13
             )
 
+    def test_matches_old_body(self):
+        for cells in (2, 4, 17, 200):
+            g = build_grid(1.0, cells)
+            ys = np.concatenate((np.linspace(-0.999, 0.999, 401), g.nodes[1:-1]))
+            for y in ys:
+                assert np.array_equal(delta_functional(float(y), g).loads,
+                                      old_delta_loads(float(y), g))
+
     def test_rejects_boundary(self):
         g = build_grid(1.0, 4)
         with pytest.raises(ValueError):
@@ -402,6 +413,92 @@ class TestHatInterpolate:
             assert np.array_equal(got[b], hat_interpolate(full[b], hat_weights(g, x)))
             np.testing.assert_allclose(got[b], np.interp(x, g.nodes, full[b]),
                                        rtol=0, atol=1e-12)
+
+
+def add_at_scatter(rows, scatter, size):
+    """Oracle: hat loads of each row by one ``np.add.at`` per side, side 0 first."""
+    index, weight = scatter
+    rows = np.asarray(rows, dtype=float)
+    flat = rows.reshape(-1, rows.shape[-1])
+    out = np.zeros((flat.shape[0], size))
+    for loads, row in zip(out, flat):
+        for idx, wt in zip(index, weight):
+            np.add.at(loads, idx, row * wt)
+    return out.reshape(rows.shape[:-1] + (size,))
+
+
+def old_delta_loads(y, g):
+    """Oracle: the body of ``delta_functional`` before it used the scatter kernel."""
+    loads = np.zeros(g.n_interior)
+    cell, wl, wr = hat_weights(g, y)
+    c = int(cell)
+    if c >= 1:
+        loads[c - 1] += wl
+    if c + 1 <= g.cells - 1:
+        loads[c] += wr
+    return loads
+
+
+@st.composite
+def scatter_positions(draw):
+    """A grid and positions inside it: random, on nodes, and in the outermost
+    cells, where one of the two hats is truncated."""
+    cells = draw(st.integers(2, 40))
+    g = build_grid(1.0, cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 40))
+    on_nodes = rng.choice(g.nodes[1:-1], size=count)
+    outer = rng.uniform(0.0, g.h, size=count) * rng.choice([-1.0, 1.0], size=count)
+    outer = np.where(outer < 0, -1.0 - outer, 1.0 - outer)
+    inside = rng.uniform(-1.0, 1.0, size=count)
+    kind = rng.integers(0, 3, size=count)
+    positions = np.choose(kind, (inside, on_nodes, outer))
+    positions = positions[np.abs(positions) < 1.0]
+    return g, positions if positions.size else np.array([0.0]), rng
+
+
+class TestHatScatter:
+    @given(setup=scatter_positions(), batch=st.integers(1, 8))
+    def test_matches_per_row_add_at(self, setup, batch):
+        g, x, rng = setup
+        scatter = hat_scatter_arrays(g, x)
+        rows = rng.normal(size=(batch, x.size))
+        got = hat_scatter(rows, scatter, g.n_interior)
+        assert got.shape == (batch, g.n_interior)
+        assert np.array_equal(got, add_at_scatter(rows, scatter, g.n_interior))
+        assert np.array_equal(hat_scatter(rows[0], scatter, g.n_interior), got[0])
+        bins = hat_scatter_bins(scatter[0], g.n_interior, batch + 3)
+        assert np.array_equal(hat_scatter(rows, scatter, g.n_interior, bins), got)
+
+    @given(setup=scatter_positions(), batch=st.integers(1, 8))
+    def test_adjoint_of_interpolation(self, setup, batch):
+        g, x, rng = setup
+        rows = rng.normal(size=(batch, x.size))
+        phi = GridFunction(g, rng.normal(size=g.n_interior))
+        lhs = hat_scatter(rows, hat_scatter_arrays(g, x), g.n_interior) @ phi.values
+        rhs = rows @ hat_interpolate(phi.full(), hat_weights(g, x))
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+    @given(setup=scatter_positions())
+    def test_arrays_drop_only_the_boundary_hats(self, setup):
+        g, x, _ = setup
+        (idx_lo, idx_hi), (wt_lo, wt_hi) = hat_scatter_arrays(g, x)
+        cell, wl, wr = hat_weights(g, x)
+        assert idx_lo.min() >= 0 and idx_hi.max() <= g.n_interior - 1
+        assert np.array_equal(wt_lo, np.where(cell == 0, 0.0, wl))
+        assert np.array_equal(wt_hi, np.where(cell == g.cells - 1, 0.0, wr))
+        assert np.array_equal(idx_lo[cell >= 1], cell[cell >= 1] - 1)
+        assert np.array_equal(idx_hi[cell <= g.cells - 2], cell[cell <= g.cells - 2])
+
+    def test_one_sided_scatter(self):
+        # one (1, count) pair of index and weight arrays, as B's off-diagonal uses
+        g = build_grid(1.0, 10)
+        index = np.array([[0, 3, 3, 7]])
+        weight = np.array([[0.5, 0.25, 0.125, 1.0]])
+        rows = np.array([2.0, 4.0, 8.0, 1.0])
+        expected = np.zeros(8)
+        expected[[0, 3, 7]] = [1.0, 2.0, 1.0]
+        assert np.array_equal(hat_scatter(rows, (index, weight), 8), expected)
 
 
 class TestPairing:

@@ -59,6 +59,19 @@ class TestRunConfig:
             RunConfig.from_dict({**SMALL, "v0": {
                 "form": "eigenfunction", "params": {"mode": 1, "amplitude": 2.0}}})
 
+    @pytest.mark.parametrize("override", [
+        {"dt": float("nan")}, {"dt": float("inf")}, {"dt": 0.0},
+        {"time_horizon": float("nan")}, {"time_horizon": float("inf")},
+        {"time_horizon": -0.2},
+        {"half_length": float("nan")}, {"half_length": float("inf")},
+        {"time_horizon": 0.0105, "dt": 1e-3},
+    ], ids=["dt-nan", "dt-inf", "dt-zero", "horizon-nan", "horizon-inf",
+            "horizon-negative", "half-length-nan", "half-length-inf",
+            "horizon-not-a-step-multiple"])
+    def test_rejects_invalid_numbers(self, override):
+        with pytest.raises(ValueError):
+            RunConfig.from_dict({**SMALL, **override})
+
     def test_refined_doubles_resolution(self):
         cfg = RunConfig.from_dict(SMALL).refined()
         assert cfg.cells == 120 and cfg.dt == 1e-3
@@ -430,6 +443,17 @@ class TestCli:
         assert set(payload["per_state"]) == {"closed", "open"}
         assert "predicted_variance" in payload["per_state"]["open"]
         assert len(payload["checks"]) == len(checks)
+
+    @pytest.mark.parametrize("replicates, workers", [(1, 1), (19, 2), (20, 1), (61, 1),
+                                                     (2000, 2), (1000, 3)])
+    def test_validate_replicate_tasks_cover_in_order(self, replicates, workers):
+        from axonsim.validate import _replicate_tasks
+
+        tasks = _replicate_tasks({"seed": 1}, 50, replicates, workers)
+        assert all(t[:2] == ({"seed": 1}, 50) for t in tasks)
+        bounds = [(lo, hi) for _, _, lo, hi in tasks]
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == replicates and all(lo < hi for lo, hi in bounds)
 
     def test_validate_norms(self, capsys):
         from axonsim.cli import main

@@ -1,4 +1,13 @@
+import ast
+import re
+from pathlib import Path
+
 import axonsim
+
+SRC = Path(axonsim.__file__).parent
+
+# The one hat-scatter kernel, and the one other histogram in the package.
+SCATTER_HOMES = {("grid.py", "hat_scatter"), ("stochastic.py", "ChannelConfig.state_counts")}
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -7,3 +16,41 @@ def test_all_is_sorted_unique_and_resolves():
     assert len(set(names)) == len(names)
     missing = [n for n in names if not hasattr(axonsim, n)]
     assert missing == []
+
+
+def _functions(tree):
+    """(qualified name, first line, last line) of every function in a module."""
+    out = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    out.append((name, child.lineno, child.end_lineno))
+                walk(child, name + ".")
+
+    walk(tree, "")
+    return out
+
+
+def test_hat_scatter_has_one_home():
+    """``np.add.at`` and ``bincount`` appear, code or text, only in the kernel
+    and ``ChannelConfig.state_counts``; no module imports another's private
+    hat or scatter helper."""
+    strays, private = [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        funcs = _functions(tree)
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if re.search(r"np\.add\.at|bincount", line):
+                homes = [name for name, lo, hi in funcs if lo <= lineno <= hi]
+                if not homes or (path.name, homes[-1]) not in SCATTER_HOMES:
+                    strays.append(f"{path.name}:{lineno}: {line.strip()}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                private += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.startswith("_") and re.search("hat|scatter", a.name)]
+    assert strays == []
+    assert private == []

@@ -8,14 +8,17 @@ from scipy.linalg import solve_banded
 
 from axonsim import deterministic, stochastic
 from axonsim.errors import InvariantViolation
+from axonsim.decomposition import scan_path
 from axonsim.grid import (
     GridFunction,
     NodalField,
     build_grid,
     eval_at,
-    hminus1_norm,
+    hat_scatter,
+    hat_scatter_arrays,
+    hat_weights,
+    hminus1_norms,
     l2_norm,
-    pairing,
 )
 from axonsim.harness import RunConfig, run_reference, run_replicate
 from axonsim.heat import KernelParams, apply_semigroup
@@ -26,8 +29,6 @@ from axonsim.stochastic import (
     StochasticState,
     StochTrajectory,
     channel_positions,
-    channel_source,
-    empirical_distribution,
     init_channels,
     make_rng,
     run_stoch,
@@ -38,6 +39,7 @@ from axonsim.stochastic import (
 )
 from axonsim.grid import density_functional
 from test_decomposition import CHAIN5, cached_replicate, most_jumps_in_one_substep
+from test_grid import add_at_scatter
 
 
 def kinetics(c_open=1.0, up=0.8, down=0.4, clamp=(0.01, 2.0)):
@@ -58,6 +60,41 @@ def uniform_p0(grid, p_open):
     n = grid.cells + 1
     return [NodalField(grid, (1 - p_open) * np.ones(n)),
             NodalField(grid, p_open * np.ones(n))]
+
+
+def initial_c_loads(cfg, g):
+    """The empirical distributions C_xi(0) as the replay scatters them: the
+    (n_states, n_int) ``c`` loads at time 0 of a zero-horizon run."""
+    k = kinetics()
+    state = StochasticState(0.0, GridFunction(g, np.zeros(g.n_interior)), cfg)
+    traj = run_stoch(state, 0.0, 1e-3, k, 0)
+    return scan_path(traj, k, want_series=("c",)).c_loads[0]
+
+
+def core_source(cfg, v, k, g):
+    """The assembled point-source loads (1/N) sum_i c_i (v_i - V(x_i)) delta_{x_i}
+    of ``_HybridCore``: cload - B v."""
+    core = _HybridCore(g, k, cfg, v.values)
+    bv = core.bd * v.values
+    bv[:-1] += core.bo * v.values[1:]
+    bv[1:] += core.bo * v.values[:-1]
+    return core.cload - bv
+
+
+def add_at_source(grid, k, channels):
+    """Oracle: (bd, bo, cload) by the per-side ``np.add.at`` assembly the
+    scatter kernel replaced, from the hat weights."""
+    cell, wl, wr = hat_weights(grid, channels.positions)
+    n_int = grid.n_interior
+    index = np.clip(np.stack((cell - 1, cell)), 0, n_int - 1)
+    wt_lo = np.where(cell - 1 >= 0, wl, 0.0)
+    wt_hi = np.where(cell <= n_int - 1, wr, 0.0)
+    off_idx = np.clip(cell - 1, 0, max(n_int - 2, 0))
+    c = k.conductance[channels.states] / channels.n_scale
+    cv = c * k.driving[channels.states]
+    return (add_at_scatter(c, (index, np.stack((wt_lo**2, wt_hi**2))), n_int),
+            add_at_scatter(c, ([off_idx], [wt_lo * wt_hi]), n_int - 1),
+            add_at_scatter(cv, (index, np.stack((wt_lo, wt_hi))), n_int))
 
 
 class TestChannelLattice:
@@ -98,11 +135,10 @@ class TestInitChannels:
         g = build_grid(1.0, 100)
         p0 = uniform_p0(g, 0.3)
         errs = []
+        target = density_functional(p0[1]).loads
         for n in (25, 50, 100, 200):
             cfg = init_channels(n, p0, "stratified", make_rng(1))
-            emp = empirical_distribution(cfg, 1, g)
-            target = density_functional(p0[1])
-            errs.append(hminus1_norm(emp - target))
+            errs.append(float(hminus1_norms(g, initial_c_loads(cfg, g)[1] - target)))
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_unknown_mode(self):
@@ -112,39 +148,46 @@ class TestInitChannels:
 
 
 class TestEmpiricalDistribution:
+    """C_xi(0), mass 1/N at each channel in state xi, as the replay's hat loads."""
+
     def test_absent_state_is_zero(self):
         g = build_grid(1.0, 20)
         cfg = init_channels(20, uniform_p0(g, 1.0), "stratified", make_rng(0))
-        F = empirical_distribution(cfg, 0, g)
-        assert np.all(F.loads == 0)
+        loads = initial_c_loads(cfg, g)
+        assert np.all(loads[0] == 0)
 
     def test_pairing_matches_point_sum(self):
         rng = np.random.default_rng(2)
         g = build_grid(1.0, 30)
         cfg = init_channels(40, uniform_p0(g, 0.5), "iid", make_rng(3))
         phi = GridFunction(g, rng.normal(size=g.n_interior))
+        loads = initial_c_loads(cfg, g)
         for s in (0, 1):
-            val = pairing(phi, empirical_distribution(cfg, s, g))
             sel = cfg.states == s
             direct = sum(eval_at(phi, x) for x in cfg.positions[sel]) / cfg.n_scale
-            assert val == pytest.approx(direct, abs=1e-12)
+            assert loads[s] @ phi.values == pytest.approx(direct, abs=1e-12)
+            kernel = hat_scatter(sel / cfg.n_scale,
+                                 hat_scatter_arrays(g, cfg.positions), g.n_interior)
+            assert np.array_equal(loads[s], kernel)
 
     def test_states_partition_total_mass(self):
         rng = np.random.default_rng(4)
         g = build_grid(1.0, 30)
         cfg = init_channels(40, uniform_p0(g, 0.5), "iid", make_rng(5))
         phi = GridFunction(g, rng.normal(size=g.n_interior))
-        total = sum(pairing(phi, empirical_distribution(cfg, s, g)) for s in (0, 1))
+        total = initial_c_loads(cfg, g).sum(axis=0) @ phi.values
         direct = sum(eval_at(phi, x) for x in cfg.positions) / cfg.n_scale
         assert total == pytest.approx(direct, abs=1e-12)
 
 
 class TestChannelSource:
+    """The point-source loads ``_HybridCore`` assembles: cload - B v."""
+
     def test_zero_conductance(self):
         g = build_grid(1.0, 20)
         cfg = init_channels(20, uniform_p0(g, 0.5), "stratified", make_rng(0))
-        F = channel_source(cfg, fundamental_mode(g), kinetics(c_open=0.0), g)
-        assert np.all(F.loads == 0)
+        F = core_source(cfg, fundamental_mode(g), kinetics(c_open=0.0), g)
+        assert np.all(F == 0)
 
     def test_single_open_channel_at_node(self):
         # N=2, cells=4 puts the channels at grid nodes
@@ -152,20 +195,32 @@ class TestChannelSource:
         p0 = uniform_p0(g, 1.0)
         cfg = init_channels(2, p0, "stratified", make_rng(0))
         v = GridFunction(g, np.zeros(3))
-        F = channel_source(cfg, v, kinetics(), g)
+        F = core_source(cfg, v, kinetics(), g)
         expected = np.zeros(3)
         for x in cfg.positions:
             node = int(round((x + 1) / g.h))
             expected[node - 1] += 1.0 / 2 * 1.0  # c (v_open - 0) / N
-        assert np.allclose(F.loads, expected)
+        assert np.allclose(F, expected)
 
     def test_equilibrium_drive_vanishes(self):
         # all channels open and V = v_open at the channels: no source mass
         g = build_grid(1.0, 40)
         cfg = init_channels(5, uniform_p0(g, 1.0), "stratified", make_rng(0))
         v = GridFunction(g, np.full(g.n_interior, 1.0))
-        F = channel_source(cfg, v, kinetics(), g)
-        assert np.max(np.abs(F.loads)) < 1e-15
+        F = core_source(cfg, v, kinetics(), g)
+        assert np.max(np.abs(F)) < 1e-15
+
+    @pytest.mark.parametrize("config, n_scale", [
+        ("default", 25), ("default", 200), ("default", 800), ("chain5", 50),
+    ])
+    def test_assembly_matches_add_at(self, config, n_scale):
+        cfg = RunConfig.from_dict({"default": {}, "chain5": CHAIN5}[config])
+        grid, kin, v0, p0 = cfg.build()
+        channels = init_channels(n_scale, p0, cfg.init_mode, make_rng(5))
+        core = _HybridCore(grid, kin, channels, v0.values)
+        for got, ref in zip((core.bd, core.bo, core.cload),
+                            add_at_source(grid, kin, channels)):
+            assert np.array_equal(got, ref)
 
 
 class TestStepStoch:
@@ -312,20 +367,10 @@ class TestRunStoch:
         cfg = init_channels(60, uniform_p0(g, 0.3), "stratified", make_rng(9))
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
                          0.3, 2e-3, k, 9)
-        ones = GridFunction(g, np.ones(g.n_interior))
-        from axonsim.stochastic import ChannelConfig
-
-        states = traj.initial_states.copy()
-        bounds = np.searchsorted(traj.jump_times, traj.times, side="right")
-        masses = []
-        for idx in range(traj.n_times):
-            for e in range(bounds[max(idx - 1, 0)], bounds[idx]):
-                states[traj.jump_channel[e]] = traj.jump_dst[e]
-            c = ChannelConfig(cfg.n_scale, cfg.positions, states)
-            masses.append(sum(
-                pairing(ones, empirical_distribution(c, s, g)) for s in (0, 1)
-            ))
-        assert np.max(np.abs(np.array(masses) - masses[0])) < 1e-13
+        assert traj.jump_times.size > 0
+        c_loads = scan_path(traj, k, want_series=("c",)).c_loads
+        masses = c_loads.sum(axis=(1, 2))
+        assert np.max(np.abs(masses - masses[0])) < 1e-13
 
     def test_boundary_always_zero(self):
         # grid functions carry no endpoint values by construction; the

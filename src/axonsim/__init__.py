@@ -24,12 +24,11 @@ from .grid import (
     l2_norm,
     pairing,
 )
-from .heat import KernelParams, absorbed_kernel, apply_semigroup, source_response
-from .kinetics import ChannelKinetics, make_kinetics, rate_lipschitz, rate_table
+from .heat import KernelParams, absorbed_kernel, apply_semigroup
+from .kinetics import ChannelKinetics, make_kinetics, rate_table
 from .deterministic import (
     DeterministicState,
     DetTrajectory,
-    reaction_coefficients,
     run_det,
     step_det,
 )
@@ -41,7 +40,6 @@ from .stochastic import (
     run_stoch,
 )
 from .decomposition import (
-    drift_term,
     martingale_norm_series,
     martingale_variance_bound,
     path_log_likelihood,
@@ -71,7 +69,6 @@ __all__ = [
     "delta_functional",
     "density_functional",
     "deviation_metrics",
-    "drift_term",
     "eval_at",
     "fit_rate",
     "h10_norm",
@@ -83,13 +80,10 @@ __all__ = [
     "martingale_variance_bound",
     "pairing",
     "path_log_likelihood",
-    "rate_lipschitz",
     "rate_table",
-    "reaction_coefficients",
     "run_det",
     "run_stoch",
     "run_sweep",
-    "source_response",
     "step_det",
     "write_martingale_norm_csv",
 ]

@@ -1,7 +1,7 @@
 """CSV text as the ``csv`` module's default writer emits it, a block of rows at a time.
 
 A row is its cells joined by commas and ended by ``"\\r\\n"``.  Numbers are
-written by the callers as ``repr`` of a Python float or ``str`` of an int,
+written as ``repr`` of a Python float or ``str`` of an int,
 which never need quoting; header and state-name cells go through
 :func:`quote`.  Files are written block by block, so no file is ever held
 as one string.
@@ -31,3 +31,21 @@ def write_csv(path, header: Sequence[str], blocks: Iterable[str]) -> None:
         fh.write(csv_lines(*([quote(cell)] for cell in header)))
         for block in blocks:
             fh.write(block)
+
+
+def write_snapshot_csv(path, columns: Sequence[str], nodes, times, v, stride: int = 1,
+                       extra=None) -> None:
+    """Long-format nodal snapshots, header (t, node, x, *columns), at sample
+    times ``0, stride, ...``: per node, the voltage (``v[i]`` holds the
+    interior nodes, the endpoints are 0.0), then a value from each row of
+    ``extra[i]``, if given."""
+    lead = [f",{j},{x!r}" for j, x in enumerate(nodes.tolist())]
+
+    def blocks():
+        for i in range(0, len(times), stride):
+            t = repr(float(times[i]))
+            rest = () if extra is None else extra[i]
+            yield csv_lines(map(t.__add__, lead), map(repr, [0.0, *v[i].tolist(), 0.0]),
+                            *(map(repr, row.tolist()) for row in rest))
+
+    write_csv(path, ["t", "node", "x", *columns], blocks())

@@ -7,14 +7,16 @@ frozen-rate time grid, as
     C_xi(t) - mu.p_xi(t) = C_xi(0) - mu.p_xi(0) + int_0^t Q_xi(s) ds + M_xi(t)
 
 where Q collects the jump intensities minus the fluid drift and M is the
-compensated-jump (martingale) part.  This module reconstructs all the
-pieces from a recorded trajectory: per-channel compensator integrals, the
-martingale load series, its predicted variance, the a-priori variance cap,
-and the path log-likelihood against a uniform reference chain.  The replay
-reads the frozen channel voltages from the trajectory's snapshots, by the
-same hat interpolation the simulator froze them with, and puts its
-per-channel masses on the grid by its dual, ``grid.hat_scatter``, the
-kernel that also assembles the simulator's point sources.
+compensated-jump (martingale) part.  This module reconstructs, from a
+recorded trajectory, the deviation C - mu.p and the martingale side:
+per-channel compensator integrals, the martingale load series, its
+predicted variance, the a-priori variance cap, and the path log-likelihood
+against a uniform reference chain.  The drift integral is not built on its
+own: it is what remains of the deviation after the initial value and M.
+The replay reads the frozen channel voltages from the trajectory's
+snapshots, by the same hat interpolation the simulator froze them with, and
+puts its per-channel masses on the grid by its dual, ``grid.hat_scatter``,
+the kernel that also assembles the simulator's point sources.
 
 The replay works a block of substeps per call: one interpolation and one
 rate table for the block's snapshots, each substep's starting states
@@ -42,11 +44,8 @@ import numpy as np
 
 from .csvtext import csv_lines, write_csv
 from .grid import (
-    Functional,
     Grid,
     GridFunction,
-    NodalField,
-    density_functional,
     density_loads,
     hat_interpolate,
     hat_scatter,
@@ -57,7 +56,7 @@ from .grid import (
     riesz_chunk,
 )
 from .kinetics import ChannelKinetics, channel_rates, rate_table
-from .stochastic import ChannelConfig, StochTrajectory
+from .stochastic import StochTrajectory
 
 
 @dataclass(eq=False)
@@ -388,29 +387,6 @@ def scan_path(
         comp_loads=series.comp_loads if series else None,
         m_loads=series.m_loads if series else None,
     )
-
-
-def drift_term(
-    channels: ChannelConfig,
-    v: GridFunction,
-    xi,
-    k: ChannelKinetics,
-    det_drift: NodalField,
-    grid: Grid,
-) -> Functional:
-    """Instantaneous drift functional of one state's deviation process.
-
-    Jump-intensity point masses (gain rate into xi for channels elsewhere,
-    minus exit rate for channels in xi) minus the fluid drift measure.
-    """
-    s = k.state_index(xi)
-    positions = channels.positions
-    v_chan = interpolate_at_channels(v, positions)
-    rate_to = channel_rates(rate_table(k, v_chan), channels.states)
-    coeff = np.where(channels.states == s, -rate_to.sum(axis=0), rate_to[s])
-    loads = hat_scatter(coeff / channels.n_scale, hat_scatter_arrays(grid, positions),
-                        grid.n_interior)
-    return Functional(grid, loads) - density_functional(det_drift)
 
 
 def interpolate_at_channels(phi: GridFunction, positions: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ system dp/dt = G(v) p with G the clamped-rate generator.
 Time stepping is Strang splitting: an RK4 half-step of the proportions with
 the voltage frozen, a Crank-Nicolson step of the PDE with the reaction
 coefficients frozen at the proportion midpoint (one symmetric tridiagonal
-solve), then a second proportion half-step.  RK4 on the linear proportion
-system preserves the nodal total sum(p) exactly up to roundoff.
+solve of :func:`grid.cn_bands`, with the mass matrix weighted by a as its
+reaction matrix), then a second proportion half-step.  RK4 on the linear
+proportion system preserves the nodal total sum(p) exactly up to roundoff.
 
 :func:`step_det` and :func:`run_det` share one Strang-step kernel on plain
 arrays.  The kernel returns the generator at the new voltage, which is bit
@@ -27,17 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtext import csv_lines, write_csv
+from .csvtext import csv_lines, write_csv, write_snapshot_csv
 from .errors import InvariantViolation
 from .grid import (
     Grid,
     GridFunction,
-    NodalField,
+    cn_bands,
     density_loads,
     gradient_sq,
     mass_bands,
     squared_norms,
     stiffness_bands,
+    tridiag_matvec,
     tridiag_solve,
 )
 from .kinetics import ChannelKinetics, rate_table
@@ -100,13 +102,6 @@ class DetTrajectory:
 
 
 
-def reaction_coefficients(p: np.ndarray, k: ChannelKinetics, grid: Grid):
-    """Absorption a = sum c_xi p_xi and source b = sum c_xi p_xi v_xi."""
-    a = k.conductance @ p
-    b = (k.conductance * k.driving) @ p
-    return NodalField(grid, a), NodalField(grid, b)
-
-
 def _generator(k: ChannelKinetics, v_full: np.ndarray) -> np.ndarray:
     """Nodal generator G(v) = rate table - diag(exit rates), so dp/dt = G p."""
     gen = rate_table(k, v_full)
@@ -144,13 +139,6 @@ def _weighted_mass_bands(a: np.ndarray, h: float):
     return diag, off
 
 
-def _tridiag_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
-    return y
-
-
 def step_guard(dt: float, k: ChannelKinetics, limit: float = 0.5) -> None:
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
@@ -183,7 +171,7 @@ def step_count(t_horizon: float, dt: float) -> int:
 def _step_operators(grid: Grid, k: ChannelKinetics) -> tuple:
     """What a Strang step reuses: the stiffness and mass bands (diagonal,
     off-diagonal each) and the source weights c_xi v_xi."""
-    return (*stiffness_bands(grid), *mass_bands(grid), k.conductance * k.driving)
+    return stiffness_bands(grid), mass_bands(grid), k.conductance * k.driving
 
 
 def _strang_step(p: np.ndarray, v: np.ndarray, gen: np.ndarray, t: float, dt: float,
@@ -194,22 +182,19 @@ def _strang_step(p: np.ndarray, v: np.ndarray, gen: np.ndarray, t: float, dt: fl
     generator at ``v`` and ``ops`` the :func:`_step_operators` of the grid.
     Returns the proportions and voltage at t + dt and the generator there.
     """
-    kd, ko, md, mo, cv = ops
+    stiff, mass, cv = ops
     p_mid = _clip_proportions(_rk4_prop(p, gen, 0.5 * dt), t)
 
     a = k.conductance @ p_mid
     b = cv @ p_mid
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        # the error the reaction coefficients raise as NodalFields
+        # the error a NodalField of the coefficients would raise
         raise ValueError("nodal field values must be finite")
-    ad, ao = _weighted_mass_bands(a, grid.h)
-    half = 0.5 * dt
-    diag_op = kd + ad
-    off_op = ko + ao
-    rhs = _tridiag_matvec(md - half * diag_op, mo - half * off_op, v)
+    reaction = _weighted_mass_bands(a, grid.h)
+    lhs_d, lhs_o, rhs_d, rhs_o = cn_bands(stiff, mass, reaction, dt)
+    rhs = tridiag_matvec(rhs_d, rhs_o, v)
     rhs += dt * density_loads(grid, b)
-    lhs_o = mo + half * off_op
-    v_new = tridiag_solve(lhs_o, md + half * diag_op, lhs_o, rhs)
+    v_new = tridiag_solve(lhs_o, lhs_d, lhs_o, rhs)
 
     v_full = np.zeros(grid.cells + 1)
     v_full[1:-1] = v_new
@@ -369,30 +354,10 @@ def run_det(
     )
 
 
-def proportion_drift(
-    traj: DetTrajectory, idx: int, k: ChannelKinetics, state_idx: int
-) -> NodalField:
-    """Time derivative of one proportion field along the trajectory."""
-    v_full = np.zeros(traj.grid.cells + 1)
-    v_full[1:-1] = traj.v[idx]
-    dp = _prop_derivative(traj.p[idx], _generator(k, v_full))
-    return NodalField(traj.grid, dp[state_idx])
-
-
 def write_trajectory_csv(traj: DetTrajectory, path, stride: int = 1) -> None:
     """Long-format nodal snapshots: (t, node index, x, v, p_<state>...)."""
-    lead = [f",{j},{x!r}" for j, x in enumerate(traj.grid.nodes.tolist())]
-    v_full = np.zeros(len(lead))
-
-    def blocks():
-        for i in range(0, traj.n_times, stride):
-            v_full[1:-1] = traj.v[i]
-            t = repr(float(traj.times[i]))
-            yield csv_lines(map(t.__add__, lead), map(repr, v_full.tolist()),
-                            *(map(repr, p.tolist()) for p in traj.p[i]))
-
-    write_csv(path, ["t", "node", "x", "v"] + [f"p_{s}" for s in traj.state_names],
-              blocks())
+    write_snapshot_csv(path, ["v"] + [f"p_{s}" for s in traj.state_names],
+                       traj.grid.nodes, traj.times, traj.v, stride, traj.p)
 
 
 def write_summary_csv(traj: DetTrajectory, path, stride: int = 1) -> None:

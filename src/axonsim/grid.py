@@ -89,14 +89,6 @@ class GridFunction:
         out[1:-1] = self.values
         return out
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        _check_same_grid(self.grid, other.grid)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _check_same_grid(self.grid, other.grid)
-        return GridFunction(self.grid, self.values - other.values)
-
     def __rmul__(self, scalar: float) -> "GridFunction":
         return GridFunction(self.grid, float(scalar) * self.values)
 
@@ -133,17 +125,6 @@ class Functional:
                 f"expected {self.grid.n_interior} loads, got shape {v.shape}"
             )
         object.__setattr__(self, "loads", v)
-
-    def __add__(self, other: "Functional") -> "Functional":
-        _check_same_grid(self.grid, other.grid)
-        return Functional(self.grid, self.loads + other.loads)
-
-    def __sub__(self, other: "Functional") -> "Functional":
-        _check_same_grid(self.grid, other.grid)
-        return Functional(self.grid, self.loads - other.loads)
-
-    def __rmul__(self, scalar: float) -> "Functional":
-        return Functional(self.grid, float(scalar) * self.loads)
 
 
 def _check_same_grid(a: Grid, b: Grid) -> None:
@@ -234,6 +215,26 @@ def tridiag_factor_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
         return tridiag_solve(*factor, rhs)
     _check_finite(rhs)
     return _gttrs(*factor, rhs)[0]
+
+
+def cn_bands(stiff: tuple, mass: tuple, reaction: tuple, tau: float) -> tuple:
+    """(lhs diagonal, lhs off-diagonal, rhs diagonal, rhs off-diagonal) of a
+    Crank-Nicolson step of length tau: M +- tau/2 (K + A), from the
+    (diagonal, off-diagonal) bands of K, M and the reaction matrix A."""
+    (kd, ko), (md, mo), (ad, ao) = stiff, mass, reaction
+    half = 0.5 * tau
+    diag_op = kd + ad
+    off_op = ko + ao
+    return (md + half * diag_op, mo + half * off_op,
+            md - half * diag_op, mo - half * off_op)
+
+
+def tridiag_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of the symmetric tridiagonal matrix with bands (diag, off) and x."""
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
 
 
 def riesz_solve(cb: np.ndarray, loads: np.ndarray) -> np.ndarray:

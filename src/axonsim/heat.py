@@ -3,7 +3,7 @@
 The evolution is du/dt = Laplacian(u) with absorbing endpoints, so the
 free-space kernel is exp(-|x-y|^2/4t)/sqrt(4 pi t) and the kernel on the
 interval is its method-of-images series.  Used as an analytic oracle for
-the PDE integrators and for the source-response estimates.
+the PDE integrators.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import TruncationError
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, hat_interpolate, hat_weights
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
@@ -82,6 +81,15 @@ def absorbed_kernel(t: float, x, y, params: KernelParams):
     return np.maximum(val, 0.0) if val.ndim else float(max(val, 0.0))
 
 
+def _cell_quadrature(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of 4-point Gauss quadrature on every cell."""
+    nodes = grid.nodes
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    yq = (mid[:, None] + 0.5 * grid.h * _GAUSS_NODES[None, :]).ravel()
+    wq = np.tile(0.5 * grid.h * _GAUSS_WEIGHTS, grid.cells)
+    return yq, wq
+
+
 def apply_semigroup(t: float, f: GridFunction, params: KernelParams) -> GridFunction:
     """Apply the absorbed semigroup to the interpolant of f.
 
@@ -91,16 +99,8 @@ def apply_semigroup(t: float, f: GridFunction, params: KernelParams) -> GridFunc
     if t <= 0:
         raise ValueError(f"semigroup time must be positive, got {t}")
     grid = f.grid
-    nodes = grid.nodes
-    h = grid.h
-    # quadrature points and interpolated f on every cell
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    yq = (mid[:, None] + 0.5 * h * _GAUSS_NODES[None, :]).ravel()
-    fl = f.full()
-    cell = np.clip(((yq - nodes[0]) / h).astype(int), 0, grid.cells - 1)
-    frac = (yq - nodes[cell]) / h
-    fq = fl[cell] * (1.0 - frac) + fl[cell + 1] * frac
-    wq = np.tile(0.5 * h * _GAUSS_WEIGHTS, grid.cells)
+    yq, wq = _cell_quadrature(grid)
+    fq = hat_interpolate(f.full(), hat_weights(grid, yq))
     out = np.empty(grid.n_interior)
     xs = grid.interior_nodes
     block = max(1, 2_000_000 // max(yq.size, 1))
@@ -113,61 +113,7 @@ def apply_semigroup(t: float, f: GridFunction, params: KernelParams) -> GridFunc
 
 def submarkov_mass(t: float, x: float, params: KernelParams, cells: int = 2000) -> float:
     """Total kernel mass int p_t(x, y) dy, always at most one."""
-    grid = Grid(params.half_length, cells)
-    nodes = grid.nodes
-    h = grid.h
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    yq = (mid[:, None] + 0.5 * h * _GAUSS_NODES[None, :]).ravel()
-    wq = np.tile(0.5 * h * _GAUSS_WEIGHTS, cells)
+    yq, wq = _cell_quadrature(Grid(params.half_length, cells))
     kern = absorbed_kernel(t, x, yq, params)
     return float(kern @ wq)
 
-
-def _gauss_time_integral(r: np.ndarray, delta: float) -> np.ndarray:
-    """Closed form of int_0^delta exp(-r^2/4u)/sqrt(4 pi u) du.
-
-    Equals sqrt(delta/pi) exp(-r^2/4delta) - (r/2) erfc(r/(2 sqrt(delta))),
-    which handles the integrable endpoint singularity of the kernel in time.
-    """
-    r = np.abs(r)
-    a = r / (2.0 * np.sqrt(delta))
-    return np.sqrt(delta / np.pi) * np.exp(-a * a) - 0.5 * r * erfc(a)
-
-
-def source_response(
-    f_samples: np.ndarray,
-    y: float,
-    t: float,
-    params: KernelParams,
-    grid: Grid,
-) -> GridFunction:
-    """Response x -> int_0^t f(s) P_{t-s} delta_y (x) ds on a uniform time grid.
-
-    ``f_samples`` holds f at times k*t/(len-1).  Composite trapezoid in time,
-    except over the final sub-interval where the leading free-space Gaussian
-    is integrated in closed form (the kernel is singular at s = t) and the
-    image correction, which vanishes there, is handled by the trapezoid rule.
-    """
-    if not (-params.half_length < y < params.half_length):
-        raise ValueError(f"source position {y} not strictly inside the interval")
-    if t <= 0:
-        raise ValueError(f"horizon must be positive, got {t}")
-    f_samples = np.asarray(f_samples, dtype=float)
-    if f_samples.ndim != 1 or f_samples.size < 2:
-        raise ValueError("need at least two time samples")
-    k = f_samples.size - 1
-    ds = t / k
-    xs = grid.interior_nodes
-    acc = np.zeros(xs.size)
-    # trapezoid over [0, t - ds] using samples 0..k-1
-    if k >= 2:
-        for j in range(k):
-            w = 0.5 * ds if j in (0, k - 1) else ds
-            acc += w * f_samples[j] * absorbed_kernel(t - j * ds, xs, y, params)
-    # final sub-interval [t - ds, t]: closed-form Gaussian part ...
-    fbar = 0.5 * (f_samples[k - 1] + f_samples[k])
-    acc += fbar * _gauss_time_integral(xs - y, ds)
-    # ... minus the mirrored mass removed by absorption, smooth on the cell
-    images = absorbed_kernel(ds, xs, y, params) - _gauss(xs - y, ds)
-    acc += 0.5 * ds * fbar * images
-    return GridFunction(grid, acc)

@@ -41,16 +41,6 @@ class RateForm:
             return a * np.exp(k * v)
         raise ValueError(f"unknown rate form {self.kind!r}")
 
-    def slope_bound(self, v_lo: float, v_hi: float) -> float:
-        """Upper bound on |d rate / dV| over [v_lo, v_hi], before clamping."""
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "sigmoid":
-            a, b, k, v0 = self.params
-            return abs(b * k) / 4.0
-        a, k = self.params
-        return abs(k) * a * float(np.exp(max(k * v_lo, k * v_hi)))
-
 
 def parse_rate_form(spec: dict) -> RateForm:
     kind = spec.get("form")
@@ -180,12 +170,3 @@ def channel_rates(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     flat = states * count + np.arange(count)
     return np.take(table.reshape(n_states, -1), flat, axis=1)
 
-
-def rate_lipschitz(k: ChannelKinetics, xi, zeta, v_interval: tuple[float, float]) -> float:
-    """Finite bound on the Lipschitz constant of the clamped rate on the interval.
-
-    Clamping can only flatten the curve, so the pre-clamp slope bound is valid.
-    """
-    i, j = k.state_index(xi), k.state_index(zeta)
-    lo, hi = min(v_interval), max(v_interval)
-    return k.forms[(i, j)].slope_bound(lo, hi)

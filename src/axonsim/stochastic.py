@@ -17,14 +17,16 @@ The hybrid scheme per substep (t, t+dt]:
      on each sub-interval and each jump applied to it at its time.
 
 The point sources make the frozen-configuration PDE linear: the V(i/N)
-feedback assembles into a symmetric tridiagonal rank-accumulation, so each
-sub-solve is a single tridiagonal solve (:func:`grid.tridiag_solve`) and
-the step is unconditionally stable.  Only a jump changes the operator, so a
-substep without jumps reuses the LU factor and right-hand-side bands stored
-for the full dt (:func:`grid.tridiag_factor`) until the next jump that
-changes a conductance.  The dissipation budget is checked a block of
-substeps at a time from the stored snapshots, with the same sums in the
-same order as a per-step check, and raises at the same step.
+feedback assembles into a symmetric tridiagonal rank-accumulation B, so
+each sub-solve is the fluid model's Crank-Nicolson step
+(:func:`grid.cn_bands`) with B as its reaction matrix, a single tridiagonal
+solve (:func:`grid.tridiag_solve`), and the step is unconditionally stable.
+Only a jump changes the operator, so a substep without jumps reuses the LU
+factor and right-hand-side bands stored for the full dt
+(:func:`grid.tridiag_factor`) until the next jump that changes a
+conductance.  The dissipation budget is checked a block of substeps at a
+time from the stored snapshots, with the same sums in the same order as a
+per-step check, and raises at the same step.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvtext import csv_lines, quote, write_csv
+from .csvtext import csv_lines, quote, write_csv, write_snapshot_csv
 from .errors import InvariantViolation
 from .grid import (
     Grid,
     GridFunction,
     NodalField,
+    cn_bands,
     hat_interpolate,
     hat_scatter,
     hat_scatter_arrays,
@@ -50,6 +53,7 @@ from .grid import (
     stiffness_bands,
     tridiag_factor,
     tridiag_factor_solve,
+    tridiag_matvec,
     tridiag_solve,
 )
 from .deterministic import _LEDGER_BLOCK, DissipationLedger, step_count, step_guard
@@ -218,29 +222,15 @@ class _HybridCore:
             self.cload[self.idx_hi[i]] += dcv * self.wt_hi[i]
             self._full_step = None
 
-    def _cn_bands(self, tau: float):
-        """(lhs diagonal, lhs off-diagonal, rhs diagonal, rhs off-diagonal) of a
-        Crank-Nicolson step of length tau: M +- tau/2 (K + B)."""
-        half = 0.5 * tau
-        diag_op = self.kd + self.bd
-        off_op = self.ko + self.bo
-        return (self.md + half * diag_op, self.mo + half * off_op,
-                self.md - half * diag_op, self.mo - half * off_op)
-
-    def _cn_rhs(self, tau: float, rhs_d: np.ndarray, rhs_o: np.ndarray) -> np.ndarray:
-        v = self.v_full[1:-1]
-        rhs = rhs_d * v
-        rhs[:-1] += rhs_o * v[1:]
-        rhs[1:] += rhs_o * v[:-1]
-        rhs += tau * self.cload
-        return rhs
-
     def _advance_pde(self, tau: float) -> None:
-        """Sub-solve over tau with the configuration held fixed."""
+        """Sub-solve over tau with the configuration held fixed: a
+        Crank-Nicolson step of :func:`grid.cn_bands` with reaction matrix B."""
         if tau <= 0.0:
             return
-        lhs_d, lhs_o, rhs_d, rhs_o = self._cn_bands(tau)
-        rhs = self._cn_rhs(tau, rhs_d, rhs_o)
+        lhs_d, lhs_o, rhs_d, rhs_o = cn_bands((self.kd, self.ko), (self.md, self.mo),
+                                              (self.bd, self.bo), tau)
+        rhs = tridiag_matvec(rhs_d, rhs_o, self.v_full[1:-1])
+        rhs += tau * self.cload
         self.v_full[1:-1] = tridiag_solve(lhs_o, lhs_d, lhs_o, rhs)
 
     def _advance_full(self, dt: float) -> None:
@@ -250,10 +240,13 @@ class _HybridCore:
         the rhs bands are the same arithmetic, done once per configuration.
         """
         if self._full_step is None or self._full_step[0] != dt:
-            lhs_d, lhs_o, rhs_d, rhs_o = self._cn_bands(dt)
+            lhs_d, lhs_o, rhs_d, rhs_o = cn_bands((self.kd, self.ko), (self.md, self.mo),
+                                                  (self.bd, self.bo), dt)
             self._full_step = (dt, tridiag_factor(lhs_o, lhs_d, lhs_o), rhs_d, rhs_o)
         _, factor, rhs_d, rhs_o = self._full_step
-        self.v_full[1:-1] = tridiag_factor_solve(factor, self._cn_rhs(dt, rhs_d, rhs_o))
+        rhs = tridiag_matvec(rhs_d, rhs_o, self.v_full[1:-1])
+        rhs += dt * self.cload
+        self.v_full[1:-1] = tridiag_factor_solve(factor, rhs)
 
     def _jump_chain(self, i: int, first_time: float, dt: float, rates: np.ndarray,
                     t0: float, rng: np.random.Generator) -> list[tuple]:
@@ -388,16 +381,7 @@ def run_stoch(
 
 def write_voltage_csv(traj: StochTrajectory, path, stride: int = 1) -> None:
     """Voltage snapshots in long format: (t, node, x, V), rows ``0, stride, ...``."""
-    lead = [f",{j},{x!r}" for j, x in enumerate(traj.grid.nodes.tolist())]
-    v_full = np.zeros(len(lead))
-
-    def blocks():
-        for idx in range(0, traj.n_times, stride):
-            v_full[1:-1] = traj.v[idx]
-            t = repr(float(traj.times[idx]))
-            yield csv_lines(map(t.__add__, lead), map(repr, v_full.tolist()))
-
-    write_csv(path, ["t", "node", "x", "V"], blocks())
+    write_snapshot_csv(path, ["V"], traj.grid.nodes, traj.times, traj.v, stride)
 
 
 def write_jump_csv(traj: StochTrajectory, path,

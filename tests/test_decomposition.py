@@ -14,7 +14,6 @@ from axonsim.decomposition import (
     SERIES,
     _SeriesScatter,
     deviation_loads,
-    drift_term,
     interpolate_at_channels,
     martingale_norm_series,
     martingale_variance_bound,
@@ -25,11 +24,9 @@ from axonsim.decomposition import (
 from axonsim.grid import (
     Functional,
     GridFunction,
-    NodalField,
     build_grid,
     density_loads,
     hat_interpolate,
-    hat_scatter,
     hat_scatter_arrays,
     hat_weights,
     hminus1_norms,
@@ -41,10 +38,8 @@ from axonsim.harness import RunConfig, deviation_metrics, run_reference, run_rep
 from axonsim.kinetics import channel_rates, make_kinetics, rate_table
 from axonsim.profiles import fundamental_mode
 from axonsim.stochastic import (
-    ChannelConfig,
     StochasticState,
     StochTrajectory,
-    init_channels,
     make_rng,
     run_stoch,
 )
@@ -193,76 +188,6 @@ class TestMartingaleSeries:
             mean = vals[:, j].mean()
             se = vals[:, j].std(ddof=1) / np.sqrt(reps)
             assert abs(mean) <= 3 * se
-
-
-class TestDriftTerm:
-    def test_single_channel_formula(self):
-        g = build_grid(1.0, 20)
-        k = constant_kinetics(up=0.8, down=0.4)
-        channels = ChannelConfig(1, np.array([0.0]), np.array([0]))
-        v = GridFunction(g, np.zeros(g.n_interior))
-        zero_drift = NodalField(g, np.zeros(g.cells + 1))
-        q = drift_term(channels, v, "open", k, zero_drift, g)
-        phi = fundamental_mode(g)
-        # channel closed: gain intensity 0.8 at the origin
-        assert pairing(phi, q) == pytest.approx(
-            0.8 * interpolate_at_channels(phi, channels.positions)[0], rel=1e-12
-        )
-        q_closed = drift_term(channels, v, "closed", k, zero_drift, g)
-        assert pairing(phi, q_closed) == pytest.approx(-pairing(phi, q), rel=1e-12)
-
-    def test_sampled_configuration_drift_shrinks(self):
-        # channels drawn from the fluid proportions with V = v: the drift
-        # term is a centered lattice average, so it shrinks like 1/sqrt(N)
-        cfg = RunConfig.from_dict({})
-        grid, kin, v0, p0 = cfg.build()
-        det = run_reference(RunConfig.from_dict({"time_horizon": 0.0}))
-        from axonsim.deterministic import proportion_drift
-
-        drift = proportion_drift(det, 0, kin, 1)
-        phi = fundamental_mode(grid)
-        rms = {}
-        for n in (50, 800):
-            rng = make_rng(1234)
-            vals = []
-            for _ in range(60):
-                ch = init_channels(n, p0, "iid", rng)
-                q = drift_term(ch, v0, "open", kin, drift, grid)
-                vals.append(pairing(phi, q))
-            rms[n] = float(np.sqrt(np.mean(np.square(vals))))
-        assert rms[800] <= rms[50] * np.sqrt(50 / 800) * 1.6
-
-    def test_dual_norm_calibration_stable_under_refinement(self):
-        # the drift norm against (1 + |V|) * sum |C - mu p| + |V - v|
-        cfg = RunConfig.from_dict({})
-        grid, kin, v0, p0 = cfg.build()
-        det = run_reference(RunConfig.from_dict({"time_horizon": 0.0}))
-        from axonsim.deterministic import proportion_drift
-        from axonsim.grid import density_functional, h10_norm, hminus1_norm, l2_norm
-
-        drift = proportion_drift(det, 0, kin, 1)
-        dens = np.stack([density_functional(p0[s]).loads for s in range(2)])
-
-        def calibration(n, reps, seed):
-            rng = make_rng(seed)
-            ratios = []
-            for _ in range(reps):
-                ch = init_channels(n, p0, "iid", rng)
-                perturb = GridFunction(
-                    grid, rng.normal(scale=0.05, size=grid.n_interior))
-                v = v0 + perturb
-                q = drift_term(ch, v, "open", kin, drift, grid)
-                empirical = hat_scatter((ch.states == np.arange(2)[:, None]) / n,
-                                        hat_scatter_arrays(grid, ch.positions),
-                                        grid.n_interior)
-                denom = (1 + h10_norm(v)) * hminus1_norms(
-                    grid, empirical - dens).sum() + l2_norm(perturb)
-                ratios.append(hminus1_norm(q) / denom)
-            return max(ratios)
-
-        c_small = calibration(100, 40, 7)
-        c_big = calibration(200, 40, 8)
-        assert c_big <= 1.3 * c_small
 
 
 class TestPredictedVariance:

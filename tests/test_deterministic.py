@@ -14,14 +14,11 @@ from axonsim.deterministic import (
     _clip_proportions,
     _generator,
     _rk4_prop,
-    _tridiag_matvec,
     _weighted_mass_bands,
     DetTrajectory,
     DeterministicState,
     DissipationLedger,
     dissipation_budget,
-    proportion_drift,
-    reaction_coefficients,
     run_det,
     step_det,
     step_guard,
@@ -31,6 +28,7 @@ from axonsim.deterministic import (
 from axonsim.errors import InvariantViolation
 from axonsim.grid import (
     GridFunction,
+    NodalField,
     build_grid,
     density_functional,
     gradient_sq,
@@ -74,26 +72,6 @@ def uniform_state(grid, v0, p_open):
     n = grid.cells + 1
     p = np.stack([(1 - p_open) * np.ones(n), p_open * np.ones(n)])
     return DeterministicState(t=0.0, v=v0, p=p)
-
-
-class TestReactionCoefficients:
-    def test_zero_conductance(self):
-        g = build_grid(1.0, 10)
-        k = kinetics(c_open=0.0)
-        a, b = reaction_coefficients(np.stack([np.ones(11), np.zeros(11)]), k, g)
-        assert np.all(a.values == 0) and np.all(b.values == 0)
-
-    def test_all_open(self):
-        g = build_grid(1.0, 10)
-        k = kinetics()
-        a, b = reaction_coefficients(np.stack([np.zeros(11), np.ones(11)]), k, g)
-        assert np.allclose(a.values, 1.0) and np.allclose(b.values, 1.0)
-
-    def test_half_open(self):
-        g = build_grid(1.0, 10)
-        k = kinetics()
-        a, b = reaction_coefficients(np.stack([0.5 * np.ones(11), 0.5 * np.ones(11)]), k, g)
-        assert np.allclose(a.values, 0.5) and np.allclose(b.values, 0.5)
 
 
 class TestStepDet:
@@ -253,15 +231,6 @@ class TestRunDet:
         assert sups[0] > 0
         assert 0.8 <= sups[1] / sups[0] <= 1.25
 
-    def test_drift_matches_generator(self):
-        g = build_grid(1.0, 30)
-        k = kinetics(form="sigmoid")
-        traj = run_det(uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
-                       0.1, 1e-3, k)
-        drift_open = proportion_drift(traj, 50, k, 1)
-        drift_closed = proportion_drift(traj, 50, k, 0)
-        assert np.allclose(drift_open.values + drift_closed.values, 0.0, atol=1e-15)
-
 
 def reference_step_det(state, dt, k):
     """The Strang step built from GridFunction, NodalField and fresh bands on
@@ -272,13 +241,17 @@ def reference_step_det(state, dt, k):
     md, mo = mass_bands(grid)
     p_mid = _rk4_prop(state.p, _generator(k, state.v.full()), 0.5 * dt)
     p_mid = _clip_proportions(p_mid, state.t)
-    a, b = reaction_coefficients(p_mid, k, grid)
+    a = NodalField(grid, k.conductance @ p_mid)
+    b = NodalField(grid, (k.conductance * k.driving) @ p_mid)
     ad, ao = _weighted_mass_bands(a.values, grid.h)
     lhs_d = md + 0.5 * dt * (kd + ad)
     lhs_o = mo + 0.5 * dt * (ko + ao)
     rhs_d = md - 0.5 * dt * (kd + ad)
     rhs_o = mo - 0.5 * dt * (ko + ao)
-    rhs = _tridiag_matvec(rhs_d, rhs_o, state.v.values)
+    v = state.v.values
+    rhs = rhs_d * v
+    rhs[:-1] += rhs_o * v[1:]
+    rhs[1:] += rhs_o * v[:-1]
     rhs += dt * density_functional(b).loads
     v_new = GridFunction(grid, solve_banded((1, 1), np.stack([
         np.concatenate(([0.0], lhs_o)), lhs_d, np.concatenate((lhs_o, [0.0]))]), rhs))

@@ -11,6 +11,7 @@ from axonsim.grid import (
     GridFunction,
     NodalField,
     build_grid,
+    cn_bands,
     delta_functional,
     density_functional,
     eval_at,
@@ -30,6 +31,7 @@ from axonsim.grid import (
     stiffness_bands,
     tridiag_factor,
     tridiag_factor_solve,
+    tridiag_matvec,
     tridiag_solve,
 )
 
@@ -305,6 +307,29 @@ class TestTridiagSolve:
         tridiag_factor_solve(tridiag_factor(lower, diag, upper), rhs)
         for a, b in zip((lower, diag, upper, rhs), before):
             assert np.array_equal(a, b)
+
+
+def dense(diag, off):
+    """The full matrix of a symmetric tridiagonal one's bands."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestCrankNicolsonOperator:
+    """cn_bands and tridiag_matvec give (M +- tau/2 (K + A)) @ x."""
+
+    @given(n=st.one_of(st.integers(1, 2), st.integers(3, 60)),
+           tau=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_product(self, n, tau, seed):
+        rng = np.random.default_rng(seed)
+        stiff, mass, reaction = ((rng.normal(size=n), rng.normal(size=n - 1))
+                                 for _ in range(3))
+        x = rng.normal(size=n)
+        lhs_d, lhs_o, rhs_d, rhs_o = cn_bands(stiff, mass, reaction, tau)
+        op = dense(*stiff) + dense(*reaction)
+        for (d, o), sign in (((lhs_d, lhs_o), 1.0), ((rhs_d, rhs_o), -1.0)):
+            expected = (dense(*mass) + sign * 0.5 * tau * op) @ x
+            mag = (np.abs(dense(*mass)) + 0.5 * tau * np.abs(op)) @ np.abs(x)
+            assert np.all(np.abs(tridiag_matvec(d, o, x) - expected) <= 1e-12 * mag)
 
 
 class TestDelta:

@@ -3,12 +3,11 @@ import pytest
 from scipy.linalg import solve_banded
 
 from axonsim.errors import TruncationError
-from axonsim.grid import GridFunction, build_grid, h10_norm
+from axonsim.grid import GridFunction, build_grid
 from axonsim.heat import (
     KernelParams,
     absorbed_kernel,
     apply_semigroup,
-    source_response,
     submarkov_mass,
 )
 
@@ -122,67 +121,3 @@ class TestSemigroup:
         masses = [submarkov_mass(t, 0.2, PARAMS) for t in (0.02, 0.1, 0.5, 1.5)]
         assert all(m <= 1.0 + 1e-12 for m in masses)
         assert all(b < a for a, b in zip(masses, masses[1:]))
-
-
-class TestSourceResponse:
-    def test_zero_source(self):
-        g = build_grid(1.0, 80)
-        out = source_response(np.zeros(31), 0.2, 0.3, PARAMS, g)
-        assert np.max(np.abs(out.values)) == 0.0
-
-    def test_linearity(self):
-        g = build_grid(1.0, 80)
-        s = np.linspace(0, 3, 41)
-        f, h = np.sin(s), np.cos(2 * s)
-        rf = source_response(f, 0.2, 0.3, PARAMS, g)
-        rh = source_response(h, 0.2, 0.3, PARAMS, g)
-        rfh = source_response(f + h, 0.2, 0.3, PARAMS, g)
-        assert np.max(np.abs(rfh.values - rf.values - rh.values)) < 1e-12
-
-    def test_rejects_bad_inputs(self):
-        g = build_grid(1.0, 80)
-        with pytest.raises(ValueError):
-            source_response(np.ones(11), 1.0, 0.3, PARAMS, g)
-        with pytest.raises(ValueError):
-            source_response(np.ones(11), 0.0, 0.0, PARAMS, g)
-
-    def test_sup_source_calibration(self):
-        # calibrate the response gain on constant drive over the test
-        # positions, then bounded random smooth drives must respect it
-        g = build_grid(1.0, 160)
-        t, samples = 0.3, 61
-        ys = (-0.8, -0.4, 0.0, 0.4, 0.8)
-        gain = max(
-            h10_norm(source_response(np.ones(samples), y, t, PARAMS, g)) for y in ys
-        )
-        rng = np.random.default_rng(31)
-        s = np.linspace(0, t, samples)
-        for _ in range(10):
-            f = np.sin(rng.uniform(0.5, 4.0) * s + rng.uniform(0, 2 * np.pi))
-            f = f / np.max(np.abs(f))
-            y = ys[rng.integers(0, len(ys))]
-            resp = source_response(f, y, t, PARAMS, g)
-            assert h10_norm(resp) <= gain * np.max(np.abs(f)) + 1e-9
-
-    @pytest.mark.parametrize("eps", [0.05, 0.1])
-    def test_cutoff_l1_calibration(self, eps):
-        # away from the horizon the kernel is smooth, so the response is
-        # controlled by the L1 mass of the drive; the sharp gain is the
-        # energy norm of the kernel at lag eps
-        g = build_grid(1.0, 160)
-        t, samples = 0.4, 81
-        ys = (-0.6, 0.0, 0.6)
-        gain = max(
-            h10_norm(GridFunction(g, absorbed_kernel(eps, g.interior_nodes, y, PARAMS)))
-            for y in ys
-        )
-        s = np.linspace(0, t, samples)
-        cutoff = s <= t - eps
-        rng = np.random.default_rng(37)
-        for _ in range(8):
-            f = rng.uniform(-1, 1) * np.sin(rng.uniform(0.5, 5.0) * s) ** 2
-            f = np.where(cutoff, f, 0.0)
-            l1 = np.trapezoid(np.abs(f), s)
-            y = ys[rng.integers(0, len(ys))]
-            resp = source_response(f, y, t, PARAMS, g)
-            assert h10_norm(resp) <= gain * l1 + 1e-9

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from axonsim.kinetics import make_kinetics, rate_lipschitz, rate_table
+from axonsim.kinetics import make_kinetics, rate_table
 
 
 def two_state(rate_a=0.5, rate_b=0.5, clamp=(0.01, 10.0)):
@@ -212,21 +212,6 @@ class TestGenerator:
         p = rng.uniform(0.1, 1.0, size=k.n_states)
         p /= p.sum()
         assert abs((generator(k, 0.4) @ p).sum()) < 1e-15
-
-
-class TestLipschitz:
-    def test_constant_is_flat(self):
-        assert rate_lipschitz(two_state(), "closed", "open", (-2, 2)) == 0.0
-
-    def test_reported_bound_holds(self):
-        k = sodium_chain()
-        v = np.linspace(-1.5, 1.5, 2001)
-        table = rate_table(k, v)
-        for (i, j) in k.forms:
-            bound = rate_lipschitz(k, i, j, (-1.5, 1.5))
-            vals = table[j, i]
-            slopes = np.abs(np.diff(vals)) / (v[1] - v[0])
-            assert np.all(slopes <= bound + 1e-9)
 
 
 _FORMS = {

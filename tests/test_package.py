@@ -54,3 +54,14 @@ def test_hat_scatter_has_one_home():
                             if a.name.startswith("_") and re.search("hat|scatter", a.name)]
     assert strays == []
     assert private == []
+
+
+def test_crank_nicolson_operator_has_one_home():
+    """The matvec's shifted adds and the M +- tau/2 (K + A) band arithmetic
+    appear, code or text, only in ``grid.py``."""
+    pattern = re.compile(r"\[:-1\]\s*\+=|\[1:\]\s*\+=|[+-]\s*half\s*\*")
+    strays = [f"{path.name}:{lineno}: {line.strip()}"
+              for path in sorted(SRC.glob("*.py")) if path.name != "grid.py"
+              for lineno, line in enumerate(path.read_text().splitlines(), 1)
+              if pattern.search(line)]
+    assert strays == []

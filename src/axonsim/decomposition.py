@@ -25,14 +25,15 @@ loop would produce.  Every elementwise value (voltage, rate, increment) is
 computed by the same operation on the same operands, and each accumulator
 is then advanced by sequential adds in loop order.  A channel that jumps
 gets one increment slot per segment of its path; the other channels' slots
-in those rows hold +0.0, and adding +0.0 is exact.
+in those rows hold +0.0, and adding +0.0 is exact.  The state rows' loads
+carry over between sample times, summed again, in the full scatter's order,
+only at the bins next to a jump.
 
 A caller that reads the load series only through their dual norms passes
 ``scan_path`` a consumer: the series then stream to it one Riesz chunk of
 sample times at a time (``grid.riesz_chunk``), and no full-length series is
 held.  Riesz solves run column by column and each norm sums its own row, so
-the norms do not depend on how the times are batched.  Without a consumer
-the whole series is kept, for the tests and ``deviation_loads``.
+the norms do not depend on how the times are batched.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .grid import (
     hat_scatter,
     hat_scatter_arrays,
     hat_scatter_bins,
+    hat_scatter_contributors,
     hat_weights,
     hminus1_norms,
     riesz_chunk,
@@ -82,64 +84,72 @@ class PathDiagnostics:
 # parts jumps_net/N - comp ("m").
 SERIES = ("c", "comp", "m")
 
-# Bytes of block-sized replay arrays (rate table, increment slots, series
-# rows), at about 8 * count * n_states * (n_states + 6) per substep.  A block
-# only amortizes per-call cost: the accumulators are advanced row by row, by
-# sequential adds in loop order, and the zero-padded slots add +0.0, which is
-# exact, so every block size gives the same bits.  1 MiB makes 5-substep
-# blocks at the default N=800 and 41-substep ones at N=100; doubling it speeds
-# the N=800 replay by about a tenth but adds about a megabyte to every
-# replay's peak memory.
+# Bytes of block-sized replay arrays (rate table, increment slots, (comp, occ)
+# rows and their scatter), about 8 * count * n_states * (n_states + 6) per
+# substep: 5-substep blocks at the default N=800, 41-substep ones at N=100.
+# A block only amortizes per-call cost: the accumulators are advanced row by
+# row, by sequential adds in loop order, and the zero-padded slots add +0.0,
+# which is exact, so every block size gives the same bits.
 REPLAY_BLOCK_BYTES = 1 << 20
+
+# Bytes of the arrays that price a window of touched bins (_SeriesScatter),
+# whole replay blocks of jump groups; every window size gives the same bits.
+TOUCH_WINDOW_BYTES = 1 << 19
 
 
 class _SeriesScatter:
     """Hat loads of the replay's kept series, filled a block of times at once.
 
-    Each sample time has, for every state xi, up to three per-channel rows
-    (each over N): the indicator of s = xi, comp - occ, and jumps_net.  For a
-    block of b times each (row kind, state) is one batched
-    :func:`grid.hat_scatter` call, with its bins built once for the block
-    size; each row's loads are the bits of scattering that time on its own.
+    Each sample time has, for every state xi, three per-channel rows (each
+    over N): the indicator of s = xi, comp - occ, and jumps_net.  comp - occ
+    moves for every channel every substep: a block's rows are one
+    :func:`grid.hat_scatter` call.  The other two change only where a channel
+    jumps, so their loads ("c", and m's jump part) carry over, and only the
+    bins next to a substep's jumpers are summed again, as one-side scatters
+    of their contributors (:func:`grid.hat_scatter_contributors`), a window
+    of :data:`TOUCH_WINDOW_BYTES` at a time.  Every row's loads are the bits
+    of scattering that time on its own.
 
     Without a ``consumer`` the loads of every sample time are kept.  With one,
-    the series live in a buffer of :func:`grid.riesz_chunk` sample times:
-    each full buffer, and then the remainder (:meth:`flush`), goes to
-    ``consumer(start, loads)``, where ``loads`` maps each kept name to the
-    (n, n_states, n_int) loads of sample times start .. start + n - 1.  The
-    buffer is reused, so a consumer keeps no reference to it.
+    they live in a reused buffer of :func:`grid.riesz_chunk` sample times,
+    and each full buffer, then the remainder (:meth:`flush`), goes to the
+    consumer as :func:`scan_path` describes.
     """
 
-    def __init__(self, grid: Grid, positions: np.ndarray, n_states: int,
-                 n_times: int, n_scale: int, keep, block: int, consumer=None):
-        self.scatter = hat_scatter_arrays(grid, positions)
+    def __init__(self, traj: StochTrajectory, plan: "_JumpPlan", keep, block: int,
+                 consumer=None):
+        grid, n_states = traj.grid, traj.n_states
+        self.scatter = hat_scatter_arrays(grid, traj.positions)
         self.n_int = grid.n_interior
-        self.n_states = n_states
-        self.inv_n = 1.0 / n_scale
+        self.inv_n = 1.0 / traj.n_scale
         self.consumer = consumer
-        self.rows = n_times if consumer is None else min(n_times, riesz_chunk(grid))
-        self.start = 0  # the sample time of the buffer's first row
-        self.filled = 0
+        self.rows = traj.n_times if consumer is None else min(traj.n_times, riesz_chunk(grid))
+        self.start = self.filled = 0  # start: the sample time of the buffer's row 0
         shape = (self.rows, n_states, self.n_int)
         self.c_loads = np.zeros(shape) if "c" in keep else None
         self.comp_loads = np.zeros(shape) if "comp" in keep else None
         self.m_loads = np.zeros(shape) if "m" in keep else None
-        self.bins = hat_scatter_bins(self.scatter[0], self.n_int, block)
+        self.bins = hat_scatter_bins(self.scatter[0], self.n_int, block * n_states)
+        self.kept = [self.c_loads is not None, self.m_loads is not None]
+        self.carried = [x for x in (self.c_loads, self.m_loads) if x is not None]
+        self.traj, self.plan, self.block = traj, plan, block
+        self.ids = np.arange(n_states)[:, None]
+        self.contrib, self.contrib_start = hat_scatter_contributors(self.scatter[0],
+                                                                    self.n_int)
+        self.window_groups = max(1, TOUCH_WINDOW_BYTES // (
+            16 * np.diff(self.contrib_start).max() * (12 + 6 * n_states)))
+        self.window_end = 0
+        bins = np.arange(self.n_int)
+        self.now = self._pair_loads(np.zeros_like(bins), bins).transpose(1, 2, 0).copy()
 
-    def fill(self, t: int, states: np.ndarray, comp, occ, jumps_net) -> None:
-        """Loads at the sample times t, t+1, ... of b per-time rows.
-
-        ``states`` is (b, count); ``comp``, ``occ`` and ``jumps_net`` are
-        (b, n_states, count), and ``jumps_net`` may be None unless "m" is kept.
-        The rows go into the buffer in pieces that end at its last row.
-        """
+    def fill(self, t: int, comp, occ) -> None:
+        """Loads at the sample times t, t+1, ... of (b, n_states, count) rows."""
         done = 0
-        while done < states.shape[0]:
+        while done < comp.shape[0]:
             row = t + done - self.start
             part = slice(done, done + self.rows - row)
-            self._fill_rows(row, states[part], comp[part], occ[part],
-                            None if jumps_net is None else jumps_net[part])
-            done = min(part.stop, states.shape[0])
+            self._fill_rows(row, t + done, comp[part], occ[part])
+            done = min(part.stop, comp.shape[0])
             if self.filled == self.rows and self.consumer is not None:
                 self.flush()
 
@@ -153,24 +163,58 @@ class _SeriesScatter:
         self.start += self.filled
         self.filled = 0
 
-    def _fill_rows(self, row: int, states, comp, occ, jumps_net) -> None:
-        """Loads of b per-time rows into the buffer rows row .. row + b - 1."""
-        times = slice(row, row + states.shape[0])
+    def _fill_rows(self, row: int, t: int, comp, occ) -> None:
+        """Loads of the sample times t .. into the buffer rows row .. row + b - 1."""
+        b = comp.shape[0]
+        times = slice(row, row + b)
         self.filled = times.stop
-        for s in range(self.n_states):
-            if self.c_loads is not None:
-                self.c_loads[times, s] = self._loads((states == s) * self.inv_n)
-            if self.comp_loads is None and self.m_loads is None:
-                continue
-            net = self._loads((comp[:, s] - occ[:, s]) * self.inv_n)
+        if self.carried:
+            if t + b > self.window_end:
+                self._price_window(t, t + b)
+            lo, hi = np.searchsorted(self.pair_t, (t, t + b))
+            touched = list(zip((self.pair_t[lo:hi] + row - t).tolist(),
+                               self.pair_bin[lo:hi].tolist(), self.pair_values[lo:hi]))
+            for loads, now, k in zip(self.carried, self.now, range(2)):
+                loads[times] = now
+                for r, j, values in touched:  # in time order: a later touch wins
+                    loads[r:times.stop, :, j] = values[k]
+                now[...] = loads[times.stop - 1]
+        if self.comp_loads is not None or self.m_loads is not None:
+            net = hat_scatter((comp - occ) * self.inv_n, self.scatter, self.n_int,
+                              self.bins)
             if self.comp_loads is not None:
-                self.comp_loads[times, s] = net
+                self.comp_loads[times] = net
             if self.m_loads is not None:
-                self.m_loads[times, s] = self._loads(jumps_net[:, s] * self.inv_n) - net
+                self.m_loads[times] -= net
 
-    def _loads(self, rows: np.ndarray) -> np.ndarray:
-        """Hat loads (b, n_int) of b per-channel rows."""
-        return hat_scatter(rows, self.scatter, self.n_int, self.bins)
+    def _price_window(self, t: int, need: int) -> None:
+        """Price the touched (sample time, bin) pairs from t to at least need."""
+        plan, n_int = self.plan, self.n_int
+        first = np.searchsorted(plan.group_sub, t - 1)  # substep t - 1 ends at t
+        stop = first + self.window_groups
+        fits = plan.group_sub[stop] + 1 if stop < plan.group_sub.size else self.traj.n_times
+        self.window_end = max(1 + (fits - 1) // self.block * self.block, need)
+        g = slice(first, np.searchsorted(plan.group_sub, self.window_end - 1))
+        index = self.scatter[0][:, plan.group_channel[g]]
+        key = ((plan.group_sub[g] + 1) * n_int + index).T.ravel()  # in time order
+        self.pair_t, self.pair_bin = np.divmod(key, n_int)
+        self.pair_values = self._pair_loads(self.pair_t, self.pair_bin)
+
+    def _pair_loads(self, pair_t: np.ndarray, pair_bin: np.ndarray) -> np.ndarray:
+        """Carried loads (pair, series, state) at (sample time, bin) pairs: of
+        1{s=xi}/N for c and (1{s=xi} - 1{s0=xi})/N for m."""
+        lo = self.contrib_start[pair_bin]
+        count = self.contrib_start[pair_bin + 1] - lo
+        entry = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+        initial = self.traj.initial_states
+        flat = self.contrib[entry]
+        pos = flat % initial.size
+        hot = self.plan.states_at(pos, np.repeat(pair_t, count), initial) == self.ids
+        rows = np.stack((hot, np.subtract(hot, initial[pos] == self.ids, dtype=float)))
+        values = hat_scatter(rows[self.kept] * self.inv_n,
+                             (np.repeat(np.arange(pair_t.size), count)[None],
+                              self.scatter[1].ravel()[flat][None]), pair_t.size)
+        return values.transpose(2, 0, 1)
 
 
 def _kept_series(want_series) -> frozenset:
@@ -200,13 +244,21 @@ class _JumpPlan:
     dst: np.ndarray
     group_sub: np.ndarray       # (n_groups,)
     group_channel: np.ndarray
-    group_last: np.ndarray      # the group's last jump
     seg_sub: np.ndarray         # (n_segments,) positive-duration segments only
     seg_channel: np.ndarray
     seg_state: np.ndarray
     seg_slot: np.ndarray
     seg_duration: np.ndarray
     row_start: np.ndarray       # (n_sub + 1,) first increment row of each substep
+    state_key: np.ndarray       # -1, then each group's channel * n_times + substep
+    state_after: np.ndarray     # -1, then its channel's state after it
+
+    def states_at(self, channel: np.ndarray, t: np.ndarray, initial) -> np.ndarray:
+        """Replayed states of the channels at the sample times t."""
+        base = channel * self.row_start.size  # row_start has n_times entries
+        last = np.searchsorted(self.state_key, base + t - 1, "right") - 1
+        return np.where(self.state_key[last] >= base, self.state_after[last],
+                        initial[channel])
 
 
 def _jump_plan(traj: StochTrajectory, bounds: np.ndarray) -> _JumpPlan:
@@ -245,13 +297,14 @@ def _jump_plan(traj: StochTrajectory, bounds: np.ndarray) -> _JumpPlan:
     return _JumpPlan(
         sub=sub, channel=channel, src=src, dst=dst,
         group_sub=g_sub[g_order], group_channel=g_ch[g_order],
-        group_last=g_last[g_order],
         seg_sub=seg_sub[by_sub],
         seg_channel=np.concatenate((ch, g_ch))[by_sub],
         seg_state=np.concatenate((src[order], dst[g_last]))[by_sub],
         seg_slot=np.concatenate((slot, slot[last] + 1))[by_sub],
         seg_duration=seg_duration[by_sub],
         row_start=np.concatenate(([0], np.cumsum(n_rows))),
+        state_key=np.concatenate(([-1], g_ch * traj.n_times + g_sub)),
+        state_after=np.concatenate(([-1], dst[g_last])),
     )
 
 
@@ -273,8 +326,9 @@ def scan_path(
     ``True`` keeps all three, a false value none; the others are None.
     With a ``consumer`` the named series are not kept but streamed: it
     receives them one :func:`grid.riesz_chunk` of sample times at a time,
-    as ``consumer(start, loads)`` (see :class:`_SeriesScatter`), and the
-    returned series are None.
+    as ``consumer(start, loads)``, where ``loads`` maps each kept name to the
+    (n, n_states, n_int) loads of sample times start .. start + n - 1 in a
+    reused buffer, and the returned series are None.
     """
     keep = _kept_series(want_series)
     if consumer is not None and not keep:
@@ -289,22 +343,19 @@ def scan_path(
     hats = hat_weights(traj.grid, traj.positions)
     ids = np.arange(n_states)[:, None]
     initial = traj.initial_states
-    initial_hot = (initial == ids).astype(float)
     block = REPLAY_BLOCK_BYTES // (8 * count * n_states * (n_states + 6))
     block = max(1, min(block, n_sub))
     v_full = np.zeros((block, traj.grid.cells + 1))
 
     series = None
     if keep:
-        series = _SeriesScatter(traj.grid, traj.positions, n_states, traj.n_times,
-                                traj.n_scale, keep, block, consumer)
+        series = _SeriesScatter(traj, plan, keep, block, consumer)
         zero = np.zeros((1, n_states, count))
-        series.fill(0, initial[None], zero, zero, zero)
+        series.fill(0, zero, zero)
     def replay_block(b0, b1, states, acc):
-        """Advance ``states`` and ``acc`` over substeps [b0, b1) and fill the series.
-
-        The block's arrays die on return, before the next block makes its own.
-        """
+        """Advance ``states`` and ``acc`` over substeps [b0, b1), and give the
+        (comp, occ) rows at the substeps' ends if series are kept.  The
+        block's arrays die on return, before the series are filled."""
         nb = b1 - b0
         v_full[:nb, 1:-1] = traj.v[b0:b1]
         table = rate_table(k, hat_interpolate(v_full[:nb], hats))
@@ -312,12 +363,9 @@ def scan_path(
         jumped = groups.stop > groups.start
         ends = np.repeat(states[None], nb, axis=0)
         if jumped:
-            # a jumper's state after each substep is the target of its last jump so far
-            moved, col = np.unique(plan.group_channel[groups], return_inverse=True)
-            last = np.full((nb, moved.size), -1)
-            last[plan.group_sub[groups] - b0, col] = plan.group_last[groups]
-            np.maximum.accumulate(last, axis=0, out=last)
-            ends[:, moved] = np.where(last >= 0, plan.dst[last], states[moved])
+            moved = np.unique(plan.group_channel[groups])
+            ends[:, moved] = plan.states_at(moved, np.arange(b0 + 1, b1 + 1)[:, None],
+                                            initial)
         starts = np.concatenate((states[None], ends[:-1]))
         rate_to = channel_rates(table.reshape(n_states, n_states, -1),
                                 starts.ravel()).reshape(n_states, nb, count)
@@ -346,6 +394,7 @@ def scan_path(
         exit_rate = rate_to.sum(axis=0)
         exit_rate *= dt
         np.multiply(starts[:, None] == ids, exit_rate[:, None], out=inc[:nb, n_states:])
+        del rate_to, exit_rate, starts  # before the slots are summed and gathered
         if jumped:
             # channels that jump follow their segment path instead
             inc[plan.group_sub[groups] - b0, :, plan.group_channel[groups]] = 0.0
@@ -359,19 +408,15 @@ def scan_path(
         for r in order.tolist():
             np.add(acc, flat[r], out=flat[r])
             acc = flat[r]
-        if series is not None:
-            at_end = inc[order[rows[1:] - 1]]
-            jumps_net = None
-            if series.m_loads is not None:
-                jumps_net = (ends[:, None] == ids).astype(float) - initial_hot
-            series.fill(b0 + 1, ends, at_end[:, :n_states], at_end[:, n_states:],
-                        jumps_net)
-        return ends[-1].copy(), acc.copy()
+        at_end = None if series is None else inc[order[rows[1:] - 1]]
+        return ends[-1].copy(), acc.copy(), at_end
 
     states = initial
     acc = np.zeros(2 * n_states * count)  # comp, then occ
     for b0 in range(0, n_sub, block):
-        states, acc = replay_block(b0, min(b0 + block, n_sub), states, acc)
+        states, acc, at_end = replay_block(b0, min(b0 + block, n_sub), states, acc)
+        if series is not None:
+            series.fill(b0 + 1, at_end[:, :n_states], at_end[:, n_states:])
     if consumer is not None:
         series.flush()
         series = None
@@ -381,7 +426,7 @@ def scan_path(
         times=traj.times,
         comp_final=acc[0],
         exit_occupation_final=acc[1],
-        jumps_net_final=(states == ids).astype(float) - initial_hot,
+        jumps_net_final=(states == ids).astype(float) - (initial == ids),
         jump_rates=jump_rates,
         c_loads=series.c_loads if series else None,
         comp_loads=series.comp_loads if series else None,

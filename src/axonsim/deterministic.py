@@ -97,10 +97,6 @@ class DetTrajectory:
     def n_times(self) -> int:
         return self.times.size
 
-    def v_at(self, idx: int) -> GridFunction:
-        return GridFunction(self.grid, self.v[idx])
-
-
 
 def _generator(k: ChannelKinetics, v_full: np.ndarray) -> np.ndarray:
     """Nodal generator G(v) = rate table - diag(exit rates), so dp/dt = G p."""

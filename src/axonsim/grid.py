@@ -385,6 +385,16 @@ def hat_scatter_bins(index: np.ndarray, size: int, rows: int) -> np.ndarray:
     return (np.arange(rows)[:, None, None] * size + index).ravel()
 
 
+def hat_scatter_contributors(index: np.ndarray, size: int) -> tuple:
+    """(entries, start): bin j's contributors to :func:`hat_scatter` are the
+    flat (side, position) indices entries[start[j]:start[j + 1]] of ``index``,
+    in its summation order.  A one-side scatter of some bins' contributors,
+    indexed by the bins' ordinals, gives those bins' loads bit for bit."""
+    flat = index.ravel()
+    entries = np.argsort(flat, kind="stable")
+    return entries, np.searchsorted(flat[entries], np.arange(size + 1))
+
+
 def hat_scatter(rows: np.ndarray, scatter, size: int, bins=None) -> np.ndarray:
     """Hat loads of per-position values: the dual of :func:`hat_interpolate`.
 

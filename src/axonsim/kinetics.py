@@ -90,11 +90,6 @@ class ChannelKinetics:
     def v_plus(self) -> float:
         return float(np.max(self.driving))
 
-    def state_index(self, state) -> int:
-        if isinstance(state, str):
-            return self.index[state]
-        return int(state)
-
 
 def make_kinetics(spec: dict) -> ChannelKinetics:
     """Build and validate kinetics from a parsed configuration mapping.

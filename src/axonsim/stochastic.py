@@ -85,9 +85,6 @@ class ChannelConfig:
     def count(self) -> int:
         return self.positions.size
 
-    def state_counts(self, n_states: int) -> np.ndarray:
-        return np.bincount(self.states, minlength=n_states)
-
 
 @dataclass(eq=False)
 class StochasticState:
@@ -174,6 +171,8 @@ class _HybridCore:
 
     def __init__(self, grid: Grid, k: ChannelKinetics, channels: ChannelConfig,
                  v_interior: np.ndarray):
+        if grid.n_interior < 2:  # B's off-diagonal needs two interior nodes
+            raise ValueError(f"the particle model needs cells >= 3, got {grid.cells}")
         self.grid = grid
         self.k = k
         self.n = channels.n_scale
@@ -185,7 +184,7 @@ class _HybridCore:
         self.hats = hat_weights(grid, self.positions)
         self.scatter = hat_scatter_arrays(grid, self.positions)
         (self.idx_lo, self.idx_hi), (self.wt_lo, self.wt_hi) = self.scatter
-        self.off_idx = np.clip(self.hats[0] - 1, 0, max(grid.n_interior - 2, 0))
+        self.off_idx = np.clip(self.hats[0] - 1, 0, grid.n_interior - 2)
         self.wt_cross = self.wt_lo * self.wt_hi
         self.v_full = np.zeros(grid.cells + 1)
         self.v_full[1:-1] = v_interior

@@ -98,7 +98,7 @@ def prefix(traj, n_times):
 
 def m_functional(traj, k, xi, idx):
     """Martingale part of state xi at sample time idx, as a functional."""
-    loads = scan_path(traj, k, want_series=True).m_loads[idx, k.state_index(xi)]
+    loads = scan_path(traj, k, want_series=True).m_loads[idx, k.index[xi]]
     return Functional(traj.grid, loads)
 
 
@@ -106,7 +106,7 @@ def predicted(traj, phi, xi, k):
     """Path-wise predicted variance of <phi, M_xi(T)>."""
     phi_chan = interpolate_at_channels(phi, traj.positions)
     diag = scan_path(traj, k)
-    return terminal_martingale(diag, phi_chan, traj.n_scale)[1][k.state_index(xi)]
+    return terminal_martingale(diag, phi_chan, traj.n_scale)[1][k.index[xi]]
 
 
 class TestCompensators:
@@ -158,7 +158,7 @@ class TestMartingaleSeries:
         cfg = RunConfig.from_dict({"time_horizon": 0.2, "dt": 2e-3, "cells": 60})
         grid, kin, _, _ = cfg.build()
         traj = run_replicate(cfg, 50, 1)
-        m_open = scan_path(traj, kin, want_series=True).m_loads[:, kin.state_index("open")]
+        m_open = scan_path(traj, kin, want_series=True).m_loads[:, kin.index["open"]]
         assert np.max(np.abs(m_open[0])) == 0.0
 
     def test_states_sum_to_zero(self):
@@ -498,6 +498,55 @@ def per_time_loads(grid, positions, n_scale, inputs):
     return c_loads, comp_loads, m_loads
 
 
+def sample_time_states(traj):
+    """Reference: the replayed states at every sample time, one jump at a
+    time; a substep (t_k, t_k+1] holds the jumps with t_k < t <= t_k+1."""
+    bounds = np.searchsorted(traj.jump_times, traj.times, side="right")
+    states = traj.initial_states.copy()
+    out = [states.copy()]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for e in range(lo, hi):
+            states[traj.jump_channel[e]] = traj.jump_dst[e]
+        out.append(states.copy())
+    return np.array(out)
+
+
+def series_inputs(traj, comp, occ):
+    """per_time_loads inputs from the (comp, occ) rows and the jump log."""
+    states = sample_time_states(traj)
+    ids = np.arange(traj.n_states)[:, None]
+    initial = (states[0] == ids).astype(float)
+    return [(s, c, o, (s == ids) - initial) for s, c, o in zip(states, comp, occ)]
+
+
+def random_jump_log(grid, rng, n_states, n_times, n_scale):
+    """A trajectory with a random jump log in which each jump leaves the
+    state its channel is in: several jumps of one channel or one cell per
+    substep, jumps at sample times and outside the replayed interval."""
+    count = int(rng.integers(1, 40))
+    times = np.linspace(0.0, 1.0, n_times)
+    n_jumps = int(rng.integers(0, 4 * n_times))
+    t_jump = np.where(rng.random(n_jumps) < 0.2, rng.choice(times, size=n_jumps),
+                      rng.uniform(-0.05, 1.05, size=n_jumps))
+    channel = rng.integers(0, count, size=n_jumps)
+    initial = rng.integers(0, n_states, size=count)
+    states = initial.copy()
+    jumps = []
+    for t, i in zip(np.sort(t_jump).tolist(), channel.tolist()):
+        dst = (states[i] + int(rng.integers(1, n_states))) % n_states
+        jumps.append((t, i, states[i], dst))
+        states[i] = dst
+    traj = manual_trajectory(grid, jumps, T=1.0, n_sub=n_times - 1, n_scale=n_scale,
+                             positions=rng.uniform(-0.999, 0.999, size=count))
+    return dataclasses.replace(traj, initial_states=initial, n_states=n_states)
+
+
+def series_scatter(traj, keep, block, consumer=None):
+    bounds = np.searchsorted(traj.jump_times, traj.times, side="right")
+    return _SeriesScatter(traj, decomposition._jump_plan(traj, bounds), keep, block,
+                          consumer)
+
+
 def per_substep_scan(traj, k):
     """Reference replay: the per-substep loop the block replay replaced.
 
@@ -566,24 +615,22 @@ class TestSeriesScatter:
            block=st.integers(1, 8),
            n_scale=st.integers(1, 40),
            cells=st.integers(2, 30),
+           window_bytes=st.integers(1, 4000),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_per_time_scatter(self, n_states, n_times, block, n_scale, cells,
-                                      seed):
+                                      window_bytes, seed):
         g = build_grid(1.0, cells)
         rng = np.random.default_rng(seed)
-        count = int(rng.integers(1, 40))
-        positions = rng.uniform(-0.999, 0.999, size=count)
-        inputs = [
-            (rng.integers(0, n_states, size=count),
-             rng.exponential(size=(n_states, count)),
-             rng.exponential(size=(n_states, count)),
-             rng.integers(-2, 3, size=(n_states, count)).astype(float))
-            for _ in range(n_times)
-        ]
-        series = _SeriesScatter(g, positions, n_states, n_times, n_scale, SERIES, block)
-        for t in range(0, n_times, block):
-            series.fill(t, *(np.stack(rows) for rows in zip(*inputs[t:t + block])))
-        ref = per_time_loads(g, positions, n_scale, inputs)
+        traj = random_jump_log(g, rng, n_states, n_times, n_scale)
+        count = traj.positions.size
+        comp = rng.exponential(size=(n_times, n_states, count))
+        occ = rng.exponential(size=(n_times, n_states, count))
+        with unittest.mock.patch.object(decomposition, "TOUCH_WINDOW_BYTES", window_bytes):
+            series = series_scatter(traj, SERIES, block)
+            # blocks from time 0, not the replay's: windows need not align
+            for t in range(0, n_times, block):
+                series.fill(t, comp[t:t + block], occ[t:t + block])
+        ref = per_time_loads(g, traj.positions, n_scale, series_inputs(traj, comp, occ))
         assert np.array_equal(series.c_loads, ref[0])
         assert np.array_equal(series.comp_loads, ref[1])
         assert np.array_equal(series.m_loads, ref[2])
@@ -604,19 +651,20 @@ class TestSeriesScatter:
         count = traj.positions.size
         monkeypatch.setattr(decomposition, "REPLAY_BLOCK_BYTES",
                             4 * 8 * count * kin.n_states * (kin.n_states + 6))
-        inputs = []
+        comp, occ = [], []
         fill = _SeriesScatter.fill
 
-        def recording_fill(self, t, states, comp, occ, jumps_net):
-            assert t == len(inputs)
-            inputs.extend((states[b].copy(), comp[b].copy(), occ[b].copy(),
-                           jumps_net[b].copy()) for b in range(states.shape[0]))
-            fill(self, t, states, comp, occ, jumps_net)
+        def recording_fill(self, t, comp_rows, occ_rows):
+            assert t == len(comp)
+            comp.extend(comp_rows.copy())
+            occ.extend(occ_rows.copy())
+            fill(self, t, comp_rows, occ_rows)
 
         monkeypatch.setattr(_SeriesScatter, "fill", recording_fill)
         diag = scan_path(traj, kin, want_series=True)
-        assert len(inputs) == traj.n_times
-        ref = per_time_loads(grid, traj.positions, traj.n_scale, inputs)
+        assert len(comp) == traj.n_times
+        ref = per_time_loads(grid, traj.positions, traj.n_scale,
+                             series_inputs(traj, comp, occ))
         assert np.array_equal(diag.c_loads, ref[0])
         assert np.array_equal(diag.comp_loads, ref[1])
         assert np.array_equal(diag.m_loads, ref[2])
@@ -720,6 +768,48 @@ class TestBlockReplay:
                                  positions=np.array([-0.5, 0.0, 0.5]))
         assert_replay_matches_loop(traj, k)
 
+    @pytest.mark.parametrize("jumps", [
+        [(0.33, 0, 0, 1), (0.35, 1, 0, 1)],   # two channels of one cell, one substep
+        [(0.52, 2, 0, 1), (0.55, 2, 1, 0)],   # out of its state and back in a substep
+        [(0.97, 1, 0, 1)],                    # in the last substep
+    ], ids=["one-cell", "out-and-back", "last-substep"])
+    def test_touched_bins(self, jumps):
+        g = build_grid(1.0, 20)
+        k = constant_kinetics(up=0.8, down=0.4)
+        # channels 0 and 1 share the cell [0, 0.1]; channel 2 sits on a node
+        traj = manual_trajectory(g, jumps, T=1.0, n_sub=10, n_scale=3,
+                                 positions=np.array([0.01, 0.06, 0.5]))
+        assert_replay_matches_loop(traj, k)
+
+    @pytest.mark.parametrize("window_bytes", [1, 4000])
+    def test_touch_windows(self, monkeypatch, window_bytes):
+        """Small windows, with edges between substeps that touch several
+        bins and at and between the flushes of a small Riesz buffer."""
+        traj, kin = cached_replicate("chain5", 50, 2)
+        det = cached_reference("chain5")
+        per_substep = 8 * traj.positions.size * kin.n_states * (kin.n_states + 6)
+        monkeypatch.setattr(decomposition, "REPLAY_BLOCK_BYTES", 3 * per_substep)
+        monkeypatch.setattr(decomposition, "TOUCH_WINDOW_BYTES", window_bytes)
+        monkeypatch.setattr(grid_module, "RIESZ_CHUNK_BYTES",
+                            7 * 8 * traj.grid.n_interior)
+        windows = []
+        price = _SeriesScatter._price_window
+
+        def recording_price(self, t, need):
+            price(self, t, need)
+            windows.append((t, self.window_end))
+
+        monkeypatch.setattr(_SeriesScatter, "_price_window", recording_price)
+        assert_replay_matches_loop(traj, kin)
+        assert_streamed_matches_store_all(traj, det, kin)
+        touched = np.bincount(np.searchsorted(traj.times, traj.jump_times) - 1)
+        edges = {end for _, end in windows if end < traj.n_times}
+        assert any(touched[end - 2] >= 2 for end in edges)
+        if window_bytes == 1:  # one window per piece: ends at the flushes too
+            assert {7, 14, 21} <= edges
+        else:  # windows of several blocks, flushed inside
+            assert any(t < 14 < end for t, end in windows)
+
     def test_likelihood_suite_paths(self):
         g = build_grid(1.0, 10)
         k = constant_kinetics(up=0.8, down=0.4, clamp=(0.01, 2.0))
@@ -773,13 +863,11 @@ class TestStreamedSeries:
                                             keep, seed):
         g = build_grid(1.0, 12)
         rng = np.random.default_rng(seed)
-        count = int(rng.integers(1, 30))
-        positions = rng.uniform(-0.999, 0.999, size=count)
-        states = rng.integers(0, n_states, size=(n_times, count))
+        traj = random_jump_log(g, rng, n_states, n_times, 3)
+        count = traj.positions.size
         comp = rng.exponential(size=(n_times, n_states, count))
         occ = rng.exponential(size=(n_times, n_states, count))
-        jumps_net = rng.integers(-2, 3, size=(n_times, n_states, count)).astype(float)
-        store_all = _SeriesScatter(g, positions, n_states, n_times, 3, keep, block)
+        store_all = series_scatter(traj, keep, block)
         got = {name: [] for name in keep}
         starts = []
 
@@ -791,12 +879,10 @@ class TestStreamedSeries:
 
         with unittest.mock.patch.object(grid_module, "RIESZ_CHUNK_BYTES",
                                         chunk * 8 * g.n_interior):
-            streamed = _SeriesScatter(g, positions, n_states, n_times, 3, keep, block,
-                                      consumer)
+            streamed = series_scatter(traj, keep, block, consumer)
         for series in (store_all, streamed):
             for t in range(0, n_times, block):
-                rows = slice(t, t + block)
-                series.fill(t, states[rows], comp[rows], occ[rows], jumps_net[rows])
+                series.fill(t, comp[t:t + block], occ[t:t + block])
         streamed.flush()
         rows = min(chunk, n_times)
         assert starts == [(t, min(rows, n_times - t)) for t in range(0, n_times, rows)]

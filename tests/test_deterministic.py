@@ -397,7 +397,7 @@ def reference_summary_csv(traj, path, stride=1):
         w = csv.writer(fh)
         w.writerow(["t", "l2", "h10", "dissipation"])
         for i in range(0, traj.n_times, stride):
-            vf = traj.v_at(i)
+            vf = GridFunction(traj.grid, traj.v[i])
             w.writerow([
                 repr(float(traj.times[i])), repr(l2_norm(vf)), repr(h10_norm(vf)),
                 repr(float(traj.dissipation[i])),

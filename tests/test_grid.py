@@ -20,6 +20,7 @@ from axonsim.grid import (
     hat_scatter,
     hat_scatter_arrays,
     hat_scatter_bins,
+    hat_scatter_contributors,
     hat_weights,
     hminus1_norm,
     hminus1_norms,
@@ -524,6 +525,45 @@ class TestHatScatter:
         expected = np.zeros(8)
         expected[[0, 3, 7]] = [1.0, 2.0, 1.0]
         assert np.array_equal(hat_scatter(rows, (index, weight), 8), expected)
+
+
+class TestScatterContributors:
+    @given(cells=st.integers(3, 60), count=st.integers(1, 50), batch=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pair_sums_match_the_scatter(self, cells, count, batch, seed):
+        """Loads of any set of bins, as one-side scatters of their listed
+        contributors, are the full scatter's bits."""
+        g = build_grid(1.0, cells)
+        rng = np.random.default_rng(seed)
+        # inside, on interior nodes, and in the two boundary cells, where
+        # one hat weight is zero
+        inside = rng.uniform(-1.0, 1.0, size=count)
+        on_nodes = rng.choice(g.nodes[1:-1], size=count)
+        edge = rng.uniform(0.0, g.h, size=count) - 1.0
+        edge = np.where(rng.random(count) < 0.5, edge, -edge)
+        x = np.choose(rng.integers(0, 3, size=count), (inside, on_nodes, edge))
+        x = np.clip(x, -1.0 + 1e-12, 1.0 - 1e-12)
+        rows = rng.normal(size=(batch, count)) * rng.integers(-1, 2, size=(batch, count))
+        scatter = hat_scatter_arrays(g, x)
+        entries, start = hat_scatter_contributors(scatter[0], g.n_interior)
+        bins = rng.permutation(g.n_interior)[:rng.integers(1, g.n_interior + 1)]
+
+        counts = start[bins + 1] - start[bins]
+        entry = np.concatenate([entries[start[j]:start[j + 1]] for j in bins])
+        side, pos = np.divmod(entry, count)
+        assert np.array_equal(scatter[0][side, pos], np.repeat(bins, counts))
+        pair = np.repeat(np.arange(bins.size), counts)
+        got = hat_scatter(rows[:, pos], (pair[None], scatter[1][side, pos][None]),
+                          bins.size)
+        assert np.array_equal(got, hat_scatter(rows, scatter, g.n_interior)[..., bins])
+
+    def test_summation_order(self):
+        # flat (side, position) entries: bin 1 sums positions 0 and 2 of
+        # side 0, then position 1 of side 1
+        index = np.array([[1, 0, 1], [2, 1, 2]])
+        entries, start = hat_scatter_contributors(index, 3)
+        assert start.tolist() == [0, 1, 4, 6]
+        assert entries.tolist() == [1, 0, 2, 4, 3, 5]
 
 
 class TestPairing:

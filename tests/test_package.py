@@ -6,8 +6,8 @@ import axonsim
 
 SRC = Path(axonsim.__file__).parent
 
-# The one hat-scatter kernel, and the one other histogram in the package.
-SCATTER_HOMES = {("grid.py", "hat_scatter"), ("stochastic.py", "ChannelConfig.state_counts")}
+# The one hat-scatter kernel.
+SCATTER_HOMES = {("grid.py", "hat_scatter")}
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -35,9 +35,8 @@ def _functions(tree):
 
 
 def test_hat_scatter_has_one_home():
-    """``np.add.at`` and ``bincount`` appear, code or text, only in the kernel
-    and ``ChannelConfig.state_counts``; no module imports another's private
-    hat or scatter helper."""
+    """``np.add.at`` and ``bincount`` appear, code or text, only in the
+    kernel; no module imports another's private hat or scatter helper."""
     strays, private = [], []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()

@@ -128,7 +128,7 @@ class TestInitChannels:
     def test_stratified_balance(self):
         g = build_grid(1.0, 20)
         cfg = init_channels(100, uniform_p0(g, 0.5), "stratified", make_rng(1))
-        counts = cfg.state_counts(2)
+        counts = np.bincount(cfg.states, minlength=2)
         assert abs(counts[0] - counts[1]) <= 1
 
     def test_stratified_dual_norm_shrinks(self):
@@ -321,6 +321,19 @@ class TestRunStoch:
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
                          0.0, 1e-3, kinetics(), 5)
         assert traj.n_times == 1 and traj.jump_times.size == 0
+
+    @pytest.mark.parametrize("cells", [2, 3])
+    def test_needs_two_interior_nodes(self, cells):
+        """A one-node grid has no off-diagonal for the point sources' operator."""
+        g = build_grid(1.0, cells)
+        cfg = init_channels(3, uniform_p0(g, 0.5), "stratified", make_rng(0))
+        init = StochasticState(0.0, fundamental_mode(g, 0.5), cfg)
+        if cells < 3:
+            with pytest.raises(ValueError, match="cells >= 3, got 2"):
+                run_stoch(init, 0.01, 1e-3, kinetics(), 0)
+        else:
+            traj = run_stoch(init, 0.01, 1e-3, kinetics(), 0)
+            assert traj.n_times == 11 and np.all(np.isfinite(traj.v))
 
     def test_zero_conductance_matches_heat_oracle(self):
         g = build_grid(1.0, 200)

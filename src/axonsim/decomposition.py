@@ -57,7 +57,7 @@ from .grid import (
     hminus1_norms,
     riesz_chunk,
 )
-from .kinetics import ChannelKinetics, channel_rates, rate_table
+from .kinetics import ChannelKinetics, rate_table
 from .stochastic import StochTrajectory
 
 
@@ -367,8 +367,10 @@ def scan_path(
             ends[:, moved] = plan.states_at(moved, np.arange(b0 + 1, b1 + 1)[:, None],
                                             initial)
         starts = np.concatenate((states[None], ends[:-1]))
-        rate_to = channel_rates(table.reshape(n_states, n_states, -1),
-                                starts.ravel()).reshape(n_states, nb, count)
+        # rate_to[dst, b, i] = table[dst, starts[b, i], b, i], one flat take
+        rate_to = np.take(table.reshape(n_states, -1),
+                          starts.ravel() * (nb * count) + np.arange(nb * count),
+                          axis=1).reshape(n_states, nb, count)
         dt = np.diff(traj.times[b0:b1 + 1])[:, None]
 
         # Increment slots, one row per slot and a column per channel: comp

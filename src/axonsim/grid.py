@@ -171,7 +171,7 @@ _gtsv, _gttrf, _gttrs, _pbtrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs", "pbt
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
-    for a in arrays:
+    for a in {id(a): a for a in arrays}.values():  # one scan of an array passed twice
         if not np.isfinite(a).all():
             raise ValueError("array must not contain infs or NaNs")
 
@@ -223,10 +223,9 @@ def cn_bands(stiff: tuple, mass: tuple, reaction: tuple, tau: float) -> tuple:
     (diagonal, off-diagonal) bands of K, M and the reaction matrix A."""
     (kd, ko), (md, mo), (ad, ao) = stiff, mass, reaction
     half = 0.5 * tau
-    diag_op = kd + ad
-    off_op = ko + ao
-    return (md + half * diag_op, mo + half * off_op,
-            md - half * diag_op, mo - half * off_op)
+    half_diag = half * (kd + ad)
+    half_off = half * (ko + ao)
+    return md + half_diag, mo + half_off, md - half_diag, mo - half_off
 
 
 def tridiag_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:

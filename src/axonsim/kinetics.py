@@ -150,18 +150,7 @@ def rate_table(k: ChannelKinetics, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     table = np.zeros((k.n_states, k.n_states) + v.shape)
     for (src, dst), form in k.forms.items():
-        table[dst, src] = form(v).clip(k.alpha_min, k.alpha_max)
+        rates = table[dst, src, ...]  # a view, also of 0-d v
+        np.maximum(form(v), k.alpha_min, out=rates)
+        np.minimum(rates, k.alpha_max, out=rates)
     return table
-
-
-def channel_rates(table: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Rates out of each channel's current state, shape (n_states, count).
-
-    ``table`` is a rate table over the channels' voltages; entry [dst, i]
-    of the result is ``table[dst, states[i], i]``, so its column sums are
-    the channels' exit rates.
-    """
-    n_states, _, count = table.shape
-    flat = states * count + np.arange(count)
-    return np.take(table.reshape(n_states, -1), flat, axis=1)
-

@@ -24,13 +24,25 @@ solve (:func:`grid.tridiag_solve`), and the step is unconditionally stable.
 Only a jump changes the operator, so a substep without jumps reuses the LU
 factor and right-hand-side bands stored for the full dt
 (:func:`grid.tridiag_factor`) until the next jump that changes a
-conductance.  The dissipation budget is checked a block of substeps at a
-time from the stored snapshots, with the same sums in the same order as a
-per-step check, and raises at the same step.
+conductance.
+
+Most substeps at small N are jump-free, so they are stepped in quiet runs:
+the voltages of the next few substeps are solved ahead through the stored
+factor as if none of them jumps, step 1 is done at all of them in one rate
+evaluation, and the holding times are then drawn substep by substep.  The
+run ends at the first substep with a jump, which starts from its own
+voltage, and the guesses after it are dropped; the draws, the solves and so
+the whole trajectory are those of one substep at a time, bit for bit.  A run
+is as long as the mean time to the next jump at the last substep's rates,
+and one substep while no factor is stored, so it never factors for a guess.
+The dissipation budget is checked a block of substeps at a time from the
+stored snapshots, with the same sums in the same order as a per-step check,
+and raises at the same step.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -57,7 +69,7 @@ from .grid import (
     tridiag_solve,
 )
 from .deterministic import _LEDGER_BLOCK, DissipationLedger, step_count, step_guard
-from .kinetics import ChannelKinetics, channel_rates, rate_table
+from .kinetics import ChannelKinetics, rate_table
 
 STOCH_GUARD = 0.2
 
@@ -179,6 +191,7 @@ class _HybridCore:
         self.positions = channels.positions
         self.states = channels.states.copy()
         self.count = channels.count
+        self.arange = np.arange(self.count)
         self.kd, self.ko = stiffness_bands(grid)
         self.md, self.mo = mass_bands(grid)
         self.hats = hat_weights(grid, self.positions)
@@ -186,10 +199,16 @@ class _HybridCore:
         (self.idx_lo, self.idx_hi), (self.wt_lo, self.wt_hi) = self.scatter
         self.off_idx = np.clip(self.hats[0] - 1, 0, grid.n_interior - 2)
         self.wt_cross = self.wt_lo * self.wt_hi
-        self.v_full = np.zeros(grid.cells + 1)
+        # whole voltages, boundary nodes included, of a quiet run's substep
+        # starts: row 0 is the current voltage, the rest are solved ahead
+        self._starts = np.zeros((_LEDGER_BLOCK, grid.cells + 1))
+        self.v_full = self._starts[0]
         self.v_full[1:-1] = v_interior
-        # (dt, factor of the CN matrix, rhs diagonal, rhs off-diagonal) of a
-        # whole no-jump substep; a jump that changes the operator drops it
+        self.step = 0  # substeps done; the snapshot index of v_full
+        self._exit_sum = math.inf  # total exit rate at the last drawn substep
+        # (dt, factor of the CN matrix, rhs diagonal, rhs off-diagonal, dt *
+        # load) of a whole no-jump substep; a jump that changes the operator
+        # drops it
         self._full_step = None
         self._assemble_source()
 
@@ -241,11 +260,16 @@ class _HybridCore:
         if self._full_step is None or self._full_step[0] != dt:
             lhs_d, lhs_o, rhs_d, rhs_o = cn_bands((self.kd, self.ko), (self.md, self.mo),
                                                   (self.bd, self.bo), dt)
-            self._full_step = (dt, tridiag_factor(lhs_o, lhs_d, lhs_o), rhs_d, rhs_o)
-        _, factor, rhs_d, rhs_o = self._full_step
-        rhs = tridiag_matvec(rhs_d, rhs_o, self.v_full[1:-1])
-        rhs += dt * self.cload
-        self.v_full[1:-1] = tridiag_factor_solve(factor, rhs)
+            self._full_step = (dt, tridiag_factor(lhs_o, lhs_d, lhs_o), rhs_d, rhs_o,
+                               dt * self.cload)
+        self.v_full[1:-1] = self._solve_full(self.v_full[1:-1])
+
+    def _solve_full(self, v: np.ndarray) -> np.ndarray:
+        """The interior voltage a whole no-jump substep from ``v`` ends at."""
+        _, factor, rhs_d, rhs_o, load = self._full_step
+        rhs = tridiag_matvec(rhs_d, rhs_o, v)
+        rhs += load
+        return tridiag_factor_solve(factor, rhs)
 
     def _jump_chain(self, i: int, first_time: float, dt: float, rates: np.ndarray,
                     t0: float, rng: np.random.Generator) -> list[tuple]:
@@ -255,31 +279,102 @@ class _HybridCore:
         substep's rate table.
         """
         exit = rates.sum(axis=0).tolist()
+        cumulative = np.cumsum(rates, axis=0).T.tolist()  # per source state
+        last = self.k.n_states - 1
         events = []
         s = int(self.states[i])
         t_loc = first_time
         while t_loc <= dt:
             u = rng.random() * exit[s]
-            dst = int(np.searchsorted(np.cumsum(rates[:, s]), u, side="right"))
-            dst = min(dst, self.k.n_states - 1)
+            dst = min(bisect.bisect_right(cumulative[s], u), last)
             events.append((t0 + t_loc, i, s, dst))
             s = dst
             t_loc += rng.exponential() / exit[s]
         return events
 
-    def substep(self, t0: float, dt: float, rng: np.random.Generator):
-        """Advance by one substep; returns its time-ordered jump events."""
-        table = rate_table(self.k, hat_interpolate(self.v_full, self.hats))
-        exit = channel_rates(table, self.states).sum(axis=0)
-        tau = rng.exponential(size=self.count) / exit
-        jumpers = np.nonzero(tau <= dt)[0]
-        if jumpers.size == 0:
+    def _quiet_rows(self, dt: float, limit: int) -> int:
+        """Substeps in the next run, within [1, limit]: the whole substeps in
+        the mean time to the next jump at the last drawn substep's rates.
+
+        Without a stored factor it is 1, so a run never factors for a guess.
+        """
+        if self._full_step is None or self._full_step[0] != dt:
+            return 1
+        return max(1, min(limit, int(1.0 / (dt * self._exit_sum))))
+
+    def _solve_ahead(self, rows: int) -> int:
+        """Solve the starts of a run's substeps 1 .. rows - 1 as if none of
+        the substeps before jumps; returns the rows the run keeps.
+
+        A solve that raises (``ValueError``, or its ``LinAlgError``) or comes
+        out non-finite ends the run before its row, so that the run's last
+        substep repeats it as its own step and fails there as that step does.
+        """
+        starts = self._starts
+        for row in range(1, rows):
+            try:
+                starts[row, 1:-1] = self._solve_full(starts[row - 1, 1:-1])
+            except ValueError:
+                rows = row
+                break
+        if rows > 1:
+            finite = np.isfinite(starts[1:rows]).all(axis=1)
+            if not finite.all():
+                rows = 1 + int(np.argmin(finite))
+        return rows
+
+    def advance(self, times: np.ndarray, stop: int, dt: float,
+                rng: np.random.Generator, snaps: np.ndarray) -> list[tuple]:
+        """Advance by one quiet run of substeps, to the first one with a
+        jump or to substep ``stop``; returns the run's time-ordered jump
+        events.
+
+        The run's substep starts are solved ahead through the stored factor
+        as if none of them jumps, and its rates are evaluated at all of them
+        in one call.  The holding times are then drawn substep by substep,
+        as a run of one substep draws them, so the stream is consumed in
+        the same order; the starts after the first substep with a jumper
+        are dropped, and that substep takes the jump path from its own
+        start.  Each substep's end voltage is written to ``snaps`` at the
+        substep count ``self.step`` reaches with it; a non-finite one
+        raises instead, and an error leaves ``self.step`` at the substep
+        that failed.
+        """
+        rows = self._solve_ahead(self._quiet_rows(dt, stop - self.step))
+        starts = self._starts[:rows]
+        table = rate_table(self.k, hat_interpolate(starts, self.hats))
+        exit = table.sum(axis=0)[self.states, :, self.arange]  # (count, rows)
+        for row in range(rows):
+            tau = rng.exponential(size=self.count) / exit[:, row]
+            jumpers = np.nonzero(tau <= dt)[0]
+            if jumpers.size or row + 1 == rows:
+                break
+            self.step += 1
+            snaps[self.step] = starts[row + 1, 1:-1]
+        self._exit_sum = float(exit[:, row].sum())
+        if row:
+            self.v_full[:] = starts[row]
+        if jumpers.size:
+            events = self._jump_substep(float(times[self.step]), dt, tau, jumpers,
+                                        table[:, :, row], rng)
+        else:
+            events = []
             self._advance_full(dt)
-            return []
+        v = self.v_full[1:-1]
+        if not np.all(np.isfinite(v)):
+            raise InvariantViolation(f"voltage not finite at t={times[self.step + 1]}")
+        self.step += 1
+        snaps[self.step] = v
+        return events
+
+    def _jump_substep(self, t0: float, dt: float, tau: np.ndarray, jumpers: np.ndarray,
+                      table: np.ndarray, rng: np.random.Generator) -> list[tuple]:
+        """A substep with jumps: the jumpers' chains, drawn in channel order,
+        then a sub-solve between consecutive jumps.  ``tau`` holds the first
+        holding times and ``table`` the substep's rate table."""
         events: list[tuple] = []
-        for i in jumpers:
-            events.extend(self._jump_chain(int(i), float(tau[i]), dt,
-                                           table[:, :, i], t0, rng))
+        for i in jumpers.tolist():
+            events.extend(self._jump_chain(i, float(tau[i]), dt, table[:, :, i], t0, rng))
         events.sort(key=lambda e: e[0])
         cursor = t0
         for (te, i, _src, dst) in events:
@@ -341,24 +436,21 @@ def run_stoch(
     js: list[int] = []
     jd: list[int] = []
 
-    for step in range(n_steps):
+    while core.step < n_steps:
+        stop = min(n_steps, (core.step // _LEDGER_BLOCK + 1) * _LEDGER_BLOCK)
         try:
-            events = core.substep(float(times[step]), dt, rng)
-            v = core.v_full[1:-1]
-            if not np.all(np.isfinite(v)):
-                raise InvariantViolation(f"voltage not finite at t={times[step + 1]}")
+            events = core.advance(times, stop, dt, rng, v_snaps)
         except Exception:
             # a budget failure at an earlier step is the one to report
-            ledger.record(step, times, dt, v_snaps)
+            ledger.record(core.step, times, dt, v_snaps)
             raise
         for (te, i, s, d) in events:
             jt.append(te)
             jc.append(i)
             js.append(s)
             jd.append(d)
-        v_snaps[step + 1] = v
-        if (step + 1) % _LEDGER_BLOCK == 0 or step + 1 == n_steps:
-            ledger.record(step + 1, times, dt, v_snaps)
+        if core.step == stop:
+            ledger.record(stop, times, dt, v_snaps)
 
     return StochTrajectory(
         grid=grid,

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from axonsim.grid import build_grid, hat_interpolate, hat_weights
+from axonsim.harness import RunConfig
 from axonsim.kinetics import make_kinetics, rate_table
+from test_decomposition import CHAIN5
 
 
 def two_state(rate_a=0.5, rate_b=0.5, clamp=(0.01, 10.0)):
@@ -264,3 +267,31 @@ class TestRateTable:
                     assert np.array_equal(table[dst, src], ref)
                     exit = exit + ref
             assert np.array_equal(table.sum(axis=0)[src], exit)
+
+
+class TestBatchedRates:
+    """Rates over a (rows, count) batch of voltages equal each row's own
+    call, bit for bit: the particle model's quiet runs and the compensator
+    replay evaluate a batch of substeps at once, so a SIMD loop whose tail
+    rounds differently would move their jumps."""
+
+    @pytest.mark.parametrize("config", ["default", "chain5"])
+    @given(data=st.data(), cells=st.integers(3, 60), rows=st.integers(1, 70),
+           count=st.integers(1, 200))
+    def test_rows_match_single_calls(self, config, data, cells, rows, count):
+        kin = RunConfig.from_dict({"default": {}, "chain5": CHAIN5}[config]).build()[1]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1e-3, 0.3, 3.0, 300.0]))
+        grid = build_grid(1.0, cells)
+        hats = hat_weights(grid, np.sort(rng.uniform(-1.0, 1.0, count)))
+        volts = np.zeros((rows, cells + 1))
+        volts[:, 1:-1] = scale * rng.standard_normal((rows, cells - 1))
+        with np.errstate(over="ignore"):  # the largest scale overflows exp
+            table = rate_table(kin, hat_interpolate(volts, hats))
+            singles = [rate_table(kin, hat_interpolate(v, hats)) for v in volts]
+        assert table.shape == (kin.n_states, kin.n_states, rows, count)
+        exits = table.sum(axis=0)
+        for row, single in enumerate(singles):
+            assert np.array_equal(table[:, :, row], single)
+            assert np.array_equal(exits[:, row], single.sum(axis=0))
+

@@ -620,8 +620,10 @@ class TestBlockLedger:
 
     @staticmethod
     def check_earlier_budget_failure_wins(monkeypatch, simulate, inject, fault,
-                                          budget_fails, fault_error):
-        """Fault snapshot m + 2, after a budget failure at m, in the same block.
+                                          budget_fails, fault_error,
+                                          pick=lambda traj, m: m + 2):
+        """Fault snapshot ``pick(traj, m)`` after a budget failure at m, in
+        the same block.
 
         ``inject(traj, bad)`` patches the fault in, and ``fault_error`` is
         what the run raises for it when the budget holds.
@@ -629,8 +631,8 @@ class TestBlockLedger:
         cfg = RunConfig.from_dict(TRIP)
         traj = simulate(cfg)
         m, message = first_budget_failure(traj)
-        bad = m + 2  # the snapshot index that goes wrong, in the same block
-        assert (m - 1) // _LEDGER_BLOCK == (bad - 1) // _LEDGER_BLOCK
+        bad = pick(traj, m)  # the snapshot that goes wrong
+        assert m < bad and (m - 1) // _LEDGER_BLOCK == (bad - 1) // _LEDGER_BLOCK
         inject(traj, bad)
         if budget_fails:
             monkeypatch.setattr(deterministic, "_budget_constants", lambda k: (0.0, 0.0))
@@ -643,28 +645,67 @@ class TestBlockLedger:
             simulate(cfg)
         assert str(exc.value) == expected[1]
 
+    @staticmethod
+    def inject_at_stored_factor(monkeypatch, fault):
+        """``inject`` for a run_stoch fault in the stored-factor solve, the
+        seam every jump-free substep's voltage passes, whether a quiet run
+        solves it ahead or as its last substep."""
+        def inject(traj, bad):
+            sub = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
+            assert bad - 1 not in sub  # substep bad - 1 is jump-free
+            solve = stochastic.tridiag_factor_solve
+
+            def faulty(factor, rhs):
+                v = solve(factor, rhs)
+                if np.array_equal(v, traj.v[bad]):
+                    if fault == "raise":
+                        raise ValueError("array must not contain infs or NaNs")
+                    v = np.full_like(v, np.nan)
+                return v
+
+            monkeypatch.setattr(stochastic, "tridiag_factor_solve", faulty)
+
+        return inject
+
     @pytest.mark.parametrize("fault", ["nan", "raise"])
     @pytest.mark.parametrize("budget_fails", [True, False])
     def test_earlier_budget_failure_wins_in_one_block(self, monkeypatch, fault,
                                                       budget_fails):
-        def inject(traj, bad):
-            substep = _HybridCore.substep
-
-            def faulty(self, t0, dt, rng):
-                events = substep(self, t0, dt, rng)
-                if t0 == traj.times[bad - 1]:
-                    if fault == "raise":
-                        raise ValueError("array must not contain infs or NaNs")
-                    self.v_full[1:-1] = np.nan
-                return events
-
-            monkeypatch.setattr(_HybridCore, "substep", faulty)
-
         self.check_earlier_budget_failure_wins(
-            monkeypatch, lambda cfg: run_replicate(cfg, 25, 0), inject, fault,
-            budget_fails,
+            monkeypatch, lambda cfg: run_replicate(cfg, 25, 0),
+            self.inject_at_stored_factor(monkeypatch, fault), fault, budget_fails,
             lambda traj, bad: (InvariantViolation,
                                f"voltage not finite at t={traj.times[bad]}"))
+
+    @pytest.mark.parametrize("fault", ["nan", "raise"])
+    @pytest.mark.parametrize("budget_fails", [True, False])
+    def test_fault_inside_a_quiet_run(self, monkeypatch, fault, budget_fails):
+        """A fault solved ahead, mid-way through a run of jump-free substeps,
+        raises at its own substep, and an earlier budget failure still wins."""
+        runs = []
+        advance = _HybridCore.advance
+
+        def recording_advance(self, *args):
+            start = self.step
+            events = advance(self, *args)
+            runs.append((start, self.step))
+            return events
+
+        def inside_a_run(traj, m):
+            # substep bad - 1 neither starts nor ends its run, so the run
+            # solved both its start and its end ahead
+            return min(bad for start, end in runs if end - start >= 3
+                       for bad in range(start + 2, end) if bad > m + 2)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_HybridCore, "advance", recording_advance)
+            run_replicate(RunConfig.from_dict(TRIP), 25, 0)
+        self.check_earlier_budget_failure_wins(
+            monkeypatch, lambda cfg: run_replicate(cfg, 25, 0),
+            self.inject_at_stored_factor(monkeypatch, fault), fault, budget_fails,
+            lambda traj, bad: (InvariantViolation,
+                               f"voltage not finite at t={traj.times[bad]}"),
+            pick=inside_a_run)
 
     @pytest.mark.parametrize("fault", ["nan", "raise"])
     @pytest.mark.parametrize("budget_fails", [True, False])

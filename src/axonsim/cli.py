@@ -7,11 +7,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .deterministic import DeterministicState, run_det, write_summary_csv, write_trajectory_csv
-from .harness import RunConfig, fit_rate, read_results, run_replicate, run_sweep
+from .deterministic import write_summary_csv, write_trajectory_csv
+from .harness import (RunConfig, fit_rate, read_results, run_reference, run_replicate,
+                      run_sweep)
 from .stochastic import write_jump_csv, write_run_manifest, write_voltage_csv
 from .validate import SUITES, default_workers
 
@@ -50,10 +49,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _cmd_det(args) -> int:
-    cfg = _load_config(args)
-    grid, kin, v0, p0 = cfg.build()
-    init = DeterministicState(t=0.0, v=v0, p=np.stack([f.values for f in p0]))
-    traj = run_det(init, cfg.time_horizon, cfg.dt, kin)
+    traj = run_reference(_load_config(args))
     os.makedirs(args.out, exist_ok=True)
     write_trajectory_csv(traj, os.path.join(args.out, "det_trajectory.csv"),
                          stride=args.stride)

@@ -29,11 +29,11 @@ in those rows hold +0.0, and adding +0.0 is exact.  The state rows' loads
 carry over between sample times, summed again, in the full scatter's order,
 only at the bins next to a jump.
 
-A caller that reads the load series only through their dual norms passes
-``scan_path`` a consumer: the series then stream to it one Riesz chunk of
-sample times at a time (``grid.riesz_chunk``), and no full-length series is
-held.  Riesz solves run column by column and each norm sums its own row, so
-the norms do not depend on how the times are batched.
+Every caller reads the load series only through their dual norms, so the
+series stream to a consumer one Riesz chunk of sample times at a time
+(``grid.riesz_chunk``), and no full-length series is held.  Riesz solves run
+column by column and each norm sums its own row, so the norms do not depend
+on how the times are batched.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .csvtext import csv_lines, write_csv
 from .grid import (
     Grid,
     GridFunction,
-    density_loads,
     hat_interpolate,
     hat_scatter,
     hat_scatter_arrays,
@@ -63,23 +62,16 @@ from .stochastic import StochTrajectory
 
 @dataclass(eq=False)
 class PathDiagnostics:
-    """Everything the scan recovers from one trajectory.
+    """The replay's final-time accumulators and the rate of each realized
+    jump; the load series stream to a consumer instead (:func:`scan_path`)."""
 
-    Final-time accumulators are always present; the load series are None
-    unless requested.
-    """
-
-    times: np.ndarray
     comp_final: np.ndarray           # (n_states, count)  int alpha_{s(u), zeta} du
     exit_occupation_final: np.ndarray  # (n_states, count)  int 1{s=xi} alpha_exit du
     jumps_net_final: np.ndarray      # (n_states, count)
     jump_rates: np.ndarray           # (n_jumps,)  frozen rate of each realized jump
-    c_loads: Optional[np.ndarray]    # (n_times, n_states, n_interior)
-    comp_loads: Optional[np.ndarray]
-    m_loads: Optional[np.ndarray]
 
 
-# Load series scan_path can keep: hat loads of the state indicators 1{s = xi}/N
+# Load series scan_path can stream: hat loads of the state indicators 1{s = xi}/N
 # ("c"), of the compensators (comp - occ)/N ("comp"), and of the martingale
 # parts jumps_net/N - comp ("m").
 SERIES = ("c", "comp", "m")
@@ -98,7 +90,7 @@ TOUCH_WINDOW_BYTES = 1 << 19
 
 
 class _SeriesScatter:
-    """Hat loads of the replay's kept series, filled a block of times at once.
+    """Hat loads of the replay's streamed series, filled a block of times at once.
 
     Each sample time has, for every state xi, three per-channel rows (each
     over N): the indicator of s = xi, comp - occ, and jumps_net.  comp - occ
@@ -110,28 +102,25 @@ class _SeriesScatter:
     of :data:`TOUCH_WINDOW_BYTES` at a time.  Every row's loads are the bits
     of scattering that time on its own.
 
-    Without a ``consumer`` the loads of every sample time are kept.  With one,
-    they live in a reused buffer of :func:`grid.riesz_chunk` sample times,
-    and each full buffer, then the remainder (:meth:`flush`), goes to the
-    consumer as :func:`scan_path` describes.
+    The loads live in a reused buffer of :func:`grid.riesz_chunk` sample
+    times, and each full buffer, then the remainder (:meth:`flush`), goes to
+    the consumer as :func:`scan_path` describes.
     """
 
     def __init__(self, traj: StochTrajectory, plan: "_JumpPlan", keep, block: int,
-                 consumer=None):
+                 consumer):
         grid, n_states = traj.grid, traj.n_states
         self.scatter = hat_scatter_arrays(grid, traj.positions)
         self.n_int = grid.n_interior
         self.inv_n = 1.0 / traj.n_scale
         self.consumer = consumer
-        self.rows = traj.n_times if consumer is None else min(traj.n_times, riesz_chunk(grid))
+        self.rows = min(traj.n_times, riesz_chunk(grid))
         self.start = self.filled = 0  # start: the sample time of the buffer's row 0
         shape = (self.rows, n_states, self.n_int)
-        self.c_loads = np.zeros(shape) if "c" in keep else None
-        self.comp_loads = np.zeros(shape) if "comp" in keep else None
-        self.m_loads = np.zeros(shape) if "m" in keep else None
+        self.loads = {name: np.zeros(shape) for name in SERIES if name in keep}
         self.bins = hat_scatter_bins(self.scatter[0], self.n_int, block * n_states)
-        self.kept = [self.c_loads is not None, self.m_loads is not None]
-        self.carried = [x for x in (self.c_loads, self.m_loads) if x is not None]
+        self.kept = [name in keep for name in ("c", "m")]
+        self.carried = [self.loads[name] for name in ("c", "m") if name in keep]
         self.traj, self.plan, self.block = traj, plan, block
         self.ids = np.arange(n_states)[:, None]
         self.contrib, self.contrib_start = hat_scatter_contributors(self.scatter[0],
@@ -150,16 +139,14 @@ class _SeriesScatter:
             part = slice(done, done + self.rows - row)
             self._fill_rows(row, t + done, comp[part], occ[part])
             done = min(part.stop, comp.shape[0])
-            if self.filled == self.rows and self.consumer is not None:
+            if self.filled == self.rows:
                 self.flush()
 
     def flush(self) -> None:
         """Hand the buffer's filled rows to the consumer and start a new one."""
         if self.filled:
-            self.consumer(self.start, {
-                name: loads[:self.filled] for name, loads in zip(
-                    SERIES, (self.c_loads, self.comp_loads, self.m_loads))
-                if loads is not None})
+            self.consumer(self.start, {name: loads[:self.filled]
+                                       for name, loads in self.loads.items()})
         self.start += self.filled
         self.filled = 0
 
@@ -179,13 +166,13 @@ class _SeriesScatter:
                 for r, j, values in touched:  # in time order: a later touch wins
                     loads[r:times.stop, :, j] = values[k]
                 now[...] = loads[times.stop - 1]
-        if self.comp_loads is not None or self.m_loads is not None:
+        if "comp" in self.loads or "m" in self.loads:
             net = hat_scatter((comp - occ) * self.inv_n, self.scatter, self.n_int,
                               self.bins)
-            if self.comp_loads is not None:
-                self.comp_loads[times] = net
-            if self.m_loads is not None:
-                self.m_loads[times] -= net
+            if "comp" in self.loads:
+                self.loads["comp"][times] = net
+            if "m" in self.loads:
+                self.loads["m"][times] -= net
 
     def _price_window(self, t: int, need: int) -> None:
         """Price the touched (sample time, bin) pairs from t to at least need."""
@@ -215,16 +202,6 @@ class _SeriesScatter:
                              (np.repeat(np.arange(pair_t.size), count)[None],
                               self.scatter[1].ravel()[flat][None]), pair_t.size)
         return values.transpose(2, 0, 1)
-
-
-def _kept_series(want_series) -> frozenset:
-    if isinstance(want_series, bool):
-        return frozenset(SERIES if want_series else ())
-    names = frozenset(want_series)
-    if not names <= set(SERIES):
-        raise ValueError(f"unknown series {sorted(names - set(SERIES))}; "
-                         f"choose from {SERIES}")
-    return names
 
 
 @dataclass(eq=False)
@@ -311,7 +288,7 @@ def _jump_plan(traj: StochTrajectory, bounds: np.ndarray) -> _JumpPlan:
 def scan_path(
     traj: StochTrajectory,
     k: ChannelKinetics,
-    want_series: bool | Iterable[str] = False,
+    want_series: Iterable[str] = (),
     consumer: Optional[Callable[[int, dict], None]] = None,
 ) -> PathDiagnostics:
     """Replay a trajectory, integrating compensators on the frozen-rate grid.
@@ -322,17 +299,21 @@ def scan_path(
     accumulators are exactly those of the simulated chain.  Substeps are
     replayed a block at a time (see :data:`REPLAY_BLOCK_BYTES`).
 
-    ``want_series`` names the load series to keep, from :data:`SERIES`:
-    ``True`` keeps all three, a false value none; the others are None.
-    With a ``consumer`` the named series are not kept but streamed: it
-    receives them one :func:`grid.riesz_chunk` of sample times at a time,
-    as ``consumer(start, loads)``, where ``loads`` maps each kept name to the
+    ``want_series`` names the load series to stream, from :data:`SERIES`
+    (``False`` or empty for none).  The ``consumer`` receives them one
+    :func:`grid.riesz_chunk` of sample times at a time, as
+    ``consumer(start, loads)``, where ``loads`` maps each named series to the
     (n, n_states, n_int) loads of sample times start .. start + n - 1 in a
-    reused buffer, and the returned series are None.
+    reused buffer.  Series and consumer come together or not at all.
     """
-    keep = _kept_series(want_series)
+    keep = frozenset(want_series or ())
+    if not keep <= set(SERIES):
+        raise ValueError(f"unknown series {sorted(keep - set(SERIES))}; "
+                         f"choose from {SERIES}")
     if consumer is not None and not keep:
         raise ValueError("a consumer needs at least one series in want_series")
+    if keep and consumer is None:
+        raise ValueError("series in want_series need a consumer to stream to")
     n_states = traj.n_states
     count = traj.positions.size
     n_sub = traj.n_times - 1
@@ -354,7 +335,7 @@ def scan_path(
         series.fill(0, zero, zero)
     def replay_block(b0, b1, states, acc):
         """Advance ``states`` and ``acc`` over substeps [b0, b1), and give the
-        (comp, occ) rows at the substeps' ends if series are kept.  The
+        (comp, occ) rows at the substeps' ends if series stream.  The
         block's arrays die on return, before the series are filled."""
         nb = b1 - b0
         v_full[:nb, 1:-1] = traj.v[b0:b1]
@@ -419,20 +400,15 @@ def scan_path(
         states, acc, at_end = replay_block(b0, min(b0 + block, n_sub), states, acc)
         if series is not None:
             series.fill(b0 + 1, at_end[:, :n_states], at_end[:, n_states:])
-    if consumer is not None:
+    if series is not None:
         series.flush()
-        series = None
 
     acc = acc.reshape(2, n_states, count)
     return PathDiagnostics(
-        times=traj.times,
         comp_final=acc[0],
         exit_occupation_final=acc[1],
         jumps_net_final=(states == ids).astype(float) - (initial == ids),
         jump_rates=jump_rates,
-        c_loads=series.c_loads if series else None,
-        comp_loads=series.comp_loads if series else None,
-        m_loads=series.m_loads if series else None,
     )
 
 
@@ -512,19 +488,3 @@ def write_martingale_norm_csv(traj: StochTrajectory, k: ChannelKinetics,
     times, norms = martingale_norm_series(traj, k, grid)
     write_csv(path, ["t"] + [f"mart_hm1_{name}" for name in k.states], [csv_lines(
         map(repr, times.tolist()), *(map(repr, col) for col in norms.T.tolist()))])
-
-
-def deviation_loads(
-    traj: StochTrajectory,
-    k: ChannelKinetics,
-    det_p: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-time load vectors for C_xi - mu.p_xi and M_xi.
-
-    ``det_p`` has shape (n_times, n_states, n_nodes) on the same time grid.
-    Returns (c_minus_p_loads, m_loads, comp_loads).
-    """
-    diag = scan_path(traj, k, want_series=True)
-    c_loads = diag.c_loads
-    c_loads -= density_loads(traj.grid, det_p)
-    return c_loads, diag.m_loads, diag.comp_loads

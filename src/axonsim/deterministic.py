@@ -213,16 +213,11 @@ def _budget_constants(k: ChannelKinetics) -> tuple[float, float]:
     return float(np.max(k.conductance)), float(np.max(np.abs(k.driving)))
 
 
-def _budget(s0_l2: float, sup_inf, t, half_length: float, cmax: float, vmax: float):
-    """The budget at time(s) t; ``sup_inf`` and ``t`` may be equal-length arrays."""
+def dissipation_budget(s0_l2: float, sup_inf, t, k: ChannelKinetics, half_length: float):
+    """Explicit cap on the accumulated gradient dissipation up to time(s) t;
+    ``sup_inf`` and ``t`` may be equal-length arrays."""
+    cmax, vmax = _budget_constants(k)
     return s0_l2**2 + half_length * t * cmax * sup_inf * (sup_inf + vmax)
-
-
-def dissipation_budget(
-    s0_l2: float, sup_inf: float, t: float, k: ChannelKinetics, half_length: float
-) -> float:
-    """Explicit cap on the accumulated gradient dissipation up to time t."""
-    return _budget(s0_l2, sup_inf, t, half_length, *_budget_constants(k))
 
 
 # Snapshots per block of the dissipation ledger (run_det, run_stoch) and of
@@ -246,7 +241,7 @@ class DissipationLedger:
         self.sup_inf = float(np.max(np.abs(v0.values)))
         self.values = np.zeros(n_steps + 1)
         self.grid = v0.grid
-        self._constants = _budget_constants(k)
+        self.k = k
         self._done = 0
 
     def record(self, stop: int, times: np.ndarray, dt: float, v: np.ndarray) -> None:
@@ -269,7 +264,7 @@ class DissipationLedger:
         self.values[start:stop + 1] = np.cumsum(steps)[1:]
         self.sup_inf, self._grad_sq, self._done = float(sup[-1]), float(g[-1]), stop
         t = times[start:stop + 1]
-        budget = _budget(self.s0, sup, t, self.grid.half_length, *self._constants)
+        budget = dissipation_budget(self.s0, sup, t, self.k, self.grid.half_length)
         over = np.flatnonzero(self.values[start:stop + 1] > budget)
         if over.size:
             m = start + int(over[0])

@@ -267,7 +267,7 @@ def parallel_map(func, tasks: list, workers: int) -> list:
         return list(pool.map(_call_worker_func, tasks, chunksize=1))
 
 
-def _run_one(cfg: RunConfig, det_times, det_v, det_p, traj_dir,
+def _run_one(cfg: RunConfig, det: DetTrajectory, traj_dir,
              task: tuple[int, int]) -> dict:
     n_scale, replicate = task
     grid, kin, _, _ = cfg.build()
@@ -281,11 +281,6 @@ def _run_one(cfg: RunConfig, det_times, det_v, det_p, traj_dir,
     }
     try:
         traj = run_replicate(cfg, n_scale, replicate)
-        det = DetTrajectory(
-            grid=grid, state_names=kin.states, times=det_times, v=det_v, p=det_p,
-            dissipation=np.zeros(det_times.size), sup_v_inf=0.0,
-            max_prop_sum_error=0.0,
-        )
         metrics = deviation_metrics(traj, det, grid, kin)
         row["dev_l2"] = metrics.sup_l2
         row["dev_h10"] = metrics.sup_h10
@@ -346,7 +341,7 @@ def run_sweep(cfg: RunConfig, out_dir, workers: int = 1,
     if cfg.sweep_n:
         det = run_reference(cfg)
         tasks = [(n, r) for n in cfg.sweep_n for r in range(cfg.replicates)]
-        run_one = functools.partial(_run_one, cfg, det.times, det.v, det.p, traj_dir)
+        run_one = functools.partial(_run_one, cfg, det, traj_dir)
         rows = parallel_map(run_one, tasks, workers)
     _write_results(cfg, kin, rows, out_dir)
     return rows

@@ -9,9 +9,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from axonsim.decomposition import deviation_loads
+from axonsim.decomposition import SERIES
 from axonsim.deterministic import DeterministicState, dissipation_budget, run_det
-from axonsim.grid import GridFunction, build_grid, l2_norm
+from axonsim.grid import GridFunction, build_grid, density_loads, l2_norm
 from axonsim.harness import (
     RunConfig,
     fit_rate,
@@ -29,6 +29,7 @@ from axonsim.validate import (
     norms_suite,
     self_convergence_suite,
 )
+from test_decomposition import streamed_series
 
 WORKERS = default_workers()
 
@@ -149,7 +150,9 @@ def test_criterion_5_martingale_suite():
 def test_criterion_6_decomposition_identity(default_cfg, default_det):
     grid, kin, _, _ = default_cfg.build()
     traj = run_replicate(default_cfg, 100, 1)
-    cmp_loads, m_loads, comp_loads = deviation_loads(traj, kin, default_det.p)
+    loads = streamed_series(traj, kin, SERIES)[1]
+    cmp_loads = loads["c"] - density_loads(grid, default_det.p)
+    m_loads, comp_loads = loads["m"], loads["comp"]
     p = default_det.p
     h = grid.h
     dens = h / 6.0 * (p[:, :, :-2] + 4.0 * p[:, :, 1:-1] + p[:, :, 2:])

@@ -13,7 +13,6 @@ from axonsim import grid as grid_module
 from axonsim.decomposition import (
     SERIES,
     _SeriesScatter,
-    deviation_loads,
     interpolate_at_channels,
     martingale_norm_series,
     martingale_variance_bound,
@@ -96,9 +95,25 @@ def prefix(traj, n_times):
         jump_src=traj.jump_src[:end], jump_dst=traj.jump_dst[:end])
 
 
+def streamed_series(traj, k, names):
+    """(diag, loads): scan_path's diagnostics and the named load series, each
+    joined to full length from the stream.  Chunks are copied: the buffer
+    is reused."""
+    parts = {name: [] for name in names}
+
+    def take(start, loads):
+        assert set(loads) == set(names)
+        for name in names:
+            assert start == sum(part.shape[0] for part in parts[name])
+            parts[name].append(loads[name].copy())
+
+    diag = scan_path(traj, k, want_series=names, consumer=take if names else None)
+    return diag, {name: np.concatenate(part) for name, part in parts.items()}
+
+
 def m_functional(traj, k, xi, idx):
     """Martingale part of state xi at sample time idx, as a functional."""
-    loads = scan_path(traj, k, want_series=True).m_loads[idx, k.index[xi]]
+    loads = streamed_series(traj, k, ("m",))[1]["m"][idx, k.index[xi]]
     return Functional(traj.grid, loads)
 
 
@@ -158,15 +173,15 @@ class TestMartingaleSeries:
         cfg = RunConfig.from_dict({"time_horizon": 0.2, "dt": 2e-3, "cells": 60})
         grid, kin, _, _ = cfg.build()
         traj = run_replicate(cfg, 50, 1)
-        m_open = scan_path(traj, kin, want_series=True).m_loads[:, kin.index["open"]]
+        m_open = streamed_series(traj, kin, ("m",))[1]["m"][:, kin.index["open"]]
         assert np.max(np.abs(m_open[0])) == 0.0
 
     def test_states_sum_to_zero(self):
         cfg = RunConfig.from_dict({"time_horizon": 0.3, "dt": 2e-3, "cells": 60})
         grid, kin, _, _ = cfg.build()
         traj = run_replicate(cfg, 50, 2)
-        diag = scan_path(traj, kin, want_series=True)
-        assert np.max(np.abs(diag.m_loads.sum(axis=1))) < 1e-12
+        m_loads = streamed_series(traj, kin, ("m",))[1]["m"]
+        assert np.max(np.abs(m_loads.sum(axis=1))) < 1e-12
 
     def test_replicate_mean_is_statistically_zero(self):
         cfg = RunConfig.from_dict({"time_horizon": 0.5, "dt": 5e-3, "cells": 80})
@@ -177,12 +192,12 @@ class TestMartingaleSeries:
         vals = []
         for r in range(reps):
             traj = run_replicate(cfg, 50, r)
-            diag = scan_path(traj, kin, want_series=True)
+            m_loads = streamed_series(traj, kin, ("m",))[1]["m"]
             if checkpoints is None:
-                n = diag.times.size - 1
+                n = traj.n_times - 1
                 checkpoints = [n // 4, n // 2, n]
             phi_v = phi.values
-            vals.append([diag.m_loads[c, 1] @ phi_v for c in checkpoints])
+            vals.append([m_loads[c, 1] @ phi_v for c in checkpoints])
         vals = np.asarray(vals)
         for j in range(vals.shape[1]):
             mean = vals[:, j].mean()
@@ -262,7 +277,9 @@ class TestDecompositionIdentity:
         grid, kin, _, _ = cfg.build()
         det = run_reference(cfg)
         traj = run_replicate(cfg, 50, 0)
-        cmp_loads, m_loads, comp_loads = deviation_loads(traj, kin, det.p)
+        loads = streamed_series(traj, kin, SERIES)[1]
+        cmp_loads = loads["c"] - density_loads(grid, det.p)
+        m_loads, comp_loads = loads["m"], loads["comp"]
         h = grid.h
         dens = h / 6.0 * (det.p[:, :, :-2] + 4 * det.p[:, :, 1:-1] + det.p[:, :, 2:])
         int_q = comp_loads - (dens - dens[0:1])
@@ -415,8 +432,8 @@ class TestMultiStateChain:
         assert np.array_equal(states, traj.final_states())
         assert np.unique(np.concatenate([traj.jump_src, traj.jump_dst])).size > 2
 
-        diag = scan_path(traj, kin, want_series=True)
-        occupancy = diag.c_loads.sum(axis=1)
+        diag, loads = streamed_series(traj, kin, SERIES)
+        occupancy = loads["c"].sum(axis=1)
         assert np.max(np.abs(occupancy - occupancy[0])) <= 1e-14
         one_hot = np.eye(kin.n_states)
         assert np.array_equal(diag.jumps_net_final,
@@ -426,9 +443,9 @@ class TestMultiStateChain:
 
         p = det.p
         dens = grid.h / 6.0 * (p[:, :, :-2] + 4.0 * p[:, :, 1:-1] + p[:, :, 2:])
-        deviation = diag.c_loads - dens
-        int_q = diag.comp_loads[-1] - (dens[-1] - dens[0])
-        residual = deviation[-1] - deviation[0] - int_q - diag.m_loads[-1]
+        deviation = loads["c"] - dens
+        int_q = loads["comp"][-1] - (dens[-1] - dens[0])
+        residual = deviation[-1] - deviation[0] - int_q - loads["m"][-1]
         assert np.max(np.abs(residual)) <= 1e-12
 
 
@@ -556,10 +573,25 @@ def random_jump_log(grid, rng, n_states, n_times, n_scale):
     return dataclasses.replace(traj, initial_states=initial, n_states=n_states)
 
 
-def series_scatter(traj, keep, block, consumer=None):
+def streamed_scatter(traj, keep, block, comp, occ):
+    """(loads, handed): a _SeriesScatter fed the (comp, occ) rows a block at a
+    time from time 0 (not the replay's blocks: windows need not align), its
+    stream joined to full length, and the (start, rows) of each chunk."""
+    parts, handed = {name: [] for name in keep}, []
+
+    def consumer(start, loads):
+        assert set(loads) == set(keep)
+        handed.append((start, loads[min(keep)].shape[0]))
+        for name in keep:
+            parts[name].append(loads[name].copy())
+
     bounds = np.searchsorted(traj.jump_times, traj.times, side="right")
-    return _SeriesScatter(traj, decomposition._jump_plan(traj, bounds), keep, block,
-                          consumer)
+    series = _SeriesScatter(traj, decomposition._jump_plan(traj, bounds), keep, block,
+                            consumer)
+    for t in range(0, comp.shape[0], block):
+        series.fill(t, comp[t:t + block], occ[t:t + block])
+    series.flush()
+    return {name: np.concatenate(part) for name, part in parts.items()}, handed
 
 
 def per_substep_scan(traj, k):
@@ -641,14 +673,10 @@ class TestSeriesScatter:
         comp = rng.exponential(size=(n_times, n_states, count))
         occ = rng.exponential(size=(n_times, n_states, count))
         with unittest.mock.patch.object(decomposition, "TOUCH_WINDOW_BYTES", window_bytes):
-            series = series_scatter(traj, SERIES, block)
-            # blocks from time 0, not the replay's: windows need not align
-            for t in range(0, n_times, block):
-                series.fill(t, comp[t:t + block], occ[t:t + block])
+            got = streamed_scatter(traj, SERIES, block, comp, occ)[0]
         ref = per_time_loads(g, traj.positions, n_scale, series_inputs(traj, comp, occ))
-        assert np.array_equal(series.c_loads, ref[0])
-        assert np.array_equal(series.comp_loads, ref[1])
-        assert np.array_equal(series.m_loads, ref[2])
+        for name, loads in zip(SERIES, ref):
+            assert np.array_equal(got[name], loads)
 
     @pytest.mark.parametrize("overrides", [
         # 2 states, 10 sample times in blocks of 4, 4 and 1
@@ -676,13 +704,12 @@ class TestSeriesScatter:
             fill(self, t, comp_rows, occ_rows)
 
         monkeypatch.setattr(_SeriesScatter, "fill", recording_fill)
-        diag = scan_path(traj, kin, want_series=True)
+        got = streamed_series(traj, kin, SERIES)[1]
         assert len(comp) == traj.n_times
         ref = per_time_loads(grid, traj.positions, traj.n_scale,
                              series_inputs(traj, comp, occ))
-        assert np.array_equal(diag.c_loads, ref[0])
-        assert np.array_equal(diag.comp_loads, ref[1])
-        assert np.array_equal(diag.m_loads, ref[2])
+        for name, loads in zip(SERIES, ref):
+            assert np.array_equal(got[name], loads)
 
 
 CHAIN5 = {"time_horizon": 0.2, "dt": 5e-3, "cells": 40, "kinetics": k_type_chain(),
@@ -708,23 +735,19 @@ def most_jumps_in_one_substep(traj):
 
 
 def assert_replay_matches_loop(traj, kin):
-    """Every accumulator and kept series equals the per-substep loop's bits."""
+    """Every accumulator and streamed series equals the per-substep loop's
+    bits, the series by the per-time ``np.add.at`` oracle."""
     comp, occ, jumps_net, jump_rates, inputs = per_substep_scan(traj, kin)
     loads = dict(zip(SERIES, per_time_loads(traj.grid, traj.positions, traj.n_scale,
                                             inputs)))
-    for want in (False, ("m",), ("c", "m"), True):
-        diag = scan_path(traj, kin, want_series=want)
+    for want in ((), ("m",), ("c", "m"), SERIES):
+        diag, got = streamed_series(traj, kin, want)
         assert np.array_equal(diag.comp_final, comp)
         assert np.array_equal(diag.exit_occupation_final, occ)
         assert np.array_equal(diag.jumps_net_final, jumps_net)
         assert np.array_equal(diag.jump_rates, jump_rates, equal_nan=True)
-        kept = SERIES if want is True else (want or ())
-        for name in SERIES:
-            series = getattr(diag, f"{name}_loads")
-            if name in kept:
-                assert np.array_equal(series, loads[name])
-            else:
-                assert series is None
+        for name in want:
+            assert np.array_equal(got[name], loads[name])
 
 
 class TestBlockReplay:
@@ -796,7 +819,7 @@ class TestBlockReplay:
                                  positions=np.array([0.01, 0.06, 0.5]))
         assert_replay_matches_loop(traj, k)
 
-    @pytest.mark.parametrize("window_bytes", [1, 4000])
+    @pytest.mark.parametrize("window_bytes", [1, 40000])
     def test_touch_windows(self, monkeypatch, window_bytes):
         """Small windows, with edges between substeps that touch several
         bins and at and between the flushes of a small Riesz buffer."""
@@ -846,12 +869,12 @@ def cached_reference(config, time_horizon=None):
 def store_all_deviation_metrics(traj, det, grid, kin):
     """Reference: every deviation series held at full length, then one max each."""
     l2sq, dsq = squared_norms(grid, traj.v - det.v)
-    diag = scan_path(traj, kin, want_series=("c", "m"))
-    cmp_loads = diag.c_loads - density_loads(traj.grid, det.p)
+    loads = streamed_series(traj, kin, ("c", "m"))[1]
+    cmp_loads = loads["c"] - density_loads(traj.grid, det.p)
     return (float(np.sqrt(l2sq.max())), float(np.sqrt((l2sq + dsq).max())),
             {name: float(hminus1_norms(grid, cmp_loads[:, s]).max())
              for s, name in enumerate(kin.states)},
-            {name: float(hminus1_norms(grid, diag.m_loads[:, s]).max())
+            {name: float(hminus1_norms(grid, loads["m"][:, s]).max())
              for s, name in enumerate(kin.states)})
 
 
@@ -862,11 +885,11 @@ def assert_streamed_matches_store_all(traj, det, kin):
     times, norms = martingale_norm_series(traj, kin, traj.grid)
     assert times is traj.times
     assert np.array_equal(norms, hminus1_norms(
-        traj.grid, scan_path(traj, kin, want_series=("m",)).m_loads))
+        traj.grid, streamed_series(traj, kin, ("m",))[1]["m"]))
 
 
 class TestStreamedSeries:
-    """Diagnostics that stream the series equal the store-all path's bits."""
+    """Diagnostics read chunk by chunk equal those of the full-length series."""
 
     @given(n_states=st.integers(2, 4),
            n_times=st.integers(1, 25),
@@ -874,36 +897,23 @@ class TestStreamedSeries:
            chunk=st.integers(1, 9),
            keep=st.sets(st.sampled_from(SERIES), min_size=1),
            seed=st.integers(0, 2**32 - 1))
-    def test_scatter_chunks_match_store_all(self, n_states, n_times, block, chunk,
-                                            keep, seed):
+    def test_scatter_chunks_match_per_time_scatter(self, n_states, n_times, block,
+                                                   chunk, keep, seed):
         g = build_grid(1.0, 12)
         rng = np.random.default_rng(seed)
         traj = random_jump_log(g, rng, n_states, n_times, 3)
         count = traj.positions.size
         comp = rng.exponential(size=(n_times, n_states, count))
         occ = rng.exponential(size=(n_times, n_states, count))
-        store_all = series_scatter(traj, keep, block)
-        got = {name: [] for name in keep}
-        starts = []
-
-        def consumer(start, loads):
-            assert set(loads) == keep
-            starts.append((start, loads[min(keep)].shape[0]))
-            for name in keep:
-                got[name].append(loads[name].copy())
-
         with unittest.mock.patch.object(grid_module, "RIESZ_CHUNK_BYTES",
                                         chunk * 8 * g.n_interior):
-            streamed = series_scatter(traj, keep, block, consumer)
-        for series in (store_all, streamed):
-            for t in range(0, n_times, block):
-                series.fill(t, comp[t:t + block], occ[t:t + block])
-        streamed.flush()
+            got, starts = streamed_scatter(traj, keep, block, comp, occ)
         rows = min(chunk, n_times)
         assert starts == [(t, min(rows, n_times - t)) for t in range(0, n_times, rows)]
+        ref = dict(zip(SERIES, per_time_loads(g, traj.positions, 3,
+                                              series_inputs(traj, comp, occ))))
         for name in keep:
-            assert np.array_equal(np.concatenate(got[name]),
-                                  getattr(store_all, f"{name}_loads"))
+            assert np.array_equal(got[name], ref[name])
 
     @pytest.mark.parametrize("config, n_scale, horizon", [
         ("default", 25, None), ("default", 800, None), ("chain5", 50, None),
@@ -934,20 +944,29 @@ class TestStreamedSeries:
         flush = _SeriesScatter.flush
 
         def recording_flush(self):
-            if self.filled:
+            if self.filled and self.consumer.__module__.startswith("axonsim."):
                 handed.append((self.start, self.filled))
             flush(self)
 
         monkeypatch.setattr(_SeriesScatter, "flush", recording_flush)
         assert_streamed_matches_store_all(traj, det, kin)
-        # one pass of deviation_metrics, then one of martingale_norm_series
+        # the program's consumers: one pass of deviation_metrics, then one of
+        # martingale_norm_series
         passes = [(t, min(chunk, traj.n_times - t)) for t in range(0, traj.n_times, chunk)]
         assert handed == 2 * passes
 
     def test_consumer_needs_a_series(self):
         traj, kin = cached_replicate("chain5", 50, 0)
+
+        def ignore(start, loads):
+            pass
+
         with pytest.raises(ValueError, match="consumer needs"):
-            scan_path(traj, kin, want_series=False, consumer=lambda start, loads: None)
+            scan_path(traj, kin, want_series=False, consumer=ignore)
+        with pytest.raises(ValueError, match="need a consumer"):
+            scan_path(traj, kin, want_series=("m",))
+        with pytest.raises(ValueError, match="unknown series"):
+            scan_path(traj, kin, want_series=("m", "q"), consumer=ignore)
 
     def test_riesz_solves_per_replicate(self, monkeypatch):
         traj, kin = cached_replicate("default", 25, 0)

@@ -9,6 +9,9 @@ SRC = Path(axonsim.__file__).parent
 # The one hat-scatter kernel.
 SCATTER_HOMES = {("grid.py", "hat_scatter")}
 
+# Acceptance entry points that the acceptance suite calls and no program path does.
+ACCEPTANCE_ENTRY_POINTS = {"self_convergence_suite", "strip_wall_clock"}
+
 
 def test_all_is_sorted_unique_and_resolves():
     names = list(axonsim.__all__)
@@ -16,6 +19,24 @@ def test_all_is_sorted_unique_and_resolves():
     assert len(set(names)) == len(names)
     missing = [n for n in names if not hasattr(axonsim, n)]
     assert missing == []
+
+
+
+def test_no_test_only_definitions():
+    """Every module-level function and class is exported in ``__all__`` or
+    referenced by a package module other than ``__init__``."""
+    defined, referenced = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined.update((node.name, path.name) for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        if path.name != "__init__.py":
+            referenced.update(node.id if isinstance(node, ast.Name) else node.attr
+                              for node in ast.walk(tree)
+                              if isinstance(node, (ast.Name, ast.Attribute)))
+    kept = set(axonsim.__all__) | referenced | ACCEPTANCE_ENTRY_POINTS
+    assert sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in kept) == []
 
 
 def _functions(tree):

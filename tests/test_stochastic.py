@@ -8,7 +8,6 @@ from scipy.linalg import solve_banded
 
 from axonsim import deterministic, stochastic
 from axonsim.errors import InvariantViolation
-from axonsim.decomposition import scan_path
 from axonsim.grid import (
     GridFunction,
     NodalField,
@@ -38,7 +37,12 @@ from axonsim.stochastic import (
     _HybridCore,
 )
 from axonsim.grid import density_functional
-from test_decomposition import CHAIN5, cached_replicate, most_jumps_in_one_substep
+from test_decomposition import (
+    CHAIN5,
+    cached_replicate,
+    most_jumps_in_one_substep,
+    streamed_series,
+)
 from test_grid import add_at_scatter
 
 
@@ -68,7 +72,7 @@ def initial_c_loads(cfg, g):
     k = kinetics()
     state = StochasticState(0.0, GridFunction(g, np.zeros(g.n_interior)), cfg)
     traj = run_stoch(state, 0.0, 1e-3, k, 0)
-    return scan_path(traj, k, want_series=("c",)).c_loads[0]
+    return streamed_series(traj, k, ("c",))[1]["c"][0]
 
 
 def core_source(cfg, v, k, g):
@@ -381,7 +385,7 @@ class TestRunStoch:
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
                          0.3, 2e-3, k, 9)
         assert traj.jump_times.size > 0
-        c_loads = scan_path(traj, k, want_series=("c",)).c_loads
+        c_loads = streamed_series(traj, k, ("c",))[1]["c"]
         masses = c_loads.sum(axis=(1, 2))
         assert np.max(np.abs(masses - masses[0])) < 1e-13
 

@@ -345,10 +345,12 @@ def run_det(
     )
 
 
-def write_trajectory_csv(traj: DetTrajectory, path, stride: int = 1) -> None:
-    """Long-format nodal snapshots: (t, node index, x, v, p_<state>...)."""
+def write_trajectory_csv(traj: DetTrajectory, path, stride: int = 1,
+                         workers: int = 1) -> None:
+    """Long-format nodal snapshots: (t, node index, x, v, p_<state>...),
+    formatted over up to ``workers`` processes."""
     write_snapshot_csv(path, ["v"] + [f"p_{s}" for s in traj.state_names],
-                       traj.grid.nodes, traj.times, traj.v, stride, traj.p)
+                       traj.grid.nodes, traj.times, traj.v, stride, traj.p, workers)
 
 
 def write_summary_csv(traj: DetTrajectory, path, stride: int = 1) -> None:

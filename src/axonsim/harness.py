@@ -10,14 +10,12 @@ reproduce every byte except the wall-clock column.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import functools
 import hashlib
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +25,7 @@ from .csvtext import csv_lines, quote, write_csv
 from .decomposition import scan_path
 from .deterministic import (_LEDGER_BLOCK, DeterministicState, DetTrajectory, run_det,
                             step_count)
+from .fanout import parallel_map
 from .grid import Grid, build_grid, density_loads, hminus1_norms, squared_norms
 from .kinetics import ChannelKinetics, make_kinetics
 from .profiles import build_p0, build_v0
@@ -230,43 +229,6 @@ def deviation_metrics(stoch: StochTrajectory, det: DetTrajectory,
                             sup_mart_hm1=sup_mart)
 
 
-# Set only inside pool worker processes, by the pool's initializer.
-_WORKER_FUNC = None
-
-
-def _init_worker(func) -> None:
-    global _WORKER_FUNC
-    _WORKER_FUNC = func
-
-
-def _call_worker_func(task):
-    return _WORKER_FUNC(task)
-
-
-def parallel_map(func, tasks: list, workers: int) -> list:
-    """``[func(t) for t in tasks]``, fanned over up to ``workers`` processes.
-
-    ``func`` reaches each worker once, through the pool's initializer, so a
-    ``functools.partial`` over large arrays crosses once per worker rather
-    than once per task; tasks go one at a time and results keep task order.
-    With ``workers <= 1`` or at most one task the map is serial.  It also
-    runs serially, with a ``RuntimeWarning``, when the pool cannot be
-    created.  An exception raised by a task, or a worker that dies
-    (``BrokenProcessPool``), propagates: no task is run twice.
-    """
-    if workers <= 1 or len(tasks) <= 1:
-        return [func(t) for t in tasks]
-    try:
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(func,))
-    except (OSError, NotImplementedError) as exc:
-        warnings.warn(f"process pool unavailable ({exc!r}); running "
-                      f"{len(tasks)} tasks serially", RuntimeWarning, stacklevel=2)
-        return [func(t) for t in tasks]
-    with pool:
-        return list(pool.map(_call_worker_func, tasks, chunksize=1))
-
-
 def _run_one(cfg: RunConfig, det: DetTrajectory, traj_dir,
              task: tuple[int, int]) -> dict:
     n_scale, replicate = task
@@ -291,6 +253,7 @@ def _run_one(cfg: RunConfig, det: DetTrajectory, traj_dir,
         if traj_dir is not None:
             from .stochastic import write_voltage_csv
 
+            # one part: this may already run in a pool worker, and pools do not nest
             write_voltage_csv(
                 traj, os.path.join(traj_dir, f"n{n_scale}_r{replicate}_voltage.csv")
             )

@@ -8,8 +8,6 @@ with their pinned parameters.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .decomposition import (
@@ -19,6 +17,7 @@ from .decomposition import (
     scan_path,
     terminal_martingale,
 )
+from .fanout import default_workers, parallel_map
 from .grid import (
     NodalField,
     build_grid,
@@ -26,7 +25,7 @@ from .grid import (
     density_functional,
     hminus1_norm,
 )
-from .harness import RunConfig, parallel_map, run_replicate
+from .harness import RunConfig, run_replicate
 from .heat import KernelParams, absorbed_kernel, apply_semigroup, submarkov_mass
 from .kinetics import make_kinetics
 from .profiles import fundamental_mode
@@ -34,10 +33,6 @@ from .stochastic import StochTrajectory, make_rng
 
 
 Check = tuple[str, bool, str]
-
-
-def default_workers() -> int:
-    return min(os.cpu_count() or 1, 4)
 
 
 # --- norms ------------------------------------------------------------------

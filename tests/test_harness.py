@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from axonsim.errors import InvariantViolation
+from axonsim.fanout import default_workers, parallel_map
 from axonsim.grid import build_grid
 from axonsim.harness import (
     RunConfig,
     _sup_voltage_deviation,
     deviation_metrics,
     fit_rate,
-    parallel_map,
     read_results,
     run_reference,
     run_replicate,
@@ -289,6 +289,22 @@ class TestParallelMap:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.warns(RuntimeWarning, match="serially"):
             assert parallel_map(abs, [-1, 2, -3], workers=2) == [1, 2, 3]
+
+
+class TestDefaultWorkers:
+    @pytest.mark.parametrize("usable, expected", [(1, 1), (3, 3), (16, 4)])
+    def test_counts_the_cpus_this_process_may_use(self, monkeypatch, usable, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
+                            raising=False)
+        assert default_workers() == expected
+
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_workers() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_workers() == 1
 
 
 class TestFitRate:

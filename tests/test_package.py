@@ -85,3 +85,14 @@ def test_crank_nicolson_operator_has_one_home():
               for lineno, line in enumerate(path.read_text().splitlines(), 1)
               if pattern.search(line)]
     assert strays == []
+
+
+def test_processes_start_only_in_the_fanout_module():
+    """``ProcessPoolExecutor``, ``multiprocessing`` and ``os.fork`` appear,
+    code or text, only in the one fan-out path."""
+    pattern = re.compile(r"ProcessPoolExecutor|multiprocessing|os\.fork")
+    strays = [f"{path.name}:{lineno}: {line.strip()}"
+              for path in sorted(SRC.glob("*.py")) if path.name != "fanout.py"
+              for lineno, line in enumerate(path.read_text().splitlines(), 1)
+              if pattern.search(line)]
+    assert strays == []

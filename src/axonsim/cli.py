@@ -53,7 +53,7 @@ def _cmd_det(args) -> int:
     traj = run_reference(_load_config(args))
     os.makedirs(args.out, exist_ok=True)
     write_trajectory_csv(traj, os.path.join(args.out, "det_trajectory.csv"),
-                         stride=args.stride, workers=default_workers())
+                         stride=args.stride)
     write_summary_csv(traj, os.path.join(args.out, "det_summary.csv"))
     print(f"deterministic run: {traj.n_times} samples, "
           f"dissipation {traj.dissipation[-1]:.6f}, sup|v| {traj.sup_v_inf:.6f}")
@@ -67,7 +67,7 @@ def _cmd_stoch(args) -> int:
     traj = run_replicate(cfg, n_scale, args.replicate)
     os.makedirs(args.out, exist_ok=True)
     write_voltage_csv(traj, os.path.join(args.out, "stoch_voltage.csv"),
-                      stride=args.stride, workers=default_workers())
+                      stride=args.stride)
     write_jump_csv(traj, os.path.join(args.out, "stoch_jumps.csv"),
                    state_names=kin.states)
     write_run_manifest(traj, os.path.join(args.out, "stoch_manifest.json"),

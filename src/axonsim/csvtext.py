@@ -7,12 +7,17 @@ which never need quoting; header and state-name cells go through
 as one string.
 
 A snapshot export large enough to pay for worker processes is cut into
-contiguous parts of its sampled rows, one per worker, formatted through
+contiguous parts of its sampled rows, one per worker
+(:func:`~axonsim.fanout.default_workers`), formatted through
 :func:`~axonsim.fanout.parallel_map`.  Each worker streams its part to its
 own file in the output directory: part 0 to the target, under the header,
 the others to temporary files.  The parent appends those files in order,
 and removes them however the write ends.  No part comes back to the parent
-as a string, and the bytes are those of the one-part write.
+as a string, and the bytes are those of the one-part write.  The split
+happens only where the pool forks its workers
+(:func:`~axonsim.fanout.pool_forks`): a worker started any other way would
+receive the whole trajectory pickled and import numpy and scipy again, which
+costs about what the split saves, so there the export is one in-process part.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import shutil
 import tempfile
 from typing import Iterable, Sequence
 
-from .fanout import parallel_map
+from .fanout import default_workers, parallel_map, pool_forks
 
 # Fewest cells a part of a split snapshot export may hold: the break-even
 # part size on a 2-core x86-64 host, where starting and joining a 2-worker
@@ -70,19 +75,21 @@ def _write_snapshot_part(lead, times, v, extra, task) -> None:
 
 
 def write_snapshot_csv(path, columns: Sequence[str], nodes, times, v, stride: int = 1,
-                       extra=None, workers: int = 1) -> None:
+                       extra=None) -> None:
     """Long-format nodal snapshots, header (t, node, x, *columns), at sample
     times ``0, stride, ...``: per node, the voltage (``v[i]`` holds the
     interior nodes, the endpoints are 0.0), then a value from each row of
     ``extra[i]``, if given.
 
-    The sampled rows are split over up to ``workers`` processes, as long as
-    each part holds at least ``MIN_PART_CELLS`` cells.
+    The sampled rows are split over up to ``default_workers()`` forked
+    processes, as long as each part holds at least ``MIN_PART_CELLS`` cells.
     """
     lead = [f",{j},{x!r}" for j, x in enumerate(nodes.tolist())]
     rows = range(0, len(times), stride)
     cells = len(rows) * len(lead) * (3 + len(columns))
-    n_parts = max(1, min(workers, len(rows), cells // MIN_PART_CELLS))
+    n_parts = max(1, min(default_workers(), len(rows), cells // MIN_PART_CELLS))
+    if n_parts > 1 and not pool_forks():
+        n_parts = 1
     cuts = [len(rows) * k // n_parts for k in range(n_parts + 1)]
     paths = [path]
     try:

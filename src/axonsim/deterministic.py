@@ -345,12 +345,10 @@ def run_det(
     )
 
 
-def write_trajectory_csv(traj: DetTrajectory, path, stride: int = 1,
-                         workers: int = 1) -> None:
-    """Long-format nodal snapshots: (t, node index, x, v, p_<state>...),
-    formatted over up to ``workers`` processes."""
+def write_trajectory_csv(traj: DetTrajectory, path, stride: int = 1) -> None:
+    """Long-format nodal snapshots: (t, node index, x, v, p_<state>...)."""
     write_snapshot_csv(path, ["v"] + [f"p_{s}" for s in traj.state_names],
-                       traj.grid.nodes, traj.times, traj.v, stride, traj.p, workers)
+                       traj.grid.nodes, traj.times, traj.v, stride, traj.p)
 
 
 def write_summary_csv(traj: DetTrajectory, path, stride: int = 1) -> None:

@@ -12,9 +12,16 @@ import os
 import warnings
 
 
+# Set only inside pool worker processes, by the pool's initializer.
+_WORKER_FUNC = None
+
+
 def default_workers() -> int:
-    """Worker processes for the suites and the CLI exports: the CPUs this
-    process may run on (all of them where the platform cannot say), at most 4."""
+    """Worker processes for the suites and the snapshot exports: the CPUs
+    this process may run on (all of them where the platform cannot say), at
+    most 4; 1 inside a pool worker, whose siblings already use those CPUs."""
+    if _WORKER_FUNC is not None:
+        return 1
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
     else:
@@ -22,8 +29,18 @@ def default_workers() -> int:
     return min(usable, 4)
 
 
-# Set only inside pool worker processes, by the pool's initializer.
-_WORKER_FUNC = None
+def pool_forks() -> bool:
+    """Whether :func:`parallel_map`'s workers are forked from this process.
+
+    A forked worker shares the parent's memory and imports; any other start
+    method (``spawn`` on macOS and Windows, ``forkserver`` on Linux from
+    Python 3.14) pickles ``func`` to each worker, which imports numpy and
+    scipy again.
+    """
+    import multiprocessing
+
+    method = multiprocessing.get_start_method(allow_none=True)
+    return (method or multiprocessing.get_all_start_methods()[0]) == "fork"
 
 
 def _init_worker(func) -> None:

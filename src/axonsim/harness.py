@@ -253,7 +253,6 @@ def _run_one(cfg: RunConfig, det: DetTrajectory, traj_dir,
         if traj_dir is not None:
             from .stochastic import write_voltage_csv
 
-            # one part: this may already run in a pool worker, and pools do not nest
             write_voltage_csv(
                 traj, os.path.join(traj_dir, f"n{n_scale}_r{replicate}_voltage.csv")
             )

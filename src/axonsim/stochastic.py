@@ -470,12 +470,9 @@ def run_stoch(
     )
 
 
-def write_voltage_csv(traj: StochTrajectory, path, stride: int = 1,
-                      workers: int = 1) -> None:
-    """Voltage snapshots in long format: (t, node, x, V), rows ``0, stride, ...``,
-    formatted over up to ``workers`` processes."""
-    write_snapshot_csv(path, ["V"], traj.grid.nodes, traj.times, traj.v, stride,
-                       workers=workers)
+def write_voltage_csv(traj: StochTrajectory, path, stride: int = 1) -> None:
+    """Voltage snapshots in long format: (t, node, x, V), rows ``0, stride, ...``."""
+    write_snapshot_csv(path, ["V"], traj.grid.nodes, traj.times, traj.v, stride)
 
 
 def write_jump_csv(traj: StochTrajectory, path,

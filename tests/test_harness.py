@@ -291,7 +291,15 @@ class TestParallelMap:
             assert parallel_map(abs, [-1, 2, -3], workers=2) == [1, 2, 3]
 
 
+def _workers_here(task):
+    return default_workers()
+
+
 class TestDefaultWorkers:
+    def test_one_inside_a_pool_worker(self):
+        # a snapshot export written inside a sweep worker stays one part
+        assert parallel_map(_workers_here, [0, 1], workers=2) == [1, 1]
+
     @pytest.mark.parametrize("usable, expected", [(1, 1), (3, 3), (16, 4)])
     def test_counts_the_cpus_this_process_may_use(self, monkeypatch, usable, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)

@@ -63,6 +63,8 @@ def _cmd_det(args) -> int:
 def _cmd_stoch(args) -> int:
     cfg = _load_config(args)
     grid, kin, _, _ = cfg.build()
+    if args.n is None and not cfg.sweep_n:
+        args.usage_error("--n is needed: the config's sweep_n is empty")
     n_scale = cfg.sweep_n[0] if args.n is None else args.n
     traj = run_replicate(cfg, n_scale, args.replicate)
     os.makedirs(args.out, exist_ok=True)
@@ -127,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, out=True):
         sp.add_argument("--config", help="JSON run configuration")
-        sp.add_argument("--seed", type=int, default=None, help="override base seed")
+        sp.add_argument("--seed", type=_nonnegative_int, default=None,
+                        help="override base seed")
         sp.add_argument("--refine", action="store_true",
                         help="double cells, halve dt")
         if out:
@@ -149,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="snapshot stride for CSV")
     sp.add_argument("--diagnostics", action="store_true",
                     help="also write the martingale dual-norm series CSV")
-    sp.set_defaults(func=_cmd_stoch)
+    sp.set_defaults(func=_cmd_stoch, usage_error=sp.error)
 
     sp = sub.add_parser("sweep", help="full convergence study")
     common(sp)

@@ -1,5 +1,5 @@
-"""The one fan-out path: a process-pool map for the sweep, the Monte Carlo
-suites and the split snapshot exports.
+"""The one fan-out path: a process-pool map for the replicate batches of
+``harness.map_replicates`` and the split snapshot exports.
 
 No other module starts a process.  This one imports nothing from the
 package, so any module, ``csvtext`` included, can import it without a cycle.

@@ -1,9 +1,10 @@
 """Convergence-study harness: paired fluid/particle runs over a sweep of N.
 
 One deterministic reference run per sweep; for every channel scale N and
-replicate, a seeded particle run and its deviation metrics (voltage
-distance in L2 and the full Sobolev norm, per-state empirical-distribution
-distance and martingale size in the dual norm).  Results land in a
+replicate, a seeded particle run and its deviation metrics (voltage distance
+in L2 and the full Sobolev norm, per-state empirical-distribution distance
+and martingale size in the dual norm), through :func:`map_replicates`, the
+replicate loop the Monte Carlo suites share.  Results land in a
 replicate-sorted CSV plus a JSON manifest; identical (config, seed) pairs
 reproduce every byte except the wall-clock column.
 """
@@ -37,6 +38,7 @@ from .stochastic import (
     replicate_seed_sequence,
     run_stoch,
     seed_id,
+    write_voltage_csv,
 )
 
 DEFAULT_CONFIG = {
@@ -121,6 +123,8 @@ class RunConfig:
         step_count(self.time_horizon, self.dt)
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if any(n < 1 for n in self.sweep_n):
             raise ValueError("channel scales must be positive")
         if sorted(self.sweep_n) != self.sweep_n or len(set(self.sweep_n)) != len(self.sweep_n):
@@ -229,42 +233,48 @@ def deviation_metrics(stoch: StochTrajectory, det: DetTrajectory,
                             sup_mart_hm1=sup_mart)
 
 
-def _run_one(cfg: RunConfig, det: DetTrajectory, traj_dir,
-             task: tuple[int, int]) -> dict:
-    n_scale, replicate = task
-    grid, kin, _, _ = cfg.build()
-    seed = seed_id(replicate_seed_sequence(cfg.seed, n_scale, replicate))
-    started = time.perf_counter()
-    row = {
-        "N": n_scale,
-        "replicate": replicate,
-        "seed": seed,
-        "status": "ok",
-    }
-    try:
-        traj = run_replicate(cfg, n_scale, replicate)
-        metrics = deviation_metrics(traj, det, grid, kin)
-        row["dev_l2"] = metrics.sup_l2
-        row["dev_h10"] = metrics.sup_h10
-        for name in kin.states:
-            row[f"dev_hm1_{name}"] = metrics.sup_hm1[name]
-        for name in kin.states:
-            row[f"mart_hm1_{name}"] = metrics.sup_mart_hm1[name]
-        if traj_dir is not None:
-            from .stochastic import write_voltage_csv
+def _run_batch(cfg: RunConfig, reduce, batch: tuple) -> list[tuple]:
+    n_scale, lo, hi = batch
+    outcomes = []
+    for replicate in range(lo, hi):
+        t0 = time.perf_counter()
+        try:  # the trajectory is dropped as soon as it is reduced
+            value, error = reduce(run_replicate(cfg, n_scale, replicate), replicate), None
+        except Exception as exc:  # the caller decides what a failure stops
+            value, error = None, exc
+        outcomes.append((n_scale, replicate, (time.perf_counter() - t0) * 1e3, value, error))
+    return outcomes
 
-            write_voltage_csv(
-                traj, os.path.join(traj_dir, f"n{n_scale}_r{replicate}_voltage.csv")
-            )
-    except Exception as exc:  # one replicate's failure must not stop the sweep
-        row["status"] = f"failed:{type(exc).__name__}:{exc}"
-        for name in kin.states:
-            row.setdefault(f"dev_hm1_{name}", float("nan"))
-            row.setdefault(f"mart_hm1_{name}", float("nan"))
-        row.setdefault("dev_l2", float("nan"))
-        row.setdefault("dev_h10", float("nan"))
-    row["wall_ms"] = (time.perf_counter() - started) * 1e3
-    return row
+
+def map_replicates(cfg: RunConfig, n_scales, replicates: int, reduce,
+                   workers: int = 1) -> list[tuple]:
+    """``(N, replicate, wall_ms, value, error)`` for replicates
+    ``0..replicates-1`` at each N, in (N, replicate) order for any ``workers``.
+
+    ``value`` is ``reduce(trajectory, replicate)``, or None when the run or
+    the reduction raised the ``Exception`` ``error``, which stops no other
+    replicate; ``wall_ms`` times both.  Batches of consecutive replicates,
+    about 8 per worker at each N, go through :func:`parallel_map`, so
+    ``reduce`` must pickle (a module-level function or a ``functools.partial``
+    of one) unless the pool forks.  Streams are keyed by replicate, so the
+    split changes no value.
+    """
+    size = max(1, replicates // (8 * max(workers, 1)))
+    batches = [(n, lo, min(lo + size, replicates))
+               for n in n_scales for lo in range(0, replicates, size)]
+    done = parallel_map(functools.partial(_run_batch, cfg, reduce), batches, workers)
+    return [outcome for batch in done for outcome in batch]
+
+
+def _deviation_cells(det: DetTrajectory, kin: ChannelKinetics, traj_dir,
+                     traj: StochTrajectory, replicate: int) -> list[float]:
+    """One sweep row's metric cells, in ``results_header`` order."""
+    metrics = deviation_metrics(traj, det, traj.grid, kin)
+    if traj_dir is not None:
+        write_voltage_csv(traj, os.path.join(
+            traj_dir, f"n{traj.n_scale}_r{replicate}_voltage.csv"))
+    return [metrics.sup_l2, metrics.sup_h10, *metrics.sup_hm1.values(),
+            *metrics.sup_mart_hm1.values()]
 
 
 def _format_cell(value) -> str:
@@ -294,17 +304,22 @@ def run_sweep(cfg: RunConfig, out_dir, workers: int = 1,
     canonical (sorted by N, then replicate), whatever ``workers`` is.
     """
     os.makedirs(out_dir, exist_ok=True)
-    grid, kin, _, _ = cfg.build()
+    _, kin, _, _ = cfg.build()
     traj_dir = None
     if save_trajectories:
         traj_dir = os.path.join(out_dir, "trajectories")
         os.makedirs(traj_dir, exist_ok=True)
     rows: list[dict] = []
     if cfg.sweep_n:
-        det = run_reference(cfg)
-        tasks = [(n, r) for n in cfg.sweep_n for r in range(cfg.replicates)]
-        run_one = functools.partial(_run_one, cfg, det, traj_dir)
-        rows = parallel_map(run_one, tasks, workers)
+        header = results_header(kin)
+        nan_cells = [float("nan")] * (len(header) - 5)  # every metric column
+        reduce = functools.partial(_deviation_cells, run_reference(cfg), kin, traj_dir)
+        outcomes = map_replicates(cfg, cfg.sweep_n, cfg.replicates, reduce, workers)
+        for n, r, wall_ms, cells, exc in outcomes:
+            status = "ok" if exc is None else f"failed:{type(exc).__name__}:{exc}"
+            cells = cells if exc is None else nan_cells
+            seed = seed_id(replicate_seed_sequence(cfg.seed, n, r))
+            rows.append(dict(zip(header, [n, r, seed, *cells, wall_ms, status])))
     _write_results(cfg, kin, rows, out_dir)
     return rows
 

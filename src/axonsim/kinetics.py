@@ -120,6 +120,10 @@ def make_kinetics(spec: dict) -> ChannelKinetics:
     index = {name: i for i, name in enumerate(names)}
     forms: dict[tuple[int, int], RateForm] = {}
     for entry in spec.get("rates", []):
+        unknown = [entry[end] for end in ("from", "to") if entry[end] not in index]
+        if unknown:
+            raise ValueError(f"rate {entry['from']} -> {entry['to']} names unknown "
+                             f"states {unknown}; the states are {list(names)}")
         i, j = index[entry["from"]], index[entry["to"]]
         if i == j:
             raise ValueError(f"self-transition {entry['from']} -> {entry['to']}")

@@ -8,6 +8,8 @@ with their pinned parameters.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .decomposition import (
@@ -17,7 +19,7 @@ from .decomposition import (
     scan_path,
     terminal_martingale,
 )
-from .fanout import default_workers, parallel_map
+from .fanout import default_workers
 from .grid import (
     NodalField,
     build_grid,
@@ -25,7 +27,7 @@ from .grid import (
     density_functional,
     hminus1_norm,
 )
-from .harness import RunConfig, run_replicate
+from .harness import RunConfig, map_replicates
 from .heat import KernelParams, absorbed_kernel, apply_semigroup, submarkov_mass
 from .kinetics import make_kinetics
 from .profiles import fundamental_mode
@@ -107,29 +109,22 @@ def kernel_suite() -> list[Check]:
     return checks
 
 
-def _replicate_tasks(cfg_raw: dict, n_scale: int, replicates: int, workers: int) -> list:
-    """(config, N, first, stop) batches of consecutive replicates, about 8 per
-    worker.  Streams are keyed by replicate, so the split changes no value,
-    and ``parallel_map`` returns the batches in replicate order."""
-    chunk = max(20, replicates // (8 * max(workers, 1)))
-    return [(cfg_raw, n_scale, lo, min(lo + chunk, replicates))
-            for lo in range(0, replicates, chunk)]
+def _replicate_values(cfg: RunConfig, n_scale: int, replicates: int, reduce,
+                      workers: int) -> np.ndarray:
+    """The reduced replicates in order; once all have run, the first failure
+    is raised again as it was raised."""
+    outcomes = map_replicates(cfg, [n_scale], replicates, reduce, workers)
+    for *_, error in outcomes:
+        if error is not None:
+            raise error
+    return np.array([value for *_, value, _ in outcomes])
 
 
 # --- martingale suite -------------------------------------------------------
 
-def _martingale_batch(args) -> np.ndarray:
-    cfg_raw, n_scale, rep_lo, rep_hi = args
-    cfg = RunConfig.from_dict(cfg_raw)
-    grid, kin, _, _ = cfg.build()
-    phi = fundamental_mode(grid)
-    out = np.zeros((rep_hi - rep_lo, 2, kin.n_states))
-    for r in range(rep_lo, rep_hi):
-        traj = run_replicate(cfg, n_scale, r)
-        diag = scan_path(traj, kin, want_series=False)
-        phi_chan = interpolate_at_channels(phi, traj.positions)
-        out[r - rep_lo] = terminal_martingale(diag, phi_chan, traj.n_scale)
-    return out
+def _martingale_terms(phi, kin, traj: StochTrajectory, replicate: int) -> tuple:
+    phi_chan = interpolate_at_channels(phi, traj.positions)
+    return terminal_martingale(scan_path(traj, kin, want_series=False), phi_chan, traj.n_scale)
 
 
 def martingale_suite(
@@ -148,14 +143,11 @@ def martingale_suite(
     ``report_path`` is given, the per-state statistics land there as JSON.
     """
     workers = default_workers() if workers is None else workers
-    cfg_raw = {"time_horizon": t_horizon, "dt": dt}
-    cfg = RunConfig.from_dict(cfg_raw)
+    cfg = RunConfig.from_dict({"time_horizon": t_horizon, "dt": dt})
     grid, kin, _, _ = cfg.build()
     phi = fundamental_mode(grid)
-
-    tasks = _replicate_tasks(cfg.raw, n_scale, replicates, workers)
-    batches = parallel_map(_martingale_batch, tasks, workers)
-    data = np.concatenate(batches, axis=0)
+    data = _replicate_values(cfg, n_scale, replicates,
+                             functools.partial(_martingale_terms, phi, kin), workers)
     vals, preds = data[:, 0, :], data[:, 1, :]
 
     checks: list[Check] = []
@@ -284,17 +276,8 @@ def likelihood_suite(paths: int = 10_000, t_horizon: float = 1.0,
 
 # --- weak self-convergence --------------------------------------------------
 
-def _selfconv_batch(args) -> np.ndarray:
-    cfg_raw, n_scale, rep_lo, rep_hi = args
-    cfg = RunConfig.from_dict(cfg_raw)
-    grid, kin, _, _ = cfg.build()
-    phi = fundamental_mode(grid)
-    phi_loads = density_functional(NodalField(grid, phi.full())).loads
-    out = np.empty(rep_hi - rep_lo)
-    for r in range(rep_lo, rep_hi):
-        traj = run_replicate(cfg, n_scale, r)
-        out[r - rep_lo] = float(traj.v[-1] @ phi_loads)
-    return out
+def _final_potential(phi_loads: np.ndarray, traj: StochTrajectory, replicate: int) -> float:
+    return float(traj.v[-1] @ phi_loads)
 
 
 def self_convergence_suite(
@@ -314,8 +297,10 @@ def self_convergence_suite(
     ses = {}
     for level, dt_scale in (("dt", 1.0), ("dt/2", 0.5)):
         cfg = RunConfig.from_dict({**raw, "dt": RunConfig.from_dict(raw).dt * dt_scale})
-        tasks = _replicate_tasks(cfg.raw, n_scale, replicates, workers)
-        vals = np.concatenate(parallel_map(_selfconv_batch, tasks, workers))
+        grid = cfg.build()[0]
+        phi_loads = density_functional(NodalField(grid, fundamental_mode(grid).full())).loads
+        vals = _replicate_values(cfg, n_scale, replicates,
+                                 functools.partial(_final_potential, phi_loads), workers)
         means[level] = float(vals.mean())
         ses[level] = float(vals.std(ddof=1) / np.sqrt(replicates))
     shift = abs(means["dt"] - means["dt/2"])

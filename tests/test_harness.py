@@ -27,6 +27,7 @@ from axonsim.harness import (
 )
 from axonsim.profiles import fundamental_mode
 from axonsim.stochastic import replicate_seed_sequence, seed_id
+from axonsim.validate import martingale_suite, self_convergence_suite
 
 SMALL = {
     "time_horizon": 0.2,
@@ -71,6 +72,11 @@ class TestRunConfig:
     def test_rejects_invalid_numbers(self, override):
         with pytest.raises(ValueError):
             RunConfig.from_dict({**SMALL, **override})
+
+    def test_rejects_negative_seed(self):
+        # numpy's seed sequences take only non-negative entropy
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            RunConfig.from_dict({**SMALL, "seed": -1})
 
     @pytest.mark.parametrize("cells", [2, 3])
     def test_needs_two_interior_nodes(self, cells):
@@ -258,6 +264,50 @@ class TestSweep:
         assert strip_wall_clock(written.decode()) == out.getvalue()
 
 
+class TestReplicateUnit:
+    def test_spawned_workers_match_serial(self, tmp_path):
+        # spawn pickles each worker's function: the reducers must cross
+        from test_csvtext import start_method
+
+        cfg = RunConfig.from_dict(SMALL)
+        with start_method("spawn"):
+            for workers in (1, 2):
+                run_sweep(cfg, tmp_path / f"w{workers}", workers=workers)
+            serial, pooled = (martingale_suite(n_scale=25, t_horizon=0.1, replicates=40,
+                                               dt=5e-3, workers=w) for w in (1, 2))
+        assert serial == pooled
+        for name in ("results.csv", "manifest.json"):
+            a, b = ((tmp_path / f"w{w}" / name).read_text() for w in (1, 2))
+            if name == "results.csv":
+                a, b = strip_wall_clock(a), strip_wall_clock(b)
+            assert a == b
+
+    @pytest.mark.parametrize("suite", ["martingale", "self-convergence"])
+    def test_suite_reraises_first_failure(self, monkeypatch, suite):
+        import axonsim.harness as harness
+
+        real = harness.run_replicate
+        ran = []
+
+        def flaky(cfg, n_scale, replicate):
+            ran.append(replicate)
+            if replicate in (2, 4):
+                raise InvariantViolation(f"forced failure in replicate {replicate} at t=0.1")
+            return real(cfg, n_scale, replicate)
+
+        monkeypatch.setattr(harness, "run_replicate", flaky)
+        with pytest.raises(InvariantViolation) as exc:
+            if suite == "martingale":
+                martingale_suite(n_scale=25, t_horizon=0.05, replicates=6, dt=5e-3,
+                                 workers=1)
+            else:
+                self_convergence_suite(n_scale=25, replicates=6, workers=1, base_cfg={
+                    "time_horizon": 0.05, "cells": 60, "dt": 5e-3})
+        assert type(exc.value) is InvariantViolation
+        assert str(exc.value) == "forced failure in replicate 2 at t=0.1"
+        assert ran == list(range(6))  # the suite finished its replicates first
+
+
 def _exit_in_worker(x):
     """Kills the worker process it runs in; returns ``x`` in the parent."""
     if multiprocessing.parent_process() is not None:
@@ -439,6 +489,38 @@ class TestCli:
         assert err.startswith("usage:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["det", "stoch", "sweep"])
+    def test_seed_must_be_nonnegative(self, tmp_path, capsys, command):
+        from axonsim.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "time_horizon": 0.02}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "-1", "--config", str(cfg_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got -1" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+        cfg_path.write_text(json.dumps({**SMALL, "time_horizon": 0.02, "seed": -1}))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert not out.exists()
+
+    def test_stoch_on_an_empty_sweep_needs_n(self, tmp_path, capsys):
+        from axonsim.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "time_horizon": 0.02, "sweep_n": []}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["stoch", "--config", str(cfg_path), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--n is needed" in err
+        assert not out.exists()
+        assert main(["stoch", "--config", str(cfg_path), "--n", "25", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("option, suite", [
         ("--replicates", "martingale"), ("--replicates", "likelihood"),
         ("--workers", "martingale"),
@@ -469,8 +551,6 @@ class TestCli:
             SMALL["seed"], 50, 1)
 
     def test_validate_martingale_report(self, tmp_path):
-        from axonsim.validate import martingale_suite
-
         report = tmp_path / "mart.json"
         checks = martingale_suite(n_scale=50, t_horizon=0.2, replicates=60,
                                   dt=5e-3, workers=1, report_path=report)
@@ -481,14 +561,25 @@ class TestCli:
 
     @pytest.mark.parametrize("replicates, workers", [(1, 1), (19, 2), (20, 1), (61, 1),
                                                      (2000, 2), (1000, 3)])
-    def test_validate_replicate_tasks_cover_in_order(self, replicates, workers):
-        from axonsim.validate import _replicate_tasks
+    def test_validate_replicate_tasks_cover_in_order(self, monkeypatch, replicates, workers):
+        # the replicate unit's batches, run in process on stand-in replicates
+        import axonsim.harness as harness
 
-        tasks = _replicate_tasks({"seed": 1}, 50, replicates, workers)
-        assert all(t[:2] == ({"seed": 1}, 50) for t in tasks)
-        bounds = [(lo, hi) for _, _, lo, hi in tasks]
-        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
-        assert bounds[-1][1] == replicates and all(lo < hi for lo, hi in bounds)
+        batches = []
+
+        def serial_map(func, tasks, n_workers):
+            batches.extend(tasks)
+            return [func(task) for task in tasks]
+
+        monkeypatch.setattr(harness, "parallel_map", serial_map)
+        monkeypatch.setattr(harness, "run_replicate", lambda cfg, n, r: (n, r))
+        outcomes = harness.map_replicates(None, [25, 50], replicates,
+                                          lambda pair, r: pair, workers)
+        expected = [(n, r) for n in (25, 50) for r in range(replicates)]
+        assert [(n, r) for n, r, *_ in outcomes] == expected
+        assert [value for *_, value, _ in outcomes] == expected
+        assert [(n, r) for n, lo, hi in batches for r in range(lo, hi)] == expected
+        assert max(hi - lo for _, lo, hi in batches) == max(1, replicates // (8 * workers))
 
     def test_validate_norms(self, capsys):
         from axonsim.cli import main

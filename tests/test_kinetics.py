@@ -97,6 +97,19 @@ class TestMakeKinetics:
                 ],
             })
 
+    def test_rejects_unknown_state_name(self):
+        with pytest.raises(ValueError, match=r"unknown states \['opn'\]"):
+            make_kinetics({
+                "states": [
+                    {"name": "closed", "c": 0.0, "v": -0.2},
+                    {"name": "open", "c": 1.0, "v": 1.0},
+                ],
+                "rates": [
+                    {"from": "closed", "to": "opn", "form": "constant", "params": {"a": 0.5}},
+                    {"from": "open", "to": "closed", "form": "constant", "params": {"a": 0.5}},
+                ],
+            })
+
     def test_rejects_single_state(self):
         with pytest.raises(ValueError):
             make_kinetics({"states": [{"name": "only", "c": 1.0, "v": 1.0}], "rates": []})

@@ -9,6 +9,12 @@ SRC = Path(axonsim.__file__).parent
 # The one hat-scatter kernel.
 SCATTER_HOMES = {("grid.py", "hat_scatter")}
 
+# The replicate unit, and the callers each of its calls may have.
+CALL_HOMES = {
+    "run_replicate": {("harness.py", "_run_batch"), ("cli.py", "_cmd_stoch")},
+    "parallel_map": {("harness.py", "map_replicates"), ("csvtext.py", "write_snapshot_csv")},
+}
+
 # Acceptance entry points that the acceptance suite calls and no program path does.
 ACCEPTANCE_ENTRY_POINTS = {"self_convergence_suite", "strip_wall_clock"}
 
@@ -96,3 +102,19 @@ def test_processes_start_only_in_the_fanout_module():
               for lineno, line in enumerate(path.read_text().splitlines(), 1)
               if pattern.search(line)]
     assert strays == []
+
+
+def test_replicates_run_and_fan_out_only_in_the_unit():
+    """``run_replicate(`` is called only by the replicate unit and ``axonsim
+    stoch``; ``parallel_map(`` only by the unit and the snapshot writer."""
+    callers = {name: set() for name in CALL_HOMES}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = _functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in callers:
+                    homes = [f for f, lo, hi in funcs if lo <= node.lineno <= hi]
+                    callers[name].add((path.name, homes[-1] if homes else "<module>"))
+    assert callers == CALL_HOMES

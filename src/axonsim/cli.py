@@ -37,13 +37,15 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_json(args.config) if args.config else RunConfig.from_dict({})
-    if args.seed is not None:
-        data = dict(cfg.raw)
-        data["seed"] = args.seed
-        cfg = RunConfig.from_dict(data)
-    if getattr(args, "refine", False):
-        cfg = cfg.refined()
+    """The run's config; an unreadable or invalid one is a usage error."""
+    try:
+        cfg = RunConfig.from_json(args.config) if args.config else RunConfig.from_dict({})
+        if args.seed is not None:
+            cfg = RunConfig.from_dict({**cfg.raw, "seed": args.seed})
+        if args.refine:
+            cfg = cfg.refined()
+    except (ValueError, OSError) as exc:
+        args.usage_error(str(exc))
     if getattr(args, "out", None) is None and hasattr(args, "out"):
         args.out = cfg.out_dir
     return cfg
@@ -133,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override base seed")
         sp.add_argument("--refine", action="store_true",
                         help="double cells, halve dt")
+        sp.set_defaults(usage_error=sp.error)
         if out:
             sp.add_argument("--out", default=None,
                             help="output directory (default: config out_dir)")
@@ -152,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="snapshot stride for CSV")
     sp.add_argument("--diagnostics", action="store_true",
                     help="also write the martingale dual-norm series CSV")
-    sp.set_defaults(func=_cmd_stoch, usage_error=sp.error)
+    sp.set_defaults(func=_cmd_stoch)
 
     sp = sub.add_parser("sweep", help="full convergence study")
     common(sp)

@@ -8,7 +8,9 @@ object drives both the fluid (proportion) model and the particle model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +43,29 @@ class RateForm:
             return a * np.exp(k * v)
         raise ValueError(f"unknown rate form {self.kind!r}")
 
+    @property
+    def supremum(self) -> float:
+        """A bound on the form's floating-point values at every finite v.
 
-def parse_rate_form(spec: dict) -> RateForm:
+        A sigmoid's ``b / (1 + e)`` with ``e >= 0`` rounds to at most
+        ``max(b, 0)``, and rounding is monotone, so ``a + max(b, 0)`` bounds
+        it; ``exp_clamped`` is bounded only by the clamp.
+        """
+        if self.kind == "exp_clamped":
+            return math.inf
+        if self.kind == "sigmoid":
+            return self.params[0] + max(self.params[1], 0.0)
+        return self.params[0]
+
+
+def _finite(value, what: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
+
+
+def parse_rate_form(spec: dict, label: str) -> RateForm:
     kind = spec.get("form")
     if kind not in _FORM_PARAMS:
         raise ValueError(f"unknown rate form {kind!r}; choose from {sorted(_FORM_PARAMS)}")
@@ -51,16 +74,18 @@ def parse_rate_form(spec: dict) -> RateForm:
     missing = [n for n in names if n not in params]
     if missing:
         raise ValueError(f"rate form {kind!r} missing parameters {missing}")
-    return RateForm(kind, tuple(float(params[n]) for n in names))
+    return RateForm(kind, tuple(_finite(params[n], f"{label} parameter {n!r}")
+                                for n in names))
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelKinetics:
     """Validated channel description: states, conductances, rates.
 
-    ``conductance[i] >= 0`` for every state, the driving potentials straddle
-    zero (min < 0 < max), and every ordered pair of distinct states carries
-    a rate form whose clamped values lie in ``clamp``.
+    Every number is finite, ``conductance[i] >= 0`` for every state, the
+    driving potentials straddle zero (min < 0 < max), and every ordered pair
+    of distinct states carries a rate form whose clamped values lie in
+    ``clamp``.
     """
 
     states: tuple[str, ...]
@@ -90,6 +115,17 @@ class ChannelKinetics:
     def v_plus(self) -> float:
         return float(np.max(self.driving))
 
+    @cached_property
+    def exit_bound(self) -> float:
+        """A bound B on every exit rate ``rate_table(self, v).sum(axis=0)``
+        at finite v: each form's clamped supremum, summed over targets by the
+        same reduction, maximum over source states.  Rounding is monotone,
+        so a sum of smaller terms in the same order is at most B."""
+        sup = np.zeros((self.n_states, self.n_states))
+        for (src, dst), form in self.forms.items():
+            sup[dst, src] = min(max(form.supremum, self.alpha_min), self.alpha_max)
+        return float(sup.sum(axis=0).max())
+
 
 def make_kinetics(spec: dict) -> ChannelKinetics:
     """Build and validate kinetics from a parsed configuration mapping.
@@ -106,15 +142,15 @@ def make_kinetics(spec: dict) -> ChannelKinetics:
     names = tuple(s["name"] for s in state_specs)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate state names in {names}")
-    cond = np.array([float(s["c"]) for s in state_specs])
-    driv = np.array([float(s["v"]) for s in state_specs])
+    cond, driv = (np.array([_finite(s[key], f"state {s['name']!r} field {key!r}")
+                            for s in state_specs]) for key in ("c", "v"))
     if np.any(cond < 0):
         raise ValueError("conductances must be nonnegative")
     if driv.min() >= 0 or driv.max() <= 0:
         raise ValueError(
             f"driving potentials must straddle zero: min={driv.min()}, max={driv.max()}"
         )
-    clamp = tuple(float(c) for c in spec.get("clamp", DEFAULT_CLAMP))
+    clamp = tuple(_finite(c, "clamp bound") for c in spec.get("clamp", DEFAULT_CLAMP))
     if len(clamp) != 2 or clamp[0] <= 0 or clamp[0] > clamp[1]:
         raise ValueError(f"clamp must satisfy 0 < alpha_min <= alpha_max, got {clamp}")
     index = {name: i for i, name in enumerate(names)}
@@ -129,7 +165,7 @@ def make_kinetics(spec: dict) -> ChannelKinetics:
             raise ValueError(f"self-transition {entry['from']} -> {entry['to']}")
         if (i, j) in forms:
             raise ValueError(f"duplicate rate for {entry['from']} -> {entry['to']}")
-        forms[(i, j)] = parse_rate_form(entry)
+        forms[(i, j)] = parse_rate_form(entry, f"rate {entry['from']} -> {entry['to']}")
     missing = [
         (names[i], names[j])
         for i in range(len(names))

@@ -26,15 +26,14 @@ factor and right-hand-side bands stored for the full dt
 (:func:`grid.tridiag_factor`) until the next jump that changes a
 conductance.
 
-Most substeps at small N are jump-free, so they are stepped in quiet runs:
-the voltages of the next few substeps are solved ahead through the stored
-factor as if none of them jumps, step 1 is done at all of them in one rate
-evaluation, and the holding times are then drawn substep by substep.  The
-run ends at the first substep with a jump, which starts from its own
-voltage, and the guesses after it are dropped; the draws, the solves and so
-the whole trajectory are those of one substep at a time, bit for bit.  A run
-is as long as the mean time to the next jump at the last substep's rates,
-and one substep while no factor is stored, so it never factors for a guess.
+Each substep draws the channels' first holding times before any rate: the
+exponential draw E_i of channel i gives its holding time E_i / exit_i.  The
+kinetics bound every exit rate (:attr:`ChannelKinetics.exit_bound`) and
+rounding is monotone, so a channel with E_i / exit_bound > dt cannot jump in
+the substep, and only the remaining candidates, a small share of the
+channels, evaluate their rates.  The draws, and the arithmetic at the
+candidates, are those of evaluating every channel, so the trajectory is the
+same bit for bit.
 The dissipation budget is checked a block of substeps at a time from the
 stored snapshots, with the same sums in the same order as a per-step check,
 and raises at the same step.
@@ -191,7 +190,6 @@ class _HybridCore:
         self.positions = channels.positions
         self.states = channels.states.copy()
         self.count = channels.count
-        self.arange = np.arange(self.count)
         self.kd, self.ko = stiffness_bands(grid)
         self.md, self.mo = mass_bands(grid)
         self.hats = hat_weights(grid, self.positions)
@@ -199,13 +197,9 @@ class _HybridCore:
         (self.idx_lo, self.idx_hi), (self.wt_lo, self.wt_hi) = self.scatter
         self.off_idx = np.clip(self.hats[0] - 1, 0, grid.n_interior - 2)
         self.wt_cross = self.wt_lo * self.wt_hi
-        # whole voltages, boundary nodes included, of a quiet run's substep
-        # starts: row 0 is the current voltage, the rest are solved ahead
-        self._starts = np.zeros((_LEDGER_BLOCK, grid.cells + 1))
-        self.v_full = self._starts[0]
+        self.v_full = np.zeros(grid.cells + 1)  # boundary nodes included
         self.v_full[1:-1] = v_interior
         self.step = 0  # substeps done; the snapshot index of v_full
-        self._exit_sum = math.inf  # total exit rate at the last drawn substep
         # (dt, factor of the CN matrix, rhs diagonal, rhs off-diagonal, dt *
         # load) of a whole no-jump substep; a jump that changes the operator
         # drops it
@@ -262,14 +256,10 @@ class _HybridCore:
                                                   (self.bd, self.bo), dt)
             self._full_step = (dt, tridiag_factor(lhs_o, lhs_d, lhs_o), rhs_d, rhs_o,
                                dt * self.cload)
-        self.v_full[1:-1] = self._solve_full(self.v_full[1:-1])
-
-    def _solve_full(self, v: np.ndarray) -> np.ndarray:
-        """The interior voltage a whole no-jump substep from ``v`` ends at."""
         _, factor, rhs_d, rhs_o, load = self._full_step
-        rhs = tridiag_matvec(rhs_d, rhs_o, v)
+        rhs = tridiag_matvec(rhs_d, rhs_o, self.v_full[1:-1])
         rhs += load
-        return tridiag_factor_solve(factor, rhs)
+        self.v_full[1:-1] = tridiag_factor_solve(factor, rhs)
 
     def _jump_chain(self, i: int, first_time: float, dt: float, rates: np.ndarray,
                     t0: float, rng: np.random.Generator) -> list[tuple]:
@@ -292,89 +282,53 @@ class _HybridCore:
             t_loc += rng.exponential() / exit[s]
         return events
 
-    def _quiet_rows(self, dt: float, limit: int) -> int:
-        """Substeps in the next run, within [1, limit]: the whole substeps in
-        the mean time to the next jump at the last drawn substep's rates.
-
-        Without a stored factor it is 1, so a run never factors for a guess.
-        """
-        if self._full_step is None or self._full_step[0] != dt:
-            return 1
-        return max(1, min(limit, int(1.0 / (dt * self._exit_sum))))
-
-    def _solve_ahead(self, rows: int) -> int:
-        """Solve the starts of a run's substeps 1 .. rows - 1 as if none of
-        the substeps before jumps; returns the rows the run keeps.
-
-        A solve that raises (``ValueError``, or its ``LinAlgError``) or comes
-        out non-finite ends the run before its row, so that the run's last
-        substep repeats it as its own step and fails there as that step does.
-        """
-        starts = self._starts
-        for row in range(1, rows):
-            try:
-                starts[row, 1:-1] = self._solve_full(starts[row - 1, 1:-1])
-            except ValueError:
-                rows = row
-                break
-        if rows > 1:
-            finite = np.isfinite(starts[1:rows]).all(axis=1)
-            if not finite.all():
-                rows = 1 + int(np.argmin(finite))
-        return rows
-
     def advance(self, times: np.ndarray, stop: int, dt: float,
                 rng: np.random.Generator, snaps: np.ndarray) -> list[tuple]:
-        """Advance by one quiet run of substeps, to the first one with a
-        jump or to substep ``stop``; returns the run's time-ordered jump
-        events.
+        """Advance to the end of the first substep with a jump, or to substep
+        ``stop``; returns that substep's time-ordered jump events.
 
-        The run's substep starts are solved ahead through the stored factor
-        as if none of them jumps, and its rates are evaluated at all of them
-        in one call.  The holding times are then drawn substep by substep,
-        as a run of one substep draws them, so the stream is consumed in
-        the same order; the starts after the first substep with a jumper
-        are dropped, and that substep takes the jump path from its own
-        start.  Each substep's end voltage is written to ``snaps`` at the
-        substep count ``self.step`` reaches with it; a non-finite one
-        raises instead, and an error leaves ``self.step`` at the substep
-        that failed.
+        Each substep draws the channels' exponentials E_i first and passes
+        those with ``E_i / exit_bound <= dt`` on as candidates; a substep
+        without a candidate, or whose candidates do not jump, takes the
+        stored-factor solve.  Each substep's end voltage is written to
+        ``snaps`` at the substep count ``self.step`` reaches with it; a
+        non-finite one raises instead, and an error leaves ``self.step`` at
+        the substep that failed.
         """
-        rows = self._solve_ahead(self._quiet_rows(dt, stop - self.step))
-        starts = self._starts[:rows]
-        table = rate_table(self.k, hat_interpolate(starts, self.hats))
-        exit = table.sum(axis=0)[self.states, :, self.arange]  # (count, rows)
-        for row in range(rows):
-            tau = rng.exponential(size=self.count) / exit[:, row]
-            jumpers = np.nonzero(tau <= dt)[0]
-            if jumpers.size or row + 1 == rows:
-                break
-            self.step += 1
-            snaps[self.step] = starts[row + 1, 1:-1]
-        self._exit_sum = float(exit[:, row].sum())
-        if row:
-            self.v_full[:] = starts[row]
-        if jumpers.size:
-            events = self._jump_substep(float(times[self.step]), dt, tau, jumpers,
-                                        table[:, :, row], rng)
-        else:
+        while True:
+            draws = rng.exponential(size=self.count)
+            candidates = np.nonzero(draws / self.k.exit_bound <= dt)[0]
             events = []
-            self._advance_full(dt)
-        v = self.v_full[1:-1]
-        if not np.all(np.isfinite(v)):
-            raise InvariantViolation(f"voltage not finite at t={times[self.step + 1]}")
-        self.step += 1
-        snaps[self.step] = v
-        return events
+            if candidates.size:
+                events = self._jump_substep(float(times[self.step]), dt, draws,
+                                            candidates, rng)
+            if not events:
+                self._advance_full(dt)
+            v = self.v_full[1:-1]
+            if not np.all(np.isfinite(v)):
+                raise InvariantViolation(f"voltage not finite at t={times[self.step + 1]}")
+            self.step += 1
+            snaps[self.step] = v
+            if events or self.step == stop:
+                return events
 
-    def _jump_substep(self, t0: float, dt: float, tau: np.ndarray, jumpers: np.ndarray,
-                      table: np.ndarray, rng: np.random.Generator) -> list[tuple]:
-        """A substep with jumps: the jumpers' chains, drawn in channel order,
-        then a sub-solve between consecutive jumps.  ``tau`` holds the first
-        holding times and ``table`` the substep's rate table."""
+    def _jump_substep(self, t0: float, dt: float, draws: np.ndarray,
+                      candidates: np.ndarray, rng: np.random.Generator) -> list[tuple]:
+        """The candidates' rates at the substep's start voltage, their
+        holding times ``draws / exit`` and, if any of them jumps, the
+        jumpers' chains, drawn in channel order, then a sub-solve between
+        consecutive jumps.  Without a jumper it returns no events and leaves
+        the voltage alone."""
+        table = rate_table(self.k, hat_interpolate(
+            self.v_full, [hat[candidates] for hat in self.hats]))
+        exit = table.sum(axis=0)[self.states[candidates], np.arange(candidates.size)]
+        tau = draws[candidates] / exit
         events: list[tuple] = []
-        for i in jumpers.tolist():
-            events.extend(self._jump_chain(i, float(tau[i]), dt, table[:, :, i], t0, rng))
+        for j in np.nonzero(tau <= dt)[0].tolist():
+            events.extend(self._jump_chain(int(candidates[j]), float(tau[j]), dt,
+                                           table[:, :, j], t0, rng))
+        if not events:
+            return events
         events.sort(key=lambda e: e[0])
         cursor = t0
         for (te, i, _src, dst) in events:

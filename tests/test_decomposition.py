@@ -450,7 +450,8 @@ class TestMultiStateChain:
 
 
 class TestReplayVoltages:
-    """The replay's frozen voltages, read from the snapshots, are the simulator's."""
+    """The replay's frozen voltages, read from the snapshots, are the
+    simulator's at every (substep, channel) whose rates it evaluated."""
 
     @pytest.mark.parametrize("n_scale, overrides", [
         (25, {}),
@@ -464,44 +465,49 @@ class TestReplayVoltages:
 
         cfg = RunConfig.from_dict(overrides)
         grid, kin, _, _ = cfg.build()
-        batches, drawn = [], []
+        batches, evaluated = [], []
         simulator_table = stochastic.rate_table
-        advance = stochastic._HybridCore.advance
+        jump_substep = stochastic._HybridCore._jump_substep
 
         def recording_table(k, v):
             batches.append(np.array(v, copy=True))
             return simulator_table(k, v)
 
-        def recording_advance(self, *args):
-            start = self.step
-            events = advance(self, *args)
-            drawn.append(np.arange(start, self.step))
-            return events
+        def recording_jump_substep(self, t0, dt, draws, candidates, rng):
+            evaluated.append((self.step, candidates.copy()))
+            return jump_substep(self, t0, dt, draws, candidates, rng)
 
         monkeypatch.setattr(stochastic, "rate_table", recording_table)
-        monkeypatch.setattr(stochastic._HybridCore, "advance", recording_advance)
+        monkeypatch.setattr(stochastic._HybridCore, "_jump_substep", recording_jump_substep)
         traj = run_replicate(cfg, n_scale, 0)
         monkeypatch.undo()
-        # one rate evaluation per run, and each substep drawn once, in order;
-        # a run's rows after the substeps it drew are dropped guesses
-        assert len(batches) == len(drawn)
-        assert np.array_equal(np.concatenate(drawn), np.arange(traj.n_times - 1))
-        assert all(len(b) >= len(d) for b, d in zip(batches, drawn))
-        if n_scale == 25:
-            assert max(len(d) for d in drawn) >= 2
-        frozen = np.concatenate([b[:len(d)] for b, d in zip(batches, drawn)])
-        assert frozen.shape == (traj.n_times - 1, traj.positions.size)
+        # one rate evaluation per substep with candidates, at the candidates
+        # only, each substep at most once and in order
+        assert len(batches) == len(evaluated)
+        assert all(b.shape == c.shape for b, (_, c) in zip(batches, evaluated))
+        steps = np.array([step for step, _ in evaluated])
+        assert np.all(np.diff(steps) > 0) and steps[-1] < traj.n_times - 1
+        frozen = np.concatenate(batches)
+        substep = np.concatenate([np.full(c.size, step) for step, c in evaluated])
+        channel = np.concatenate([c for _, c in evaluated])
+        assert frozen.size < (traj.n_times - 1) * traj.positions.size
         assert traj.jump_times.size > 0
 
         snapshots = np.zeros((traj.n_times - 1, grid.cells + 1))
         snapshots[:, 1:-1] = traj.v[:-1]
         hats = hat_weights(grid, traj.positions)
-        assert np.array_equal(frozen, hat_interpolate(snapshots, hats))
+        assert np.array_equal(frozen, hat_interpolate(snapshots, hats)[substep, channel])
+
+        # every jump's (substep, channel) was evaluated; the keys ascend
+        sub = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
+        keys = substep * traj.positions.size + channel
+        jump_keys = sub * traj.positions.size + traj.jump_channel
+        at = np.searchsorted(keys, jump_keys)
+        assert np.array_equal(keys[at], jump_keys)
 
         # per-jump reference at the captured voltages
         ref_rate = 2.0
-        sub = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
-        table = rate_table(kin, frozen[sub, traj.jump_channel])
+        table = rate_table(kin, frozen[at])
         r = table[traj.jump_dst, traj.jump_src, np.arange(traj.jump_times.size)]
         ref_jump_rate = ref_rate / (traj.positions.size * (kin.n_states - 1))
         log_jumps = float(np.sum(np.log(r) - np.log(ref_jump_rate)))

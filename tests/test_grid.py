@@ -274,11 +274,18 @@ class TestTridiagSolve:
         (1, "diag"), (1, "rhs"),
         *((n, band) for n in (2, 6) for band in ("lower", "diag", "upper", "rhs")),
     ])
-    def test_non_finite_input_raises_value_error(self, n, band, bad):
-        bands = dict(zip(("lower", "diag", "upper", "rhs"),
-                         tridiag_bands(n, n, 0.5, False)))
-        bands[band][-1] = bad
-        lower, diag, upper, rhs = bands.values()
+    @given(data=st.data())
+    def test_non_finite_input_raises_value_error(self, n, band, bad, data):
+        """At every position of every band, and with one array as both
+        off-diagonals, as the program passes them.  The bands must be
+        checked, not only the result: LAPACK ``gtsv`` can return an
+        all-finite solution for an infinite band entry."""
+        shared = data.draw(st.booleans())
+        lower, diag, upper, rhs = tridiag_bands(n, n, 0.5, shared)
+        if shared:
+            upper = lower
+        bands = dict(zip(("lower", "diag", "upper", "rhs"), (lower, diag, upper, rhs)))
+        bands[band][data.draw(st.integers(0, bands[band].size - 1))] = bad
         with pytest.raises(ValueError):
             solve_banded((1, 1), banded(lower, diag, upper), rhs)
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from axonsim.errors import InvariantViolation
 from axonsim.fanout import default_workers, parallel_map
 from axonsim.grid import build_grid
 from axonsim.harness import (
+    DEFAULT_CONFIG,
     RunConfig,
     _sup_voltage_deviation,
     deviation_metrics,
@@ -503,8 +504,36 @@ class TestCli:
             capsys.readouterr().err)
         assert not out.exists()
         cfg_path.write_text(json.dumps({**SMALL, "time_horizon": 0.02, "seed": -1}))
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"axonsim {command}: error: seed must be non-negative, got -1" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("det", json.dumps({**SMALL, "cells": 2}), "cells must be at least 3, got 2"),
+        ("stoch", json.dumps({**SMALL, "kinetics": {
+            **DEFAULT_CONFIG["kinetics"], "rates": [
+                {**rate, "to": "opne"} if rate["to"] == "open" else rate
+                for rate in DEFAULT_CONFIG["kinetics"]["rates"]]}}),
+         "names unknown states ['opne']"),
+        ("sweep", None, "No such file or directory"),
+        ("det", '{"cells": 40,', "Expecting property name enclosed in double quotes"),
+    ], ids=["cells-2", "unknown-state", "missing-file", "malformed-json"])
+    def test_bad_config_is_a_usage_error(self, tmp_path, capsys, command, text, message):
+        from axonsim.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"axonsim {command}: error: " in err and message in err
         assert not out.exists()
 
     def test_stoch_on_an_empty_sweep_needs_n(self, tmp_path, capsys):

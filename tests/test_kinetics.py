@@ -1,3 +1,6 @@
+import copy
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from axonsim.grid import build_grid, hat_interpolate, hat_weights
-from axonsim.harness import RunConfig
+from axonsim.harness import DEFAULT_CONFIG, RunConfig
 from axonsim.kinetics import make_kinetics, rate_table
 from test_decomposition import CHAIN5
 
@@ -113,6 +116,23 @@ class TestMakeKinetics:
     def test_rejects_single_state(self):
         with pytest.raises(ValueError):
             make_kinetics({"states": [{"name": "only", "c": 1.0, "v": 1.0}], "rates": []})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["c", "v", "clamp-lo", "clamp-hi", "a", "b", "k", "v0"])
+    def test_rejects_non_finite_numbers(self, field, bad):
+        """Through the run config, where JSON's ``NaN`` and ``Infinity`` arrive."""
+        kin = copy.deepcopy(DEFAULT_CONFIG["kinetics"])
+        if field in ("c", "v"):
+            kin["states"][1][field] = bad
+            what = f"state 'open' field '{field}'"
+        elif field.startswith("clamp"):
+            kin["clamp"][field == "clamp-hi"] = bad
+            what = "clamp bound"
+        else:
+            kin["rates"][1]["params"][field] = bad
+            what = f"rate open -> closed parameter '{field}'"
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be finite, got {bad}")):
+            RunConfig.from_dict({"kinetics": kin})
 
 
 def generator(k, v):
@@ -241,8 +261,22 @@ _FORMS = {
 }
 
 
+# Wider than _FORMS: negative rates and sigmoid amplitudes, rates past the
+# clamp ceiling, and slopes at which |v| <= 1e3 overflows exp.
+_WIDE_FORMS = {
+    "constant": st.fixed_dictionaries({"a": st.floats(-5.0, 60.0)}),
+    "sigmoid": st.fixed_dictionaries({
+        "a": st.floats(-5.0, 30.0), "b": st.floats(-30.0, 30.0),
+        "k": st.floats(-50.0, 50.0), "v0": st.floats(-2.0, 2.0),
+    }),
+    "exp_clamped": st.fixed_dictionaries({
+        "a": st.one_of(st.floats(1e-6, 10.0), st.floats(-10.0, -1e-6)),
+        "k": st.floats(-50.0, 50.0)}),
+}
+
+
 @st.composite
-def kinetics_and_voltage(draw):
+def kinetics_and_voltage(draw, forms=_FORMS, voltage=st.floats(-3.0, 3.0)):
     n = draw(st.integers(2, 5))
     names = [f"s{i}" for i in range(n)]
     states = [{"name": name, "c": 1.0, "v": -0.5 if i == 0 else 1.0}
@@ -253,11 +287,10 @@ def kinetics_and_voltage(draw):
             if a != b:
                 form = draw(st.sampled_from(sorted(_FORMS)))
                 rates.append({"from": a, "to": b, "form": form,
-                              "params": draw(_FORMS[form])})
+                              "params": draw(forms[form])})
     lo = draw(st.floats(1e-3, 1.0))
     hi = draw(st.floats(lo, 50.0))
     k = make_kinetics({"states": states, "rates": rates, "clamp": [lo, hi]})
-    voltage = st.floats(-3.0, 3.0)
     if draw(st.booleans()):
         v = draw(voltage)
     else:
@@ -282,11 +315,35 @@ class TestRateTable:
             assert np.array_equal(table.sum(axis=0)[src], exit)
 
 
+class TestExitBound:
+    """``exit_bound`` bounds every exit rate, which lets the particle model
+    rule a channel out of a substep from its holding-time draw alone."""
+
+    @given(kinetics_and_voltage(_WIDE_FORMS, st.floats(-1e3, 1e3)))
+    def test_bounds_every_exit_rate(self, case):
+        k, v = case
+        with np.errstate(over="ignore"):
+            exits = rate_table(k, v).sum(axis=0)
+        assert np.all(exits <= k.exit_bound)
+
+    def test_rates_at_the_ceiling_reach_it(self):
+        names = ["a", "b", "c"]
+        k = make_kinetics({
+            "states": [{"name": n, "c": 1.0, "v": -1.0 if n == "a" else 1.0} for n in names],
+            "rates": [{"from": a, "to": b, "form": "constant", "params": {"a": 20.0}}
+                      for a in names for b in names if a != b],
+            "clamp": [0.01, 10.0]})
+        assert k.exit_bound == 20.0
+        assert np.all(rate_table(k, np.linspace(-1.0, 1.0, 7)).sum(axis=0) == 20.0)
+
+
 class TestBatchedRates:
     """Rates over a (rows, count) batch of voltages equal each row's own
-    call, bit for bit: the particle model's quiet runs and the compensator
-    replay evaluate a batch of substeps at once, so a SIMD loop whose tail
-    rounds differently would move their jumps."""
+    call, and rates at a subset of positions equal the full table's
+    columns, bit for bit: the compensator replay evaluates a batch of
+    substeps at once, and the particle model draws the holding times first
+    and evaluates rates only at the channels that can jump, so a SIMD loop
+    whose tail rounds differently would move their jumps."""
 
     @pytest.mark.parametrize("config", ["default", "chain5"])
     @given(data=st.data(), cells=st.integers(3, 60), rows=st.integers(1, 70),
@@ -307,4 +364,10 @@ class TestBatchedRates:
         for row, single in enumerate(singles):
             assert np.array_equal(table[:, :, row], single)
             assert np.array_equal(exits[:, row], single.sum(axis=0))
+        row = data.draw(st.integers(0, rows - 1))
+        subset = np.flatnonzero(rng.random(count) < data.draw(st.floats(0.0, 1.0)))
+        with np.errstate(over="ignore"):
+            part = rate_table(kin, hat_interpolate(volts[row], [h[subset] for h in hats]))
+        assert np.array_equal(part, table[:, :, row, subset])
+        assert np.array_equal(part.sum(axis=0), exits[:, row, subset])
 

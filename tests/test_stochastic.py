@@ -13,15 +13,16 @@ from axonsim.grid import (
     NodalField,
     build_grid,
     eval_at,
+    hat_interpolate,
     hat_scatter,
     hat_scatter_arrays,
     hat_weights,
     hminus1_norms,
     l2_norm,
 )
-from axonsim.harness import RunConfig, run_reference, run_replicate
+from axonsim.harness import DEFAULT_CONFIG, RunConfig, run_reference, run_replicate
 from axonsim.heat import KernelParams, apply_semigroup
-from axonsim.kinetics import make_kinetics
+from axonsim.kinetics import make_kinetics, rate_table
 from axonsim.profiles import fundamental_mode
 from axonsim.deterministic import _LEDGER_BLOCK
 from axonsim.stochastic import (
@@ -589,6 +590,81 @@ class TestStoredFactor:
         for name in ("jump_times", "jump_channel", "jump_src", "jump_dst", "dissipation"):
             assert np.array_equal(getattr(oracle, name), getattr(traj, name))
         assert oracle.sup_v_inf == traj.sup_v_inf
+
+
+def reference_advance(self, times, stop, dt, rng, snaps):
+    """One substep per call, with every channel's rates evaluated at the
+    substep's start and its holding time drawn against its own exit rate."""
+    table = rate_table(self.k, hat_interpolate(self.v_full, self.hats))
+    tau = rng.exponential(size=self.count) / table.sum(axis=0)[
+        self.states, np.arange(self.count)]
+    t0 = float(times[self.step])
+    events = []
+    for i in np.nonzero(tau <= dt)[0].tolist():
+        events.extend(self._jump_chain(i, float(tau[i]), dt, table[:, :, i], t0, rng))
+    events.sort(key=lambda e: e[0])
+    cursor = t0
+    for te, i, _src, dst in events:
+        self._advance_pde(te - cursor)
+        self._apply_jump(i, dst)
+        cursor = te
+    self._advance_pde(t0 + dt - cursor if events else dt)
+    self.step += 1
+    snaps[self.step] = self.v_full[1:-1]
+    return events
+
+
+# Constant rates at or past the clamp ceiling: every exit rate equals the
+# kinetics' exit bound, so every candidate jumps.
+AT_CEILING = {"kinetics": {**DEFAULT_CONFIG["kinetics"], "rates": [
+    {"from": "closed", "to": "open", "form": "constant", "params": {"a": 5.0}},
+    {"from": "open", "to": "closed", "form": "constant", "params": {"a": 9.0}}]}}
+
+
+class TestCandidates:
+    """Rates only at the channels whose holding time can end in the substep."""
+
+    @pytest.mark.parametrize("replicate", [0, 1])
+    @pytest.mark.parametrize("config, n_scale", [
+        ("default", 25), ("default", 50), ("default", 200), ("default", 800),
+        ("chain5", 50), ("chain5", 400), ("dt5e-3", 100), ("ceiling", 200),
+    ])
+    def test_matches_every_channel_stepper(self, monkeypatch, config, n_scale, replicate):
+        cfg = RunConfig.from_dict({"default": {}, "chain5": CHAIN5, "dt5e-3": {"dt": 5e-3},
+                                   "ceiling": AT_CEILING}[config])
+        if config in ("default", "chain5"):
+            traj, _ = cached_replicate(config, n_scale, replicate)
+        else:
+            traj = run_replicate(cfg, n_scale, replicate)
+        if config == "ceiling":
+            kin = cfg.build()[1]
+            assert np.all(rate_table(kin, np.linspace(-1.0, 1.0, 5)).sum(axis=0)
+                          == kin.exit_bound)
+        monkeypatch.setattr(_HybridCore, "advance", reference_advance)
+        reference = run_replicate(cfg, n_scale, replicate)
+        assert traj.jump_times.size > 0
+        for name in ("v", "jump_times", "jump_channel", "jump_src", "jump_dst",
+                     "dissipation"):
+            assert np.array_equal(getattr(traj, name), getattr(reference, name))
+        assert traj.sup_v_inf == reference.sup_v_inf
+
+    def test_rates_evaluated_for_few_channel_substeps(self, monkeypatch):
+        """A path that fell back to every channel would pass every bitwise
+        test.  At the default N=800 and seed 42, rates are evaluated for
+        0.198 % of the channel substeps."""
+        cfg = RunConfig.from_dict({})
+        assert cfg.seed == 42
+        evaluated = []
+        simulator_table = stochastic.rate_table
+
+        def counting_table(k, v):
+            evaluated.append(np.size(v))
+            return simulator_table(k, v)
+
+        monkeypatch.setattr(stochastic, "rate_table", counting_table)
+        traj = run_replicate(cfg, 800, 0)
+        share = sum(evaluated) / (traj.positions.size * (traj.n_times - 1))
+        assert 0.0 < share < 0.01
 
 
 # Small initial voltage and mostly open channels: the dissipation outgrows

@@ -10,28 +10,10 @@ models are naturally posed in.
 __version__ = "0.1.0"
 
 from .errors import InvariantViolation, TruncationError
-from .grid import (
-    Functional,
-    Grid,
-    GridFunction,
-    NodalField,
-    build_grid,
-    delta_functional,
-    density_functional,
-    eval_at,
-    h10_norm,
-    hminus1_norm,
-    l2_norm,
-    pairing,
-)
+from .grid import Grid, GridFunction, build_grid, eval_at, pairing
 from .heat import KernelParams, absorbed_kernel, apply_semigroup
 from .kinetics import ChannelKinetics, make_kinetics, rate_table
-from .deterministic import (
-    DeterministicState,
-    DetTrajectory,
-    run_det,
-    step_det,
-)
+from .deterministic import DeterministicState, DetTrajectory, run_det
 from .stochastic import (
     ChannelConfig,
     StochasticState,
@@ -53,12 +35,10 @@ __all__ = [
     "DetTrajectory",
     "DeterministicState",
     "DeviationMetrics",
-    "Functional",
     "Grid",
     "GridFunction",
     "InvariantViolation",
     "KernelParams",
-    "NodalField",
     "RunConfig",
     "StochTrajectory",
     "StochasticState",
@@ -66,15 +46,10 @@ __all__ = [
     "absorbed_kernel",
     "apply_semigroup",
     "build_grid",
-    "delta_functional",
-    "density_functional",
     "deviation_metrics",
     "eval_at",
     "fit_rate",
-    "h10_norm",
-    "hminus1_norm",
     "init_channels",
-    "l2_norm",
     "make_kinetics",
     "martingale_norm_series",
     "martingale_variance_bound",
@@ -84,6 +59,5 @@ __all__ = [
     "run_det",
     "run_stoch",
     "run_sweep",
-    "step_det",
     "write_martingale_norm_csv",
 ]

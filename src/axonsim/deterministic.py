@@ -12,13 +12,12 @@ solve of :func:`grid.cn_bands`, with the mass matrix weighted by a as its
 reaction matrix), then a second proportion half-step.  RK4 on the linear
 proportion system preserves the nodal total sum(p) exactly up to roundoff.
 
-:func:`step_det` and :func:`run_det` share one Strang-step kernel on plain
-arrays.  The kernel returns the generator at the new voltage, which is bit
-for bit the next step's starting generator, so :func:`run_det` evaluates
-the rate table once per step and builds the stiffness and mass bands once
-per run.  The dissipation budget is checked a block of steps at a time from
-the snapshots, with the same sums in the same order as a per-step check,
-and raises at the same step.
+:func:`run_det` steps a Strang-step kernel on plain arrays.  The kernel
+returns the generator at the new voltage, which is bit for bit the next
+step's starting generator, so the run evaluates the rate table once per
+step and builds the stiffness and mass bands once.  The dissipation budget
+is checked a block of steps at a time from the snapshots, with the same
+sums in the same order as a per-step check, and raises at the same step.
 """
 
 from __future__ import annotations
@@ -68,6 +67,9 @@ class DeterministicState:
             raise ValueError(
                 f"proportions shape {self.p.shape} != ({k.n_states}, {n_nodes})"
             )
+        if not np.isfinite(self.p).all():
+            # a NaN fails every comparison below, so it would pass them
+            raise ValueError(f"proportions must be finite at t={self.t}")
         sums = self.p.sum(axis=0)
         if np.max(np.abs(sums - 1.0)) > PROP_SUM_TOL:
             raise InvariantViolation(
@@ -184,7 +186,6 @@ def _strang_step(p: np.ndarray, v: np.ndarray, gen: np.ndarray, t: float, dt: fl
     a = k.conductance @ p_mid
     b = cv @ p_mid
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        # the error a NodalField of the coefficients would raise
         raise ValueError("nodal field values must be finite")
     reaction = _weighted_mass_bands(a, grid.h)
     lhs_d, lhs_o, rhs_d, rhs_o = cn_bands(stiff, mass, reaction, dt)
@@ -197,15 +198,6 @@ def _strang_step(p: np.ndarray, v: np.ndarray, gen: np.ndarray, t: float, dt: fl
     gen_new = _generator(k, v_full)
     p_new = _clip_proportions(_rk4_prop(p_mid, gen_new, 0.5 * dt), t + dt)
     return p_new, v_new, gen_new
-
-
-def step_det(state: DeterministicState, dt: float, k: ChannelKinetics) -> DeterministicState:
-    """One Strang step of the coupled fluid model."""
-    step_guard(dt, k, limit=0.5)
-    grid = state.v.grid
-    p, v, _ = _strang_step(state.p, state.v.values, _generator(k, state.v.full()),
-                           state.t, dt, k, grid, _step_operators(grid, k))
-    return DeterministicState(t=state.t + dt, v=GridFunction(grid, v), p=p)
 
 
 def _budget_constants(k: ChannelKinetics) -> tuple[float, float]:

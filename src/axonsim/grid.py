@@ -1,17 +1,17 @@
 """Piecewise-linear function space on [-l, l] with zero boundary values.
 
-A uniform mesh carries three kinds of data: grid functions (nodal values at
-interior nodes, implicitly zero at the endpoints), nodal fields (values at
-every node, no boundary condition), and functionals (load vectors, i.e.
-pairings with the interior hat basis).  All norms are exact for the
-piecewise-linear interpolant:
+A uniform mesh carries grid functions (nodal values at interior nodes,
+implicitly zero at the endpoints); nodal arrays (values at every node, no
+boundary condition) and load arrays (pairings with the interior hat basis)
+are plain numpy arrays.  All norms are exact for the piecewise-linear
+interpolant:
 
     ||u||_L2^2   = sum over cells of h/3 * (a^2 + a*b + b^2)
     ||u||_H1^2   = ||u||_L2^2 + ||Du||_L2^2       (Du piecewise constant)
     ||F||_H-1    = sqrt(loads . u),  (K + M) u = loads
 
 where K and M are the stiffness and mass matrices of the hat basis.  The
-dual norm is therefore the exact supremum of pairing(theta, F) over grid
+dual norm is therefore the exact supremum of pairing(theta, loads) over grid
 functions with ||theta||_H1 <= 1.
 """
 
@@ -88,48 +88,6 @@ class GridFunction:
         out = np.zeros(self.grid.cells + 1)
         out[1:-1] = self.values
         return out
-
-    def __rmul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.grid, float(scalar) * self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class NodalField:
-    """Values at every node of the grid, endpoints included."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.cells + 1,):
-            raise ValueError(
-                f"expected {self.grid.cells + 1} nodal values, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("nodal field values must be finite")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True, eq=False)
-class Functional:
-    """Bounded linear functional stored as pairings with the interior hats."""
-
-    grid: Grid
-    loads: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.loads, dtype=float)
-        if v.shape != (self.grid.n_interior,):
-            raise ValueError(
-                f"expected {self.grid.n_interior} loads, got shape {v.shape}"
-            )
-        object.__setattr__(self, "loads", v)
-
-
-def _check_same_grid(a: Grid, b: Grid) -> None:
-    if a != b:
-        raise ValueError(f"grid mismatch: {a} vs {b}")
 
 
 # --- matrix assembly --------------------------------------------------------
@@ -274,18 +232,6 @@ def squared_norms(grid: Grid, values: np.ndarray):
     return l2sq, gradient_sq(grid, values)
 
 
-def l2_norm(u: GridFunction) -> float:
-    """Exact L2 norm of the piecewise-linear interpolant."""
-    l2sq, _ = squared_norms(u.grid, u.values)
-    return float(np.sqrt(l2sq))
-
-
-def h10_norm(u: GridFunction) -> float:
-    """Exact full Sobolev norm sqrt(||u||_L2^2 + ||Du||_L2^2)."""
-    l2sq, dsq = squared_norms(u.grid, u.values)
-    return float(np.sqrt(l2sq + dsq))
-
-
 # Bytes of load vectors per multi-RHS dual-norm solve: the solution of a
 # chunk sits next to the loads, so a series never holds a second copy of
 # itself.  LAPACK ``pbtrs`` solves column by column, so the chunking does not
@@ -317,15 +263,9 @@ def hminus1_norms(grid: Grid, loads: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(val, 0.0)).reshape(loads.shape[:-1])
 
 
-def hminus1_norm(F: Functional) -> float:
-    """Dual norm of one functional; see :func:`hminus1_norms`."""
-    return float(hminus1_norms(F.grid, F.loads))
-
-
-def pairing(phi: GridFunction, F: Functional) -> float:
-    """Evaluate the functional on a grid function: sum_j phi_j * loads_j."""
-    _check_same_grid(phi.grid, F.grid)
-    return float(phi.values @ F.loads)
+def pairing(phi: GridFunction, loads: np.ndarray) -> float:
+    """Evaluate a load array on a grid function: sum_j phi_j * loads_j."""
+    return float(phi.values @ loads)
 
 
 def eval_at(u: GridFunction, x: float) -> float:
@@ -419,26 +359,17 @@ def hat_scatter(rows: np.ndarray, scatter, size: int, bins=None) -> np.ndarray:
     return loads.reshape(rows.shape[:-1] + (size,))
 
 
-def delta_functional(y: float, grid: Grid) -> Functional:
+def delta_loads(y: float, grid: Grid) -> np.ndarray:
     """Dirac mass at a point strictly inside the interval, as hat loads."""
     if not (-grid.half_length < y < grid.half_length):
         raise ValueError(f"delta position {y} not strictly inside the interval")
-    loads = hat_scatter(np.ones(1), hat_scatter_arrays(grid, np.array([y])),
-                        grid.n_interior)
-    return Functional(grid, loads)
-
-
-def density_functional(f: NodalField) -> Functional:
-    """Indefinite-integral measure of a nodal density against the hat basis.
-
-    loads_j = int phi_j f dx with f the piecewise-linear interpolant, so
-    loads_j = h/6 * (f_{j-1} + 4 f_j + f_{j+1}) at interior nodes.
-    """
-    return Functional(f.grid, density_loads(f.grid, f.values))
+    return hat_scatter(np.ones(1), hat_scatter_arrays(grid, np.array([y])),
+                       grid.n_interior)
 
 
 def density_loads(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Loads h/6 (f_{j-1} + 4 f_j + f_{j+1}) of nodal densities, batched.
+    """Loads int phi_j f dx = h/6 (f_{j-1} + 4 f_j + f_{j+1}) of the
+    piecewise-linear interpolants f of nodal densities, batched.
 
     ``values`` holds every node, endpoints included, along its last axis;
     any leading axes are a batch and the result keeps them.

@@ -175,7 +175,7 @@ class DeviationMetrics:
 def run_reference(cfg: RunConfig) -> DetTrajectory:
     """The fluid-model reference run at the sweep resolution."""
     grid, kin, v0, p0 = cfg.build()
-    init = DeterministicState(t=0.0, v=v0, p=np.stack([f.values for f in p0]))
+    init = DeterministicState(t=0.0, v=v0, p=p0)
     return run_det(init, cfg.time_horizon, cfg.dt, kin)
 
 
@@ -184,7 +184,7 @@ def run_replicate(cfg: RunConfig, n_scale: int, replicate: int) -> StochTrajecto
     grid, kin, v0, p0 = cfg.build()
     seq = replicate_seed_sequence(cfg.seed, n_scale, replicate)
     rng = make_rng(seq)
-    channels = init_channels(n_scale, p0, cfg.init_mode, rng)
+    channels = init_channels(grid, n_scale, p0, cfg.init_mode, rng)
     init = StochasticState(t=0.0, v=v0, channels=channels)
     return run_stoch(init, cfg.time_horizon, cfg.dt, kin, rng)
 

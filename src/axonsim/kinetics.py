@@ -58,6 +58,12 @@ class RateForm:
         return self.params[0]
 
 
+def _field(spec: dict, key: str, what: str):
+    if key not in spec:
+        raise ValueError(f"{what} has no field {key!r}")
+    return spec[key]
+
+
 def _finite(value, what: str) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -139,11 +145,12 @@ def make_kinetics(spec: dict) -> ChannelKinetics:
     state_specs = spec.get("states", [])
     if len(state_specs) < 2:
         raise ValueError("kinetics needs at least 2 states")
-    names = tuple(s["name"] for s in state_specs)
+    names = tuple(_field(s, "name", f"state {i}") for i, s in enumerate(state_specs))
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate state names in {names}")
-    cond, driv = (np.array([_finite(s[key], f"state {s['name']!r} field {key!r}")
-                            for s in state_specs]) for key in ("c", "v"))
+    cond, driv = (np.array([_finite(_field(s, key, f"state {name!r}"),
+                                    f"state {name!r} field {key!r}")
+                            for name, s in zip(names, state_specs)]) for key in ("c", "v"))
     if np.any(cond < 0):
         raise ValueError("conductances must be nonnegative")
     if driv.min() >= 0 or driv.max() <= 0:
@@ -155,17 +162,18 @@ def make_kinetics(spec: dict) -> ChannelKinetics:
         raise ValueError(f"clamp must satisfy 0 < alpha_min <= alpha_max, got {clamp}")
     index = {name: i for i, name in enumerate(names)}
     forms: dict[tuple[int, int], RateForm] = {}
-    for entry in spec.get("rates", []):
-        unknown = [entry[end] for end in ("from", "to") if entry[end] not in index]
+    for r, entry in enumerate(spec.get("rates", [])):
+        src, dst = (_field(entry, end, f"rate {r}") for end in ("from", "to"))
+        unknown = [name for name in (src, dst) if name not in index]
         if unknown:
-            raise ValueError(f"rate {entry['from']} -> {entry['to']} names unknown "
+            raise ValueError(f"rate {src} -> {dst} names unknown "
                              f"states {unknown}; the states are {list(names)}")
-        i, j = index[entry["from"]], index[entry["to"]]
+        i, j = index[src], index[dst]
         if i == j:
-            raise ValueError(f"self-transition {entry['from']} -> {entry['to']}")
+            raise ValueError(f"self-transition {src} -> {dst}")
         if (i, j) in forms:
-            raise ValueError(f"duplicate rate for {entry['from']} -> {entry['to']}")
-        forms[(i, j)] = parse_rate_form(entry, f"rate {entry['from']} -> {entry['to']}")
+            raise ValueError(f"duplicate rate for {src} -> {dst}")
+        forms[(i, j)] = parse_rate_form(entry, f"rate {src} -> {dst}")
     missing = [
         (names[i], names[j])
         for i in range(len(names))

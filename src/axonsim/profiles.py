@@ -1,15 +1,15 @@
 """Initial-condition library: voltage profiles and proportion families.
 
 Voltage profiles vanish at the endpoints; proportion families are
-nonnegative and sum to one at every node exactly (the last state absorbs
-the rounding residual).
+(n_states, n_nodes) arrays, finite, nonnegative and summing to one at every
+node exactly (the last state absorbs the rounding residual).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, GridFunction, NodalField
+from .grid import Grid, GridFunction
 from .kinetics import ChannelKinetics
 
 
@@ -55,19 +55,31 @@ def _exact_simplex(weights: np.ndarray) -> np.ndarray:
         raise ValueError("proportion weights must have positive nodal totals")
     p = weights / total
     p[-1] = 1.0 - p[:-1].sum(axis=0)
+    if not np.isfinite(p).all():
+        raise ValueError("nodal field values must be finite")
     return p
 
 
-def uniform_proportions(grid: Grid, k: ChannelKinetics, weights: dict) -> list[NodalField]:
+def _per_state(k: ChannelKinetics, table: dict, what: str) -> list:
+    """The entries of a state-keyed mapping in the kinetics' state order;
+    a missing or unknown state is a ValueError naming it."""
+    missing = [name for name in k.states if name not in table]
+    unknown = [name for name in table if name not in k.index]
+    if missing or unknown:
+        raise ValueError(f"{what} must cover the states {list(k.states)} exactly; "
+                         f"missing {missing}, unknown {unknown}")
+    return [table[name] for name in k.states]
+
+
+def uniform_proportions(grid: Grid, k: ChannelKinetics, weights: dict) -> np.ndarray:
     """Spatially constant proportions from per-state weights."""
-    w = np.array([[float(weights[name])] for name in k.states])
+    w = np.array([[float(v)] for v in _per_state(k, weights, "p0 weights")])
     if np.any(w < 0):
         raise ValueError("proportion weights must be nonnegative")
-    p = _exact_simplex(np.repeat(w, grid.cells + 1, axis=1))
-    return [NodalField(grid, p[i]) for i in range(k.n_states)]
+    return _exact_simplex(np.repeat(w, grid.cells + 1, axis=1))
 
 
-def logistic_proportions(grid: Grid, k: ChannelKinetics, profiles: dict) -> list[NodalField]:
+def logistic_proportions(grid: Grid, k: ChannelKinetics, profiles: dict) -> np.ndarray:
     """Per-state logistic weight profiles, normalized nodewise.
 
     Each state maps to {"base": b, "amp": a, "k": slope, "x0": midpoint}
@@ -75,8 +87,7 @@ def logistic_proportions(grid: Grid, k: ChannelKinetics, profiles: dict) -> list
     """
     x = grid.nodes
     rows = []
-    for name in k.states:
-        prof = profiles[name]
+    for prof in _per_state(k, profiles, "p0 profiles"):
         base = float(prof.get("base", 0.0))
         amp = float(prof.get("amp", 0.0))
         slope = float(prof.get("k", 1.0))
@@ -85,11 +96,10 @@ def logistic_proportions(grid: Grid, k: ChannelKinetics, profiles: dict) -> list
     w = np.asarray(rows)
     if np.any(w < 0):
         raise ValueError("logistic weight profiles must be nonnegative")
-    p = _exact_simplex(w)
-    return [NodalField(grid, p[i]) for i in range(k.n_states)]
+    return _exact_simplex(w)
 
 
-def build_p0(grid: Grid, k: ChannelKinetics, spec: dict) -> list[NodalField]:
+def build_p0(grid: Grid, k: ChannelKinetics, spec: dict) -> np.ndarray:
     form = spec.get("form")
     params = spec.get("params", {})
     if form == "uniform":

@@ -54,7 +54,6 @@ from .errors import InvariantViolation
 from .grid import (
     Grid,
     GridFunction,
-    NodalField,
     cn_bands,
     hat_interpolate,
     hat_scatter,
@@ -142,21 +141,21 @@ class StochTrajectory:
 
 
 def init_channels(
+    grid: Grid,
     n_scale: int,
-    p0: Sequence[NodalField],
+    p0: np.ndarray,
     mode: str,
     rng: np.random.Generator,
 ) -> ChannelConfig:
-    """Assign initial channel states from the proportion fields.
+    """Assign initial channel states from the (n_states, n_nodes) proportions.
 
     ``stratified`` greedily hands channel i the state that is most owed
     relative to the running cumulative targets sum_{i' <= i} p(x_i'), which
     is deterministic and keeps every running count within one of its
     target.  ``iid`` samples each channel independently from p(x_i).
     """
-    grid = p0[0].grid
     x = channel_positions(n_scale, grid.half_length)
-    probs = hat_interpolate(np.stack([f.values for f in p0]), hat_weights(grid, x))
+    probs = hat_interpolate(p0, hat_weights(grid, x))
     probs = probs / probs.sum(axis=0)
     n_states, count = probs.shape
     if mode == "iid":

@@ -20,13 +20,7 @@ from .decomposition import (
     terminal_martingale,
 )
 from .fanout import default_workers
-from .grid import (
-    NodalField,
-    build_grid,
-    delta_functional,
-    density_functional,
-    hminus1_norm,
-)
+from .grid import build_grid, delta_loads, density_loads, hminus1_norms
 from .harness import RunConfig, map_replicates
 from .heat import KernelParams, absorbed_kernel, apply_semigroup, submarkov_mass
 from .kinetics import make_kinetics
@@ -45,15 +39,15 @@ def norms_suite(cells: int = 2000) -> list[Check]:
     checks: list[Check] = []
     started = time.perf_counter()
     g = build_grid(1.0, cells)
-    val = hminus1_norm(delta_functional(0.0, g))
+    val = float(hminus1_norms(g, delta_loads(0.0, g)))
     target = float(np.sqrt(np.tanh(1.0) / 2))
     checks.append((
         "dual norm of the origin point mass",
         abs(val - target) <= 1e-3,
         f"got {val:.6f}, target {target:.6f}, tol 1e-3",
     ))
-    mode = NodalField(g, np.sin(np.pi * (g.nodes + 1) / 2))
-    val2 = hminus1_norm(density_functional(mode))
+    mode = np.sin(np.pi * (g.nodes + 1) / 2)
+    val2 = float(hminus1_norms(g, density_loads(g, mode)))
     target2 = float(1.0 / np.sqrt(1 + np.pi**2 / 4))
     checks.append((
         "dual norm of the slowest-mode density",
@@ -298,7 +292,7 @@ def self_convergence_suite(
     for level, dt_scale in (("dt", 1.0), ("dt/2", 0.5)):
         cfg = RunConfig.from_dict({**raw, "dt": RunConfig.from_dict(raw).dt * dt_scale})
         grid = cfg.build()[0]
-        phi_loads = density_functional(NodalField(grid, fundamental_mode(grid).full())).loads
+        phi_loads = density_loads(grid, fundamental_mode(grid).full())
         vals = _replicate_values(cfg, n_scale, replicates,
                                  functools.partial(_final_potential, phi_loads), workers)
         means[level] = float(vals.mean())

@@ -11,7 +11,7 @@ import pytest
 
 from axonsim.decomposition import SERIES
 from axonsim.deterministic import DeterministicState, dissipation_budget, run_det
-from axonsim.grid import GridFunction, build_grid, density_loads, l2_norm
+from axonsim.grid import GridFunction, build_grid, density_loads
 from axonsim.harness import (
     RunConfig,
     fit_rate,
@@ -30,6 +30,7 @@ from axonsim.validate import (
     self_convergence_suite,
 )
 from test_decomposition import streamed_series
+from test_deterministic import l2_norm
 
 WORKERS = default_workers()
 
@@ -85,8 +86,8 @@ def test_criterion_2_pde_vs_kernel():
         p = np.stack([0.5 * np.ones(cells + 1)] * 2)
         traj = run_det(DeterministicState(0.0, v0, p), t_end, dt, zero_kin)
         target = np.exp(-((np.pi / 2) ** 2) * t_end) * v0.values
-        return (l2_norm(GridFunction(g, traj.v[-1] - target))
-                / l2_norm(GridFunction(g, target)))
+        return (l2_norm(g, traj.v[-1] - target)
+                / l2_norm(g, target))
 
     coarse = rel_error(400, 1e-3)
     fine = rel_error(800, 5e-4)
@@ -114,7 +115,7 @@ def test_criterion_3_conservation(default_cfg, default_det):
 
 def test_criterion_4_dissipation_bounds(default_cfg, default_det, sweep_outcome):
     grid, kin, v0, _ = default_cfg.build()
-    s0 = l2_norm(v0)
+    s0 = l2_norm(grid, v0.values)
     det = default_det
     det_ok = all(
         det.dissipation[i] <= dissipation_budget(

@@ -21,7 +21,6 @@ from axonsim.decomposition import (
     terminal_martingale,
 )
 from axonsim.grid import (
-    Functional,
     GridFunction,
     build_grid,
     density_loads,
@@ -111,10 +110,9 @@ def streamed_series(traj, k, names):
     return diag, {name: np.concatenate(part) for name, part in parts.items()}
 
 
-def m_functional(traj, k, xi, idx):
-    """Martingale part of state xi at sample time idx, as a functional."""
-    loads = streamed_series(traj, k, ("m",))[1]["m"][idx, k.index[xi]]
-    return Functional(traj.grid, loads)
+def m_loads(traj, k, xi, idx):
+    """Martingale part of state xi at sample time idx, as hat loads."""
+    return streamed_series(traj, k, ("m",))[1]["m"][idx, k.index[xi]]
 
 
 def predicted(traj, phi, xi, k):
@@ -144,7 +142,7 @@ class TestCompensators:
         # channel sits in "closed" whole time: only the gain-rate compensator
         # accumulates, so <phi, M_open(t)> = -0.8 t phi(0)
         phi = fundamental_mode(g)
-        val = pairing(phi, m_functional(traj, k, "open", 10))
+        val = pairing(phi, m_loads(traj, k, "open", 10))
         expected = -0.8 * 1.0 * float(interpolate_at_channels(phi, traj.positions)[0])
         assert val == pytest.approx(expected, rel=1e-12)
 
@@ -159,11 +157,11 @@ class TestCompensators:
         # before the jump the two paths agree; from the jump onward the
         # jump part contributes +phi(0)/N and the compensator switches to
         # the open-state exit rate
-        val_before = pairing(phi, m_functional(with_jump, k, "open", 3))  # t=0.3 < t_jump
-        no_jump_before = pairing(phi, m_functional(no_jump, k, "open", 3))
+        val_before = pairing(phi, m_loads(with_jump, k, "open", 3))  # t=0.3 < t_jump
+        no_jump_before = pairing(phi, m_loads(no_jump, k, "open", 3))
         assert val_before == pytest.approx(no_jump_before, rel=1e-12)
         # jump +1; compensator: gain-rate 0.8 while closed, -exit 0.4 while open
-        val_after = pairing(phi, m_functional(with_jump, k, "open", 10))
+        val_after = pairing(phi, m_loads(with_jump, k, "open", 10))
         expected = phi0 * (1.0 - (0.8 * t_jump - 0.4 * (1.0 - t_jump)))
         assert val_after == pytest.approx(expected, rel=1e-12)
 
@@ -304,8 +302,6 @@ class TestDiagnosticsExport:
             martingale_norm_series,
             write_martingale_norm_csv,
         )
-        from axonsim.grid import hminus1_norm
-
         cfg = RunConfig.from_dict({"time_horizon": 0.2, "dt": 2e-3, "cells": 60})
         grid, kin, _, _ = cfg.build()
         traj = run_replicate(cfg, 50, 4)
@@ -313,7 +309,7 @@ class TestDiagnosticsExport:
         assert norms.shape == (traj.n_times, 2)
         assert np.all(norms[0] == 0.0)
         assert norms[-1, 1] == pytest.approx(
-            hminus1_norm(m_functional(traj, kin, "open", traj.n_times - 1)), rel=1e-12)
+            hminus1_norms(grid, m_loads(traj, kin, "open", traj.n_times - 1)), rel=1e-12)
         path = tmp_path / "mart.csv"
         write_martingale_norm_csv(traj, kin, grid, path)
         with open(path) as fh:

@@ -20,7 +20,6 @@ from axonsim.deterministic import (
     DissipationLedger,
     dissipation_budget,
     run_det,
-    step_det,
     step_guard,
     write_summary_csv,
     write_trajectory_csv,
@@ -28,12 +27,9 @@ from axonsim.deterministic import (
 from axonsim.errors import InvariantViolation
 from axonsim.grid import (
     GridFunction,
-    NodalField,
     build_grid,
-    density_functional,
+    density_loads,
     gradient_sq,
-    h10_norm,
-    l2_norm,
     mass_bands,
     squared_norms,
     stiffness_bands,
@@ -68,6 +64,11 @@ def kinetics(c_open=1.0, up=0.5, down=0.5, form="constant"):
     })
 
 
+def l2_norm(g, values):
+    """||u||_L2 from ``squared_norms``."""
+    return float(np.sqrt(squared_norms(g, values)[0]))
+
+
 def uniform_state(grid, v0, p_open):
     n = grid.cells + 1
     p = np.stack([(1 - p_open) * np.ones(n), p_open * np.ones(n)])
@@ -79,7 +80,7 @@ class TestStepDet:
         g = build_grid(1.0, 20)
         state = uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3)
         with pytest.raises(ValueError):
-            step_det(state, 0.2, kinetics(up=5.0, down=5.0))
+            run_det(state, 0.2, 0.2, kinetics(up=5.0, down=5.0))
 
     def test_pure_heat_decay(self):
         g = build_grid(1.0, 400)
@@ -87,8 +88,8 @@ class TestStepDet:
         state = uniform_state(g, fundamental_mode(g), 0.5)
         traj = run_det(state, 0.5, 1e-3, k)
         target = np.exp(-((np.pi / 2) ** 2) * 0.5) * fundamental_mode(g).values
-        err = l2_norm(GridFunction(g, traj.v[-1] - target))
-        assert err / l2_norm(GridFunction(g, target)) < 1e-3
+        err = l2_norm(g, traj.v[-1] - target)
+        assert err / l2_norm(g, target) < 1e-3
 
     def test_pure_heat_matches_kernel_oracle(self):
         g = build_grid(1.0, 200)
@@ -179,6 +180,17 @@ class TestRunDet:
         assert traj.n_times == 1
         assert np.array_equal(traj.v[0], state.v.values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_proportions_rejected(self, bad):
+        """A NaN fails the sum and range comparisons, so it is checked first."""
+        g = build_grid(1.0, 20)
+        state = uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3)
+        state.p[1, 7] = bad
+        with pytest.raises(ValueError, match="proportions must be finite at t=0.0"):
+            state.validate(kinetics())
+        with pytest.raises(ValueError, match="proportions must be finite"):
+            run_det(state, 0.0, 1e-3, kinetics())
+
     def test_simplex_preserved_to_roundoff(self):
         g = build_grid(1.0, 100)
         traj = run_det(uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
@@ -200,7 +212,7 @@ class TestRunDet:
                        1.0, 1e-3, k)
         assert np.all(np.diff(traj.dissipation) >= 0)
         v0 = fundamental_mode(g, amplitude=0.5)
-        s0 = l2_norm(v0)
+        s0 = l2_norm(g, v0.values)
         for idx in range(traj.n_times):
             budget = dissipation_budget(s0, traj.sup_v_inf, float(traj.times[idx]),
                                         k, 1.0)
@@ -233,17 +245,17 @@ class TestRunDet:
 
 
 def reference_step_det(state, dt, k):
-    """The Strang step built from GridFunction, NodalField and fresh bands on
-    every call, before step_det and run_det shared one kernel; the oracle."""
+    """The Strang step with fresh bands on every call and scipy's banded
+    solve: the oracle for run_det's kernel."""
     step_guard(dt, k, limit=0.5)
     grid = state.v.grid
     kd, ko = stiffness_bands(grid)
     md, mo = mass_bands(grid)
     p_mid = _rk4_prop(state.p, _generator(k, state.v.full()), 0.5 * dt)
     p_mid = _clip_proportions(p_mid, state.t)
-    a = NodalField(grid, k.conductance @ p_mid)
-    b = NodalField(grid, (k.conductance * k.driving) @ p_mid)
-    ad, ao = _weighted_mass_bands(a.values, grid.h)
+    a = k.conductance @ p_mid
+    b = (k.conductance * k.driving) @ p_mid
+    ad, ao = _weighted_mass_bands(a, grid.h)
     lhs_d = md + 0.5 * dt * (kd + ad)
     lhs_o = mo + 0.5 * dt * (ko + ao)
     rhs_d = md - 0.5 * dt * (kd + ad)
@@ -252,7 +264,7 @@ def reference_step_det(state, dt, k):
     rhs = rhs_d * v
     rhs[:-1] += rhs_o * v[1:]
     rhs[1:] += rhs_o * v[:-1]
-    rhs += dt * density_functional(b).loads
+    rhs += dt * density_loads(grid, b)
     v_new = GridFunction(grid, solve_banded((1, 1), np.stack([
         np.concatenate(([0.0], lhs_o)), lhs_d, np.concatenate((lhs_o, [0.0]))]), rhs))
     p_new = _rk4_prop(p_mid, _generator(k, v_new.full()), 0.5 * dt)
@@ -304,7 +316,7 @@ def det_args(overrides):
     """run_det's arguments for the reference run of a config."""
     cfg = RunConfig.from_dict(overrides)
     _, kin, v0, p0 = cfg.build()
-    init = DeterministicState(t=0.0, v=v0, p=np.stack([f.values for f in p0]))
+    init = DeterministicState(t=0.0, v=v0, p=p0)
     return init, cfg.time_horizon, cfg.dt, kin
 
 
@@ -323,8 +335,7 @@ SHORT = {"time_horizon": 0.1, "cells": 40}
 class TestRunDetMatchesStepLoop:
     """run_det's kernel loop and block ledger give the per-step loop's bits."""
 
-    @pytest.mark.parametrize("step_fn", [reference_step_det, step_det],
-                             ids=["reference-step", "step_det"])
+    @pytest.mark.parametrize("step_fn", [reference_step_det], ids=["reference-step"])
     @pytest.mark.parametrize("overrides", [{}, CHAIN5, SHORT],
                              ids=["default", "chain5", "short"])
     def test_fields_match(self, overrides, step_fn):
@@ -357,19 +368,28 @@ class TestRunDetMatchesStepLoop:
         bad = 70  # mid-way through the second ledger block
         kernel = deterministic._strang_step
 
-        def faulty(p, v, gen, t, *rest):
-            p, v, gen = kernel(p, v, gen, t, *rest)
+        def inject(p, v, t):
+            """The fault, in the step that starts at times[bad - 1]."""
             if t == times[bad - 1]:
                 if guard == "proportion":
                     p = p.copy()
                     p[0] += 1e-6
                 else:
                     v = v + 10.0
-            return p, v, gen
+            return p, v
+
+        def faulty(p, v, gen, t, *rest):
+            p, v, gen = kernel(p, v, gen, t, *rest)
+            return (*inject(p, v, t), gen)
+
+        def faulty_reference(state, dt, k):
+            new = reference_step_det(state, dt, k)
+            p, v = inject(new.p, new.v.values, state.t)
+            return DeterministicState(t=new.t, v=GridFunction(new.v.grid, v), p=p)
 
         monkeypatch.setattr(deterministic, "_strang_step", faulty)
         got = run_outcome(run_det, *args)
-        assert got == run_outcome(per_step_run_det, *args, step_fn=step_det)
+        assert got == run_outcome(per_step_run_det, *args, step_fn=faulty_reference)
         assert got[0] is InvariantViolation
         assert got[1].startswith(guard) and got[1].endswith(f"at t={times[bad]}")
 
@@ -397,10 +417,10 @@ def reference_summary_csv(traj, path, stride=1):
         w = csv.writer(fh)
         w.writerow(["t", "l2", "h10", "dissipation"])
         for i in range(0, traj.n_times, stride):
-            vf = GridFunction(traj.grid, traj.v[i])
+            l2sq, dsq = squared_norms(traj.grid, traj.v[i])
             w.writerow([
-                repr(float(traj.times[i])), repr(l2_norm(vf)), repr(h10_norm(vf)),
-                repr(float(traj.dissipation[i])),
+                repr(float(traj.times[i])), repr(float(np.sqrt(l2sq))),
+                repr(float(np.sqrt(l2sq + dsq))), repr(float(traj.dissipation[i])),
             ])
 
 

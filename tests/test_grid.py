@@ -6,29 +6,25 @@ from scipy.linalg import LinAlgError, cho_solve_banded, solve_banded
 
 from axonsim import grid
 from axonsim.grid import (
-    Functional,
     Grid,
     GridFunction,
-    NodalField,
     build_grid,
     cn_bands,
-    delta_functional,
-    density_functional,
+    delta_loads,
+    density_loads,
     eval_at,
-    h10_norm,
     hat_interpolate,
     hat_scatter,
     hat_scatter_arrays,
     hat_scatter_bins,
     hat_scatter_contributors,
     hat_weights,
-    hminus1_norm,
     hminus1_norms,
-    l2_norm,
     mass_bands,
     pairing,
     riesz_cholesky,
     riesz_solve,
+    squared_norms,
     stiffness_bands,
     tridiag_factor,
     tridiag_factor_solve,
@@ -63,16 +59,26 @@ def quad_gradsq(u: GridFunction) -> float:
     return float(np.sum(np.diff(full) ** 2) / u.grid.h)
 
 
-def dense_riesz_norm(F: Functional) -> float:
+def dense_riesz_norm(g: Grid, loads: np.ndarray) -> float:
     """Independent oracle: dense assembly and solve of (K + M) u = loads."""
-    n = F.grid.n_interior
-    kd, ko = stiffness_bands(F.grid)
-    md, mo = mass_bands(F.grid)
+    kd, ko = stiffness_bands(g)
+    md, mo = mass_bands(g)
     A = np.diag(kd + md)
     off = ko + mo
     A += np.diag(off, 1) + np.diag(off, -1)
-    u = np.linalg.solve(A, F.loads)
-    return float(np.sqrt(F.loads @ u))
+    u = np.linalg.solve(A, loads)
+    return float(np.sqrt(loads @ u))
+
+
+def h10_norm(u: GridFunction) -> float:
+    """sqrt(||u||_L2^2 + ||Du||_L2^2) from ``squared_norms``."""
+    l2sq, dsq = squared_norms(u.grid, u.values)
+    return float(np.sqrt(l2sq + dsq))
+
+
+def sine_density(g: Grid) -> np.ndarray:
+    """The slowest Dirichlet mode at every node, endpoints included."""
+    return np.sin(np.pi * (g.nodes + 1) / 2)
 
 
 def mode1(grid: Grid) -> GridFunction:
@@ -102,26 +108,32 @@ class TestBuildGrid:
 
 
 class TestL2Norm:
+    """The first of ``squared_norms``: ||u||_L2^2."""
+
     def test_zero(self):
         g = build_grid(1.0, 8)
-        assert l2_norm(GridFunction(g, np.zeros(7))) == 0.0
+        assert squared_norms(g, np.zeros(7))[0] == 0.0
 
     def test_sine_mode(self):
         g = build_grid(1.0, 2000)
         u = mode1(g)
-        assert l2_norm(u) == pytest.approx(1.0, abs=1e-6)
-        assert l2_norm(u) ** 2 == pytest.approx(quad_l2sq(u), abs=1e-12)
+        l2sq, _ = squared_norms(g, u.values)
+        assert np.sqrt(l2sq) == pytest.approx(1.0, abs=1e-6)
+        assert l2sq == pytest.approx(quad_l2sq(u), abs=1e-12)
 
     def test_single_hat(self):
         g = build_grid(1.0, 4)
         vals = np.zeros(3)
         vals[1] = 1.0
         u = GridFunction(g, vals)
-        assert l2_norm(u) == pytest.approx(np.sqrt(2 * g.h / 3), rel=1e-14)
-        assert l2_norm(u) ** 2 == pytest.approx(quad_l2sq(u), abs=1e-14)
+        l2sq, _ = squared_norms(g, vals)
+        assert np.sqrt(l2sq) == pytest.approx(np.sqrt(2 * g.h / 3), rel=1e-14)
+        assert l2sq == pytest.approx(quad_l2sq(u), abs=1e-14)
 
 
 class TestH10Norm:
+    """Both of ``squared_norms``: ||u||_L2^2 + ||Du||_L2^2."""
+
     def test_zero(self):
         g = build_grid(1.0, 8)
         assert h10_norm(GridFunction(g, np.zeros(7))) == 0.0
@@ -143,27 +155,32 @@ class TestH10Norm:
 
 
 class TestDualNorm:
+    """``hminus1_norms`` on one load array."""
+
     def test_zero_loads(self):
         g = build_grid(1.0, 8)
-        assert hminus1_norm(Functional(g, np.zeros(7))) == 0.0
+        assert hminus1_norms(g, np.zeros(7)) == 0.0
 
     def test_delta_at_origin(self):
         g = build_grid(1.0, 2000)
-        val = hminus1_norm(delta_functional(0.0, g))
+        val = hminus1_norms(g, delta_loads(0.0, g))
         assert val == pytest.approx(np.sqrt(np.tanh(1.0) / 2), abs=1e-3)
 
     def test_delta_against_dense_solve(self):
         g = build_grid(1.0, 200)
-        F = delta_functional(0.1, g)
-        assert hminus1_norm(F) == pytest.approx(dense_riesz_norm(F), rel=1e-12)
+        loads = delta_loads(0.1, g)
+        assert hminus1_norms(g, loads) == pytest.approx(dense_riesz_norm(g, loads),
+                                                        rel=1e-12)
 
     def test_density_of_sine_mode(self):
         g = build_grid(1.0, 2000)
-        F = density_functional(NodalField(g, np.sin(np.pi * (g.nodes + 1) / 2)))
-        assert hminus1_norm(F) == pytest.approx(1 / np.sqrt(1 + np.pi**2 / 4), abs=1e-3)
+        loads = density_loads(g, sine_density(g))
+        assert hminus1_norms(g, loads) == pytest.approx(1 / np.sqrt(1 + np.pi**2 / 4),
+                                                        abs=1e-3)
         g2 = build_grid(1.0, 120)
-        F2 = density_functional(NodalField(g2, np.sin(np.pi * (g2.nodes + 1) / 2)))
-        assert hminus1_norm(F2) == pytest.approx(dense_riesz_norm(F2), rel=1e-12)
+        loads2 = density_loads(g2, sine_density(g2))
+        assert hminus1_norms(g2, loads2) == pytest.approx(dense_riesz_norm(g2, loads2),
+                                                          rel=1e-12)
 
 
 class TestBatchedDualNorm:
@@ -343,20 +360,18 @@ class TestCrankNicolsonOperator:
 class TestDelta:
     def test_at_node(self):
         g = build_grid(1.0, 4)
-        F = delta_functional(0.0, g)
-        assert np.allclose(F.loads, [0, 1, 0])
+        assert np.allclose(delta_loads(0.0, g), [0, 1, 0])
 
     def test_midway(self):
         g = build_grid(1.0, 4)
-        F = delta_functional(0.25, g)
-        assert np.allclose(F.loads, [0, 0.5, 0.5])
+        assert np.allclose(delta_loads(0.25, g), [0, 0.5, 0.5])
 
     def test_pairing_is_point_evaluation(self):
         rng = np.random.default_rng(7)
         g = build_grid(1.0, 17)
         u = GridFunction(g, rng.normal(size=g.n_interior))
         for y in rng.uniform(-0.99, 0.99, size=20):
-            assert pairing(u, delta_functional(y, g)) == pytest.approx(
+            assert pairing(u, delta_loads(y, g)) == pytest.approx(
                 eval_at(u, y), abs=1e-13
             )
 
@@ -365,39 +380,36 @@ class TestDelta:
             g = build_grid(1.0, cells)
             ys = np.concatenate((np.linspace(-0.999, 0.999, 401), g.nodes[1:-1]))
             for y in ys:
-                assert np.array_equal(delta_functional(float(y), g).loads,
+                assert np.array_equal(delta_loads(float(y), g),
                                       old_delta_loads(float(y), g))
 
     def test_rejects_boundary(self):
         g = build_grid(1.0, 4)
         with pytest.raises(ValueError):
-            delta_functional(1.0, g)
+            delta_loads(1.0, g)
         with pytest.raises(ValueError):
-            delta_functional(-1.5, g)
+            delta_loads(-1.5, g)
 
 
 class TestDensity:
     def test_zero(self):
         g = build_grid(1.0, 6)
-        F = density_functional(NodalField(g, np.zeros(7)))
-        assert np.all(F.loads == 0)
+        assert np.all(density_loads(g, np.zeros(7)) == 0)
 
     def test_constant_one(self):
         g = build_grid(1.0, 10)
-        F = density_functional(NodalField(g, np.ones(11)))
-        assert np.allclose(F.loads, g.h)
+        assert np.allclose(density_loads(g, np.ones(11)), g.h)
 
     def test_sine_pairing(self):
         g = build_grid(1.0, 2000)
         u = mode1(g)
-        F = density_functional(NodalField(g, u.full()))
-        assert pairing(u, F) == pytest.approx(1.0, abs=1e-6)
+        assert pairing(u, density_loads(g, u.full())) == pytest.approx(1.0, abs=1e-6)
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(3)
         g = build_grid(1.0, 12)
-        f = NodalField(g, rng.normal(size=13))
-        F = density_functional(f)
+        f = rng.normal(size=13)
+        loads = density_loads(g, f)
         # hat x linear is quadratic per cell: Gauss-2 is exact
         nodes = g.nodes
         for j in range(1, g.cells):
@@ -407,10 +419,10 @@ class TestDensity:
                 for z, w in zip(*GAUSS2):
                     x = mid + 0.5 * g.h * z
                     frac = (x - nodes[cell]) / g.h
-                    fval = f.values[cell] * (1 - frac) + f.values[cell + 1] * frac
+                    fval = f[cell] * (1 - frac) + f[cell + 1] * frac
                     hat = frac if cell == j - 1 else 1 - frac
                     total += 0.5 * g.h * w * fval * hat
-            assert F.loads[j - 1] == pytest.approx(total, abs=1e-14)
+            assert loads[j - 1] == pytest.approx(total, abs=1e-14)
 
 
 class TestEvalAt:
@@ -461,7 +473,7 @@ def add_at_scatter(rows, scatter, size):
 
 
 def old_delta_loads(y, g):
-    """Oracle: the body of ``delta_functional`` before it used the scatter kernel."""
+    """Oracle: the body of ``delta_loads`` before it used the scatter kernel."""
     loads = np.zeros(g.n_interior)
     cell, wl, wr = hat_weights(g, y)
     c = int(cell)
@@ -577,22 +589,23 @@ class TestPairing:
     def test_zero_functional(self):
         g = build_grid(1.0, 6)
         u = GridFunction(g, np.ones(5))
-        assert pairing(u, Functional(g, np.zeros(5))) == 0.0
+        assert pairing(u, np.zeros(5)) == 0.0
 
     def test_bilinear(self):
         rng = np.random.default_rng(11)
         g = build_grid(1.0, 9)
         phi = GridFunction(g, rng.normal(size=8))
         psi = GridFunction(g, rng.normal(size=8))
-        F = Functional(g, rng.normal(size=8))
-        lhs = pairing(GridFunction(g, 2 * phi.values + 3 * psi.values), F)
-        assert lhs == pytest.approx(2 * pairing(phi, F) + 3 * pairing(psi, F), rel=1e-12)
+        loads = rng.normal(size=8)
+        lhs = pairing(GridFunction(g, 2 * phi.values + 3 * psi.values), loads)
+        assert lhs == pytest.approx(2 * pairing(phi, loads) + 3 * pairing(psi, loads),
+                                    rel=1e-12)
 
     def test_grid_mismatch(self):
+        """Loads of another grid have the wrong length to pair."""
         u = GridFunction(build_grid(1.0, 4), np.zeros(3))
-        F = Functional(build_grid(1.0, 6), np.zeros(5))
         with pytest.raises(ValueError):
-            pairing(u, F)
+            pairing(u, np.zeros(build_grid(1.0, 6).n_interior))
 
 
 class TestSpaceProperties:
@@ -602,27 +615,25 @@ class TestSpaceProperties:
         for _ in range(25):
             theta = GridFunction(g, rng.normal(size=g.n_interior))
             scale = h10_norm(theta)
-            theta = (1.0 / scale) * theta
-            F = Functional(g, rng.normal(size=g.n_interior))
-            assert pairing(theta, F) <= hminus1_norm(F) + 1e-10
+            theta = GridFunction(g, (1.0 / scale) * theta.values)
+            loads = rng.normal(size=g.n_interior)
+            assert pairing(theta, loads) <= hminus1_norms(g, loads) + 1e-10
 
     def test_riesz_sharpness(self):
-        from axonsim.grid import riesz_cholesky, riesz_solve
-
         rng = np.random.default_rng(23)
         g = build_grid(1.0, 30)
-        F = Functional(g, rng.normal(size=g.n_interior))
-        u = riesz_solve(riesz_cholesky(g), F.loads)
+        loads = rng.normal(size=g.n_interior)
+        u = riesz_solve(riesz_cholesky(g), loads)
         theta = GridFunction(g, u)
-        theta = (1.0 / h10_norm(theta)) * theta
-        assert pairing(theta, F) == pytest.approx(hminus1_norm(F), abs=1e-10)
+        theta = GridFunction(g, (1.0 / h10_norm(theta)) * theta.values)
+        assert pairing(theta, loads) == pytest.approx(hminus1_norms(g, loads), abs=1e-10)
 
     def test_dual_norm_refinement(self):
         target = np.sqrt(np.tanh(1.0) / 2)
         errors = []
         for cells in (250, 500, 1000, 2000):
             g = build_grid(1.0, cells)
-            errors.append(abs(hminus1_norm(delta_functional(0.0, g)) - target))
+            errors.append(abs(hminus1_norms(g, delta_loads(0.0, g)) - target))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= 0.6 * coarse
 

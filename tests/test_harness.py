@@ -109,15 +109,16 @@ class TestDeviationMetrics:
         assert l2 == 0.0 and h10 == 0.0
 
     def test_constant_offset(self):
-        from axonsim.grid import GridFunction, h10_norm, l2_norm
+        from axonsim.grid import squared_norms
 
         g = build_grid(1.0, 40)
         base = np.vstack([fundamental_mode(g, amplitude=0.5).values] * 5)
         off = fundamental_mode(g, mode=2, amplitude=0.1)
         shifted = base + off.values
         l2, h10 = _sup_voltage_deviation(shifted, base, g)
-        assert l2 == pytest.approx(l2_norm(off), rel=1e-12)
-        assert h10 == pytest.approx(h10_norm(off), rel=1e-12)
+        l2sq, dsq = squared_norms(g, off.values)
+        assert l2 == pytest.approx(np.sqrt(l2sq), rel=1e-12)
+        assert h10 == pytest.approx(np.sqrt(l2sq + dsq), rel=1e-12)
 
     def test_metrics_monotone_in_time_window(self):
         cfg = RunConfig.from_dict(SMALL)
@@ -518,9 +519,18 @@ class TestCli:
                 {**rate, "to": "opne"} if rate["to"] == "open" else rate
                 for rate in DEFAULT_CONFIG["kinetics"]["rates"]]}}),
          "names unknown states ['opne']"),
+        ("det", json.dumps({**SMALL, "p0": {"form": "uniform", "params": {
+            "weights": {"closed": 0.7, "opne": 0.3}}}}),
+         "p0 weights must cover the states ['closed', 'open'] exactly; "
+         "missing ['open'], unknown ['opne']"),
+        ("det", json.dumps({**SMALL, "kinetics": {
+            **DEFAULT_CONFIG["kinetics"], "states": [
+                DEFAULT_CONFIG["kinetics"]["states"][0], {"name": "open", "v": 1.0}]}}),
+         "state 'open' has no field 'c'"),
         ("sweep", None, "No such file or directory"),
         ("det", '{"cells": 40,', "Expecting property name enclosed in double quotes"),
-    ], ids=["cells-2", "unknown-state", "missing-file", "malformed-json"])
+    ], ids=["cells-2", "unknown-state", "p0-unknown-state", "state-without-c",
+            "missing-file", "malformed-json"])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, command, text, message):
         from axonsim.cli import main
 

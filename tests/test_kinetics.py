@@ -117,6 +117,18 @@ class TestMakeKinetics:
         with pytest.raises(ValueError):
             make_kinetics({"states": [{"name": "only", "c": 1.0, "v": 1.0}], "rates": []})
 
+    @pytest.mark.parametrize("part, index, field, what", [
+        ("states", 1, "name", "state 1"), ("states", 1, "c", "state 'open'"),
+        ("states", 0, "v", "state 'closed'"), ("rates", 1, "from", "rate 1"),
+        ("rates", 0, "to", "rate 0"),
+    ])
+    def test_missing_field_is_named(self, part, index, field, what):
+        """A missing field is a ValueError naming it, not a lookup error."""
+        kin = copy.deepcopy(DEFAULT_CONFIG["kinetics"])
+        del kin[part][index][field]
+        with pytest.raises(ValueError, match=re.escape(f"{what} has no field '{field}'")):
+            make_kinetics(kin)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["c", "v", "clamp-lo", "clamp-hi", "a", "b", "k", "v0"])
     def test_rejects_non_finite_numbers(self, field, bad):

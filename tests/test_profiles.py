@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from axonsim.grid import build_grid
+from axonsim.harness import RunConfig
 from axonsim.kinetics import make_kinetics
 from axonsim.profiles import (
     build_p0,
@@ -44,8 +47,8 @@ def test_gaussian_bump_vanishes_at_ends():
 def test_uniform_proportions_sum_exactly():
     g = build_grid(1.0, 30)
     p = uniform_proportions(g, kin(), {"closed": 0.7, "open": 0.3})
-    total = p[0].values + p[1].values
-    assert np.all(total == 1.0)
+    assert p.shape == (2, g.cells + 1)
+    assert np.all(p[0] + p[1] == 1.0)
 
 
 def test_logistic_proportions_sum_exactly():
@@ -54,9 +57,9 @@ def test_logistic_proportions_sum_exactly():
         "closed": {"base": 1.0, "amp": -0.5, "k": 3.0, "x0": 0.0},
         "open": {"base": 0.2, "amp": 0.6, "k": 3.0, "x0": 0.0},
     })
-    total = p[0].values + p[1].values
-    assert np.all(total == 1.0)
-    assert np.all(p[0].values >= 0) and np.all(p[1].values >= 0)
+    assert p.shape == (2, g.cells + 1)
+    assert np.all(p[0] + p[1] == 1.0)
+    assert np.all(p >= 0)
 
 
 def test_builders_dispatch():
@@ -66,6 +69,39 @@ def test_builders_dispatch():
     assert v.values.size == g.n_interior
     p = build_p0(g, kin(), {"form": "uniform",
                             "params": {"weights": {"closed": 0.5, "open": 0.5}}})
-    assert len(p) == 2
+    assert p.shape == (2, g.cells + 1)
     with pytest.raises(ValueError):
         build_v0(g, {"form": "sawtooth", "params": {}})
+
+
+LOGISTIC = {"base": 1.0, "amp": 0.5, "k": 3.0, "x0": 0.0}
+
+
+@pytest.mark.parametrize("form, table", [
+    ("uniform", {"closed": 0.7, "opne": 0.3}),
+    ("uniform", {"closed": 1.0}),
+    ("logistic", {"closed": LOGISTIC, "open": LOGISTIC, "shut": LOGISTIC}),
+], ids=["misspelt", "missing", "extra"])
+def test_p0_must_name_each_state(form, table):
+    """A p0 map that misses a state or names an unknown one is a ValueError
+    naming both lists, not a lookup error."""
+    key = {"uniform": "weights", "logistic": "profiles"}[form]
+    missing = [s for s in ("closed", "open") if s not in table]
+    unknown = [s for s in table if s not in ("closed", "open")]
+    message = f"missing {missing}, unknown {unknown}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_p0(build_grid(1.0, 10), kin(), {"form": form, "params": {key: table}})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("form", ["uniform", "logistic"])
+def test_non_finite_p0_weight_is_rejected(form, bad):
+    """Through the run config, where JSON's ``NaN`` and ``Infinity`` arrive."""
+    if form == "uniform":
+        params = {"weights": {"closed": bad, "open": 0.3}}
+    else:
+        params = {"profiles": {"closed": {**LOGISTIC, "base": bad}, "open": LOGISTIC}}
+    # -inf is a negative weight; NaN and +inf leave a non-finite proportion
+    message = "must be nonnegative" if bad < 0 else "nodal field values must be finite"
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+        RunConfig.from_dict({"p0": {"form": form, "params": params}})

@@ -10,15 +10,14 @@ from axonsim import deterministic, stochastic
 from axonsim.errors import InvariantViolation
 from axonsim.grid import (
     GridFunction,
-    NodalField,
     build_grid,
+    density_loads,
     eval_at,
     hat_interpolate,
     hat_scatter,
     hat_scatter_arrays,
     hat_weights,
     hminus1_norms,
-    l2_norm,
 )
 from axonsim.harness import DEFAULT_CONFIG, RunConfig, run_reference, run_replicate
 from axonsim.heat import KernelParams, apply_semigroup
@@ -37,13 +36,13 @@ from axonsim.stochastic import (
     write_voltage_csv,
     _HybridCore,
 )
-from axonsim.grid import density_functional
 from test_decomposition import (
     CHAIN5,
     cached_replicate,
     most_jumps_in_one_substep,
     streamed_series,
 )
+from test_deterministic import l2_norm
 from test_grid import add_at_scatter
 
 
@@ -63,8 +62,7 @@ def kinetics(c_open=1.0, up=0.8, down=0.4, clamp=(0.01, 2.0)):
 
 def uniform_p0(grid, p_open):
     n = grid.cells + 1
-    return [NodalField(grid, (1 - p_open) * np.ones(n)),
-            NodalField(grid, p_open * np.ones(n))]
+    return np.stack([(1 - p_open) * np.ones(n), p_open * np.ones(n)])
 
 
 def initial_c_loads(cfg, g):
@@ -127,12 +125,12 @@ class TestInitChannels:
         g = build_grid(1.0, 20)
         p0 = uniform_p0(g, 1.0)
         for mode in ("stratified", "iid"):
-            cfg = init_channels(50, p0, mode, make_rng(1))
+            cfg = init_channels(g, 50, p0, mode, make_rng(1))
             assert np.all(cfg.states == 1)
 
     def test_stratified_balance(self):
         g = build_grid(1.0, 20)
-        cfg = init_channels(100, uniform_p0(g, 0.5), "stratified", make_rng(1))
+        cfg = init_channels(g, 100, uniform_p0(g, 0.5), "stratified", make_rng(1))
         counts = np.bincount(cfg.states, minlength=2)
         assert abs(counts[0] - counts[1]) <= 1
 
@@ -140,16 +138,16 @@ class TestInitChannels:
         g = build_grid(1.0, 100)
         p0 = uniform_p0(g, 0.3)
         errs = []
-        target = density_functional(p0[1]).loads
+        target = density_loads(g, p0[1])
         for n in (25, 50, 100, 200):
-            cfg = init_channels(n, p0, "stratified", make_rng(1))
+            cfg = init_channels(g, n, p0, "stratified", make_rng(1))
             errs.append(float(hminus1_norms(g, initial_c_loads(cfg, g)[1] - target)))
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_unknown_mode(self):
         g = build_grid(1.0, 10)
         with pytest.raises(ValueError):
-            init_channels(10, uniform_p0(g, 0.5), "shuffled", make_rng(0))
+            init_channels(g, 10, uniform_p0(g, 0.5), "shuffled", make_rng(0))
 
 
 class TestEmpiricalDistribution:
@@ -157,14 +155,14 @@ class TestEmpiricalDistribution:
 
     def test_absent_state_is_zero(self):
         g = build_grid(1.0, 20)
-        cfg = init_channels(20, uniform_p0(g, 1.0), "stratified", make_rng(0))
+        cfg = init_channels(g, 20, uniform_p0(g, 1.0), "stratified", make_rng(0))
         loads = initial_c_loads(cfg, g)
         assert np.all(loads[0] == 0)
 
     def test_pairing_matches_point_sum(self):
         rng = np.random.default_rng(2)
         g = build_grid(1.0, 30)
-        cfg = init_channels(40, uniform_p0(g, 0.5), "iid", make_rng(3))
+        cfg = init_channels(g, 40, uniform_p0(g, 0.5), "iid", make_rng(3))
         phi = GridFunction(g, rng.normal(size=g.n_interior))
         loads = initial_c_loads(cfg, g)
         for s in (0, 1):
@@ -178,7 +176,7 @@ class TestEmpiricalDistribution:
     def test_states_partition_total_mass(self):
         rng = np.random.default_rng(4)
         g = build_grid(1.0, 30)
-        cfg = init_channels(40, uniform_p0(g, 0.5), "iid", make_rng(5))
+        cfg = init_channels(g, 40, uniform_p0(g, 0.5), "iid", make_rng(5))
         phi = GridFunction(g, rng.normal(size=g.n_interior))
         total = initial_c_loads(cfg, g).sum(axis=0) @ phi.values
         direct = sum(eval_at(phi, x) for x in cfg.positions) / cfg.n_scale
@@ -190,7 +188,7 @@ class TestChannelSource:
 
     def test_zero_conductance(self):
         g = build_grid(1.0, 20)
-        cfg = init_channels(20, uniform_p0(g, 0.5), "stratified", make_rng(0))
+        cfg = init_channels(g, 20, uniform_p0(g, 0.5), "stratified", make_rng(0))
         F = core_source(cfg, fundamental_mode(g), kinetics(c_open=0.0), g)
         assert np.all(F == 0)
 
@@ -198,7 +196,7 @@ class TestChannelSource:
         # N=2, cells=4 puts the channels at grid nodes
         g = build_grid(1.0, 4)
         p0 = uniform_p0(g, 1.0)
-        cfg = init_channels(2, p0, "stratified", make_rng(0))
+        cfg = init_channels(g, 2, p0, "stratified", make_rng(0))
         v = GridFunction(g, np.zeros(3))
         F = core_source(cfg, v, kinetics(), g)
         expected = np.zeros(3)
@@ -210,7 +208,7 @@ class TestChannelSource:
     def test_equilibrium_drive_vanishes(self):
         # all channels open and V = v_open at the channels: no source mass
         g = build_grid(1.0, 40)
-        cfg = init_channels(5, uniform_p0(g, 1.0), "stratified", make_rng(0))
+        cfg = init_channels(g, 5, uniform_p0(g, 1.0), "stratified", make_rng(0))
         v = GridFunction(g, np.full(g.n_interior, 1.0))
         F = core_source(cfg, v, kinetics(), g)
         assert np.max(np.abs(F)) < 1e-15
@@ -221,7 +219,7 @@ class TestChannelSource:
     def test_assembly_matches_add_at(self, config, n_scale):
         cfg = RunConfig.from_dict({"default": {}, "chain5": CHAIN5}[config])
         grid, kin, v0, p0 = cfg.build()
-        channels = init_channels(n_scale, p0, cfg.init_mode, make_rng(5))
+        channels = init_channels(grid, n_scale, p0, cfg.init_mode, make_rng(5))
         core = _HybridCore(grid, kin, channels, v0.values)
         for got, ref in zip((core.bd, core.bo, core.cload),
                             add_at_source(grid, kin, channels)):
@@ -234,7 +232,7 @@ class TestStepStoch:
     def test_no_jump_branch_is_static_source_solve(self):
         g = build_grid(1.0, 50)
         k = kinetics(up=0.01, down=0.01)  # alpha_min floor, jumps unlikely
-        cfg = init_channels(20, uniform_p0(g, 0.5), "stratified", make_rng(0))
+        cfg = init_channels(g, 20, uniform_p0(g, 0.5), "stratified", make_rng(0))
         state = StochasticState(0.0, fundamental_mode(g, amplitude=0.5), cfg)
         dt = 1e-3
         traj = run_stoch(state, dt, dt, k, make_rng(42))
@@ -263,7 +261,7 @@ class TestStepStoch:
     def test_jumps_are_time_ordered_tuples(self):
         g = build_grid(1.0, 20)
         k = kinetics(up=2.0, down=2.0)
-        cfg = init_channels(20, uniform_p0(g, 0.5), "stratified", make_rng(0))
+        cfg = init_channels(g, 20, uniform_p0(g, 0.5), "stratified", make_rng(0))
         state = StochasticState(0.0, fundamental_mode(g, amplitude=0.5), cfg)
         traj = run_stoch(state, 0.05, 0.05, k, make_rng(3))
         jumps = list(zip(traj.jump_times.tolist(), traj.jump_channel.tolist(),
@@ -279,7 +277,7 @@ class TestStepStoch:
 
     def test_guard(self):
         g = build_grid(1.0, 10)
-        cfg = init_channels(5, uniform_p0(g, 0.5), "stratified", make_rng(0))
+        cfg = init_channels(g, 5, uniform_p0(g, 0.5), "stratified", make_rng(0))
         state = StochasticState(0.0, GridFunction(g, np.zeros(9)), cfg)
         with pytest.raises(ValueError):
             run_stoch(state, 0.5, 0.5, kinetics(), make_rng(0))
@@ -292,7 +290,7 @@ class TestStepStoch:
         g = build_grid(1.0, 40)
         p0 = uniform_p0(g, 0.1)
         rng = make_rng(123)
-        cfg = init_channels(5001, p0, "iid", rng)
+        cfg = init_channels(g, 5001, p0, "iid", rng)
         assert cfg.count == 10001
         state = StochasticState(0.0, GridFunction(g, np.zeros(39)), cfg)
         traj = run_stoch(state, 0.5, 0.05, k, rng)
@@ -309,7 +307,7 @@ class TestStepStoch:
 
         def one():
             rng = make_rng(77)
-            cfg = init_channels(50, p0, "iid", rng)
+            cfg = init_channels(g, 50, p0, "iid", rng)
             state = StochasticState(0.0, fundamental_mode(g, amplitude=0.5), cfg)
             return run_stoch(state, 0.2, 1e-3, k, rng)
 
@@ -322,7 +320,7 @@ class TestStepStoch:
 class TestRunStoch:
     def test_zero_horizon(self):
         g = build_grid(1.0, 20)
-        cfg = init_channels(10, uniform_p0(g, 0.5), "stratified", make_rng(0))
+        cfg = init_channels(g, 10, uniform_p0(g, 0.5), "stratified", make_rng(0))
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
                          0.0, 1e-3, kinetics(), 5)
         assert traj.n_times == 1 and traj.jump_times.size == 0
@@ -331,7 +329,7 @@ class TestRunStoch:
     def test_needs_two_interior_nodes(self, cells):
         """A one-node grid has no off-diagonal for the point sources' operator."""
         g = build_grid(1.0, cells)
-        cfg = init_channels(3, uniform_p0(g, 0.5), "stratified", make_rng(0))
+        cfg = init_channels(g, 3, uniform_p0(g, 0.5), "stratified", make_rng(0))
         init = StochasticState(0.0, fundamental_mode(g, 0.5), cfg)
         if cells < 3:
             with pytest.raises(ValueError, match="cells >= 3, got 2"):
@@ -343,7 +341,7 @@ class TestRunStoch:
     def test_zero_conductance_matches_heat_oracle(self):
         g = build_grid(1.0, 200)
         k = kinetics(c_open=0.0)
-        cfg = init_channels(100, uniform_p0(g, 0.3), "stratified", make_rng(7))
+        cfg = init_channels(g, 100, uniform_p0(g, 0.3), "stratified", make_rng(7))
         v0 = fundamental_mode(g, amplitude=0.5)
         traj = run_stoch(StochasticState(0.0, v0, cfg), 0.2, 1e-3, k, 7)
         oracle = apply_semigroup(0.2, v0, KernelParams(1.0))
@@ -352,11 +350,11 @@ class TestRunStoch:
     def test_jump_count_within_rate_bounds(self):
         k = kinetics()
         g = build_grid(1.0, 40)
-        cfg0 = init_channels(50, uniform_p0(g, 0.3), "stratified", make_rng(0))
+        cfg0 = init_channels(g, 50, uniform_p0(g, 0.3), "stratified", make_rng(0))
         t_hor = 1.0
         counts = []
         for rep in range(20):
-            cfg = init_channels(50, uniform_p0(g, 0.3), "stratified", make_rng(rep))
+            cfg = init_channels(g, 50, uniform_p0(g, 0.3), "stratified", make_rng(rep))
             traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
                              t_hor, 5e-3, k, rep)
             counts.append(traj.jump_times.size)
@@ -368,7 +366,7 @@ class TestRunStoch:
     def test_channel_count_conserved(self):
         g = build_grid(1.0, 40)
         k = kinetics()
-        cfg = init_channels(60, uniform_p0(g, 0.3), "stratified", make_rng(3))
+        cfg = init_channels(g, 60, uniform_p0(g, 0.3), "stratified", make_rng(3))
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
                          0.5, 2e-3, k, 3)
         total0 = cfg.count
@@ -382,7 +380,7 @@ class TestRunStoch:
     def test_empirical_total_mass_constant(self):
         g = build_grid(1.0, 40)
         k = kinetics()
-        cfg = init_channels(60, uniform_p0(g, 0.3), "stratified", make_rng(9))
+        cfg = init_channels(g, 60, uniform_p0(g, 0.3), "stratified", make_rng(9))
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
                          0.3, 2e-3, k, 9)
         assert traj.jump_times.size > 0
@@ -395,7 +393,7 @@ class TestRunStoch:
         # source scatter must not leak mass outside the interior
         g = build_grid(1.0, 10)
         k = kinetics()
-        cfg = init_channels(40, uniform_p0(g, 0.5), "stratified", make_rng(1))
+        cfg = init_channels(g, 40, uniform_p0(g, 0.5), "stratified", make_rng(1))
         # channels in the outermost cells exercise the truncated hat weights
         assert np.max(np.abs(cfg.positions)) > g.nodes[-2]
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
@@ -439,7 +437,7 @@ class TestExports:
     def test_csv_and_manifest(self, tmp_path):
         g = build_grid(1.0, 10)
         k = kinetics()
-        cfg = init_channels(10, uniform_p0(g, 0.5), "stratified", make_rng(0))
+        cfg = init_channels(g, 10, uniform_p0(g, 0.5), "stratified", make_rng(0))
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
                          0.05, 1e-2, k, 11)
         write_voltage_csv(traj, tmp_path / "v.csv")
@@ -464,8 +462,8 @@ class TestExports:
     def test_bytes_match_csv_writer(self, tmp_path, five_state_kinetics, chain, stride):
         g = build_grid(1.0, 12)
         k = kinetics() if chain == "two-state" else five_state_kinetics
-        p0 = [NodalField(g, np.full(g.cells + 1, 1.0 / k.n_states))] * k.n_states
-        cfg = init_channels(20, p0, "iid", make_rng(3))
+        p0 = np.full((k.n_states, g.cells + 1), 1.0 / k.n_states)
+        cfg = init_channels(g, 20, p0, "iid", make_rng(3))
         traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
                          0.07, 1e-2, k, 5)
         assert traj.n_times % 3 != 0 and traj.jump_times.size > 0
@@ -676,7 +674,7 @@ TRIP = {"time_horizon": 0.5,
 
 def first_budget_failure(traj):
     """(index, message) where the budget ||v0||^2 of (cmax, vmax) = (0, 0) fails."""
-    s0sq = l2_norm(GridFunction(traj.grid, traj.v[0])) ** 2
+    s0sq = l2_norm(traj.grid, traj.v[0]) ** 2
     m = int(np.argmax(traj.dissipation > s0sq))
     assert traj.dissipation[m] > s0sq
     return m, (f"dissipation {traj.dissipation[m]:.6f} exceeds budget {s0sq:.6f} "
@@ -728,8 +726,8 @@ class TestBlockLedger:
     @staticmethod
     def inject_at_stored_factor(monkeypatch, fault):
         """``inject`` for a run_stoch fault in the stored-factor solve, the
-        seam every jump-free substep's voltage passes, whether a quiet run
-        solves it ahead or as its last substep."""
+        seam every jump-free substep's voltage passes, wherever the substep
+        falls in one ``advance`` call."""
         def inject(traj, bad):
             sub = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
             assert bad - 1 not in sub  # substep bad - 1 is jump-free
@@ -760,8 +758,9 @@ class TestBlockLedger:
     @pytest.mark.parametrize("fault", ["nan", "raise"])
     @pytest.mark.parametrize("budget_fails", [True, False])
     def test_fault_inside_a_quiet_run(self, monkeypatch, fault, budget_fails):
-        """A fault solved ahead, mid-way through a run of jump-free substeps,
-        raises at its own substep, and an earlier budget failure still wins."""
+        """A fault mid-way through one ``advance`` call's run of jump-free
+        substeps raises at its own substep, and an earlier budget failure
+        still wins."""
         runs = []
         advance = _HybridCore.advance
 
@@ -772,8 +771,8 @@ class TestBlockLedger:
             return events
 
         def inside_a_run(traj, m):
-            # substep bad - 1 neither starts nor ends its run, so the run
-            # solved both its start and its end ahead
+            # substep bad - 1 is neither the first nor the last substep of
+            # one advance call
             return min(bad for start, end in runs if end - start >= 3
                        for bad in range(start + 2, end) if bad > m + 2)
 

@@ -15,9 +15,11 @@ proportion system preserves the nodal total sum(p) exactly up to roundoff.
 :func:`run_det` steps a Strang-step kernel on plain arrays.  The kernel
 returns the generator at the new voltage, which is bit for bit the next
 step's starting generator, so the run evaluates the rate table once per
-step and builds the stiffness and mass bands once.  The dissipation budget
-is checked a block of steps at a time from the snapshots, with the same
-sums in the same order as a per-step check, and raises at the same step.
+step and builds the stiffness and mass bands once.  The proportion-total
+and voltage-band guards and the dissipation budget are checked a block of
+steps at a time from the snapshots, with the same sums and comparisons as
+a per-step check, in step order, so the first failure raises at the same
+step with the same message.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import InvariantViolation
 from .grid import (
     Grid,
     GridFunction,
+    all_finite,
     cn_bands,
     density_loads,
     gradient_sq,
@@ -67,7 +70,7 @@ class DeterministicState:
             raise ValueError(
                 f"proportions shape {self.p.shape} != ({k.n_states}, {n_nodes})"
             )
-        if not np.isfinite(self.p).all():
+        if not all_finite(self.p):
             # a NaN fails every comparison below, so it would pass them
             raise ValueError(f"proportions must be finite at t={self.t}")
         sums = self.p.sum(axis=0)
@@ -103,8 +106,10 @@ class DetTrajectory:
 def _generator(k: ChannelKinetics, v_full: np.ndarray) -> np.ndarray:
     """Nodal generator G(v) = rate table - diag(exit rates), so dp/dt = G p."""
     gen = rate_table(k, v_full)
-    diag = np.arange(k.n_states)
-    gen[diag, diag] = -gen.sum(axis=0)
+    n = k.n_states
+    # rate_table's table is contiguous, so the reshape is a view and its
+    # rows 0, n + 1, 2 (n + 1), ... are the diagonal
+    gen.reshape(n * n, -1)[::n + 1] = -gen.sum(axis=0)
     return gen
 
 
@@ -168,8 +173,10 @@ def step_count(t_horizon: float, dt: float) -> int:
 
 def _step_operators(grid: Grid, k: ChannelKinetics) -> tuple:
     """What a Strang step reuses: the stiffness and mass bands (diagonal,
-    off-diagonal each) and the source weights c_xi v_xi."""
-    return stiffness_bands(grid), mass_bands(grid), k.conductance * k.driving
+    off-diagonal each), the source weights c_xi v_xi and a nodal voltage
+    buffer whose endpoints stay zero."""
+    return (stiffness_bands(grid), mass_bands(grid), k.conductance * k.driving,
+            np.zeros(grid.cells + 1))
 
 
 def _strang_step(p: np.ndarray, v: np.ndarray, gen: np.ndarray, t: float, dt: float,
@@ -180,12 +187,12 @@ def _strang_step(p: np.ndarray, v: np.ndarray, gen: np.ndarray, t: float, dt: fl
     generator at ``v`` and ``ops`` the :func:`_step_operators` of the grid.
     Returns the proportions and voltage at t + dt and the generator there.
     """
-    stiff, mass, cv = ops
+    stiff, mass, cv, v_full = ops
     p_mid = _clip_proportions(_rk4_prop(p, gen, 0.5 * dt), t)
 
     a = k.conductance @ p_mid
     b = cv @ p_mid
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (all_finite(a) and all_finite(b)):
         raise ValueError("nodal field values must be finite")
     reaction = _weighted_mass_bands(a, grid.h)
     lhs_d, lhs_o, rhs_d, rhs_o = cn_bands(stiff, mass, reaction, dt)
@@ -193,7 +200,6 @@ def _strang_step(p: np.ndarray, v: np.ndarray, gen: np.ndarray, t: float, dt: fl
     rhs += dt * density_loads(grid, b)
     v_new = tridiag_solve(lhs_o, lhs_d, lhs_o, rhs)
 
-    v_full = np.zeros(grid.cells + 1)
     v_full[1:-1] = v_new
     gen_new = _generator(k, v_full)
     p_new = _clip_proportions(_rk4_prop(p_mid, gen_new, 0.5 * dt), t + dt)
@@ -266,6 +272,34 @@ class DissipationLedger:
             )
 
 
+def _first_guard_failure(p: np.ndarray, v: np.ndarray, times: np.ndarray,
+                         v_lo: float, v_hi: float):
+    """The simplex-total and voltage-band checks of a block of steps.
+
+    ``p``, ``v`` and ``times`` hold the block's proportion and interior
+    voltage snapshots and times.  Returns each step's proportion-total error
+    and the first failing step's (row, :class:`InvariantViolation`), or
+    None; within a step the total is checked before the band.  The errors
+    and comparisons are those of one step at a time, so a NaN, which fails
+    no comparison, passes both checks as it would there.
+    """
+    sum_err = np.max(np.abs(p.sum(axis=1) - 1.0), axis=1)
+    vmin = np.minimum(v.min(axis=1), 0.0)
+    vmax = np.maximum(v.max(axis=1), 0.0)
+    bad = np.flatnonzero((sum_err > PROP_SUM_TOL) | (vmin < v_lo - VOLTAGE_TOL)
+                         | (vmax > v_hi + VOLTAGE_TOL))
+    if not bad.size:
+        return sum_err, None
+    m = int(bad[0])
+    t = float(times[m])
+    if sum_err[m] > PROP_SUM_TOL:
+        return sum_err, (m, InvariantViolation(
+            f"proportion total off by {float(sum_err[m]):.3e} at t={t}"))
+    lo, hi = min(float(v[m].min()), 0.0), max(float(v[m].max()), 0.0)
+    return sum_err, (m, InvariantViolation(
+        f"voltage [{lo:.6f}, {hi:.6f}] escaped [{v_lo}, {v_hi}] at t={t}"))
+
+
 def run_det(
     init: DeterministicState, t_horizon: float, dt: float, k: ChannelKinetics
 ) -> DetTrajectory:
@@ -273,9 +307,10 @@ def run_det(
 
     Aborts with :class:`InvariantViolation` if the proportion simplex, the
     voltage bounds, or the dissipation budget is violated beyond tolerance.
-    The budget is checked a block of steps at a time, from the snapshots; an
-    error inside a block first flushes the ledger, so whichever check fails
-    first raises.
+    The simplex total, the voltage band and the budget are checked a block
+    of steps at a time, from the snapshots, in step order; an error inside
+    a block first checks the steps before it, so whichever check fails
+    first raises, at the step where a check after every step would.
     """
     n_steps = step_count(t_horizon, dt)
     init.validate(k)
@@ -299,6 +334,25 @@ def run_det(
     v_snaps[0] = v
     p_snaps[0] = p
     max_sum_err = float(np.max(np.abs(p.sum(axis=0) - 1.0)))
+    checked = 0  # the last step every check has passed
+
+    def check(stop: int) -> None:
+        """Check the steps after ``checked`` up to ``stop``; a guard failure
+        at step m records the budget to m - 1 first."""
+        nonlocal checked, max_sum_err
+        if stop <= checked:
+            return
+        rows = slice(checked + 1, stop + 1)
+        sum_err, failure = _first_guard_failure(p_snaps[rows], v_snaps[rows],
+                                                times[rows], v_lo, v_hi)
+        if failure is not None:
+            m, exc = failure
+            ledger.record(checked + m, times, dt, v_snaps)
+            raise exc
+        ledger.record(stop, times, dt, v_snaps)
+        # the builtin max of a step-order fold: fmax passes over NaN rows
+        max_sum_err = max(max_sum_err, float(np.fmax.reduce(sum_err)))
+        checked = stop
 
     for step in range(1, n_steps + 1):
         try:
@@ -307,23 +361,12 @@ def run_det(
             times[step] = t
             v_snaps[step] = v
             p_snaps[step] = p
-
-            sum_err = float(np.max(np.abs(p.sum(axis=0) - 1.0)))
-            max_sum_err = max(max_sum_err, sum_err)
-            if sum_err > PROP_SUM_TOL:
-                raise InvariantViolation(f"proportion total off by {sum_err:.3e} at t={t}")
-            vmin, vmax = min(float(v.min()), 0.0), max(float(v.max()), 0.0)
-            if vmin < v_lo - VOLTAGE_TOL or vmax > v_hi + VOLTAGE_TOL:
-                raise InvariantViolation(
-                    f"voltage [{vmin:.6f}, {vmax:.6f}] escaped "
-                    f"[{v_lo}, {v_hi}] at t={t}"
-                )
         except Exception:
-            # a budget failure at an earlier step is the one to report
-            ledger.record(step - 1, times, dt, v_snaps)
+            # a failure at an earlier step is the one to report
+            check(step - 1)
             raise
         if step % _LEDGER_BLOCK == 0 or step == n_steps:
-            ledger.record(step, times, dt, v_snaps)
+            check(step)
 
     return DetTrajectory(
         grid=grid,

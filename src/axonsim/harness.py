@@ -15,6 +15,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -117,8 +118,8 @@ class RunConfig:
         if self.cells < 3:
             # the particle model's point sources need two interior nodes
             raise ValueError(f"cells must be at least 3, got {self.cells}")
-        if not (np.isfinite(self.half_length) and self.half_length > 0
-                and np.isfinite(self.dt) and self.dt > 0):
+        if not (math.isfinite(self.half_length) and self.half_length > 0
+                and math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("half_length and dt must be positive and finite")
         step_count(self.time_horizon, self.dt)
         if self.replicates < 1:

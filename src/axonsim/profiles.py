@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, GridFunction
-from .kinetics import ChannelKinetics
+from .grid import Grid, GridFunction, all_finite
+from .kinetics import ChannelKinetics, _field
 
 
 def fundamental_mode(grid: Grid, mode: int = 1, amplitude: float = 1.0) -> GridFunction:
@@ -42,7 +42,7 @@ def build_v0(grid: Grid, spec: dict) -> GridFunction:
         return gaussian_bump(
             grid,
             float(params.get("center", 0.0)),
-            float(params["width"]),
+            float(_field(params, "width", f"v0 form {form!r}")),
             float(params.get("amplitude", 1.0)),
         )
     raise ValueError(f"unknown v0 form {form!r}")
@@ -55,7 +55,7 @@ def _exact_simplex(weights: np.ndarray) -> np.ndarray:
         raise ValueError("proportion weights must have positive nodal totals")
     p = weights / total
     p[-1] = 1.0 - p[:-1].sum(axis=0)
-    if not np.isfinite(p).all():
+    if not all_finite(p):
         raise ValueError("nodal field values must be finite")
     return p
 
@@ -103,7 +103,7 @@ def build_p0(grid: Grid, k: ChannelKinetics, spec: dict) -> np.ndarray:
     form = spec.get("form")
     params = spec.get("params", {})
     if form == "uniform":
-        return uniform_proportions(grid, k, params["weights"])
+        return uniform_proportions(grid, k, _field(params, "weights", f"p0 form {form!r}"))
     if form == "logistic":
-        return logistic_proportions(grid, k, params["profiles"])
+        return logistic_proportions(grid, k, _field(params, "profiles", f"p0 form {form!r}"))
     raise ValueError(f"unknown p0 form {form!r}")

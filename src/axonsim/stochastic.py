@@ -54,6 +54,7 @@ from .errors import InvariantViolation
 from .grid import (
     Grid,
     GridFunction,
+    all_finite,
     cn_bands,
     hat_interpolate,
     hat_scatter,
@@ -304,7 +305,7 @@ class _HybridCore:
             if not events:
                 self._advance_full(dt)
             v = self.v_full[1:-1]
-            if not np.all(np.isfinite(v)):
+            if not all_finite(v):
                 raise InvariantViolation(f"voltage not finite at t={times[self.step + 1]}")
             self.step += 1
             snaps[self.step] = v

@@ -361,21 +361,50 @@ class TestRunDetMatchesStepLoop:
         traj = run_det(*det_args(SHORT))
         assert len(calls) == traj.n_times == 101
 
-    @pytest.mark.parametrize("guard", ["proportion", "voltage"])
-    def test_guards_raise_as_the_step_loop(self, monkeypatch, guard):
+    @pytest.mark.parametrize("faults", [
+        pytest.param({70: "proportion"}, id="proportion"),  # mid-way through a block
+        pytest.param({70: "voltage"}, id="voltage"),
+        pytest.param({64: "proportion"}, id="proportion-at-block-end"),
+        pytest.param({64: "voltage"}, id="voltage-at-block-end"),
+        pytest.param({65: "proportion"}, id="proportion-at-block-start"),
+        pytest.param({65: "voltage"}, id="voltage-at-block-start"),
+        pytest.param({99: "voltage"}, id="voltage-in-partial-block"),
+        pytest.param({100: "proportion"}, id="proportion-at-last-step"),
+        pytest.param({65: "raise"}, id="kernel-error-at-block-start"),
+        pytest.param({70: "proportion", 75: "raise"}, id="proportion-then-kernel-error"),
+        pytest.param({68: "budget", 70: "voltage"}, id="budget-then-voltage"),
+        pytest.param({68: "budget", 70: "proportion"}, id="budget-then-proportion"),
+        pytest.param({70: "budget+proportion"}, id="budget-and-proportion-in-one-step"),
+        pytest.param({100: "nan"}, id="nan-at-last-step"),
+    ])
+    def test_guards_raise_as_the_step_loop(self, monkeypatch, faults):
+        """Each fault enters in the step that ends at times[step]: a
+        proportion total or voltage out of bounds, an in-band voltage so
+        rough that the dissipation budget fails, an error in the kernel, or
+        NaN snapshots, or several of these joined by "+".  The first one in
+        step order raises, as in the per-step loop; within a step a guard
+        raises before the budget, which is checked through the step before."""
         args = det_args(SHORT)
         times = run_det(*args).times
-        bad = 70  # mid-way through the second ledger block
+        assert times.size - 1 == 100  # one full ledger block, then 36 steps
         kernel = deterministic._strang_step
 
         def inject(p, v, t):
-            """The fault, in the step that starts at times[bad - 1]."""
-            if t == times[bad - 1]:
-                if guard == "proportion":
-                    p = p.copy()
-                    p[0] += 1e-6
-                else:
-                    v = v + 10.0
+            for step, kinds in faults.items():
+                if t != times[step - 1]:
+                    continue
+                for kind in kinds.split("+"):
+                    if kind == "proportion":
+                        p = p.copy()
+                        p[0] += 1e-6
+                    elif kind == "voltage":
+                        v = v + 10.0
+                    elif kind == "budget":
+                        v = np.where(np.arange(v.size) % 2, -0.15, 0.95)
+                    elif kind == "nan":
+                        p, v = np.full_like(p, np.nan), np.full_like(v, np.nan)
+                    else:
+                        raise ValueError("kernel fault")
             return p, v
 
         def faulty(p, v, gen, t, *rest):
@@ -389,9 +418,25 @@ class TestRunDetMatchesStepLoop:
 
         monkeypatch.setattr(deterministic, "_strang_step", faulty)
         got = run_outcome(run_det, *args)
-        assert got == run_outcome(per_step_run_det, *args, step_fn=faulty_reference)
-        assert got[0] is InvariantViolation
-        assert got[1].startswith(guard) and got[1].endswith(f"at t={times[bad]}")
+        expected = run_outcome(per_step_run_det, *args, step_fn=faulty_reference)
+        if isinstance(got, DetTrajectory):
+            # a NaN fails no comparison, so it passes the guards and the
+            # budget, and the sum-error maximum passes over it
+            for name in ("times", "v", "p", "dissipation"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name),
+                                      equal_nan=True)
+            assert got.sup_v_inf == expected.sup_v_inf
+            assert got.max_prop_sum_error == expected.max_prop_sum_error
+            return
+        assert got == expected
+        first = min(faults)
+        kinds = faults[first].split("+")
+        if kinds == ["raise"]:
+            assert got == (ValueError, "kernel fault")
+        else:
+            assert got[0] is InvariantViolation
+            prefix = next((g for g in ("proportion", "voltage") if g in kinds), "dissipation")
+            assert got[1].startswith(prefix) and got[1].endswith(f"at t={times[first]}")
 
 
 def reference_trajectory_csv(traj, path, stride=1):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from axonsim import grid
 from axonsim.grid import (
     Grid,
     GridFunction,
+    all_finite,
     build_grid,
     cn_bands,
     delta_loads,
@@ -261,6 +264,43 @@ def tridiag_bands(n, seed, slack, symmetric):
     diag = rng.choice([-1.0, 1.0], n) * off * (1.0 + slack)
     rhs = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
     return lower, diag, upper, rhs
+
+
+# Finite values at the ends of the float64 range: squares that overflow or
+# underflow, the largest and smallest magnitudes, subnormals and signed zeros.
+FINITE = st.one_of(
+    st.sampled_from([1.7e308, -1.7e308, np.finfo(float).max, -np.finfo(float).max,
+                     1.4e154, -1e200, np.finfo(float).tiny, 5e-324, -5e-324, 0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestAllFinite:
+    """``all_finite`` answers as ``np.isfinite(a).all()`` for every input,
+    and warns of nothing."""
+
+    @given(data=st.data(), rows=st.integers(0, 40), cols=st.integers(0, 6),
+           layout=st.sampled_from(["1-d", "f-view"]),
+           bad=st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=3))
+    def test_matches_the_scan(self, data, rows, cols, layout, bad):
+        if layout == "1-d":
+            a = np.array(data.draw(st.lists(FINITE, max_size=300)), dtype=float)
+        else:
+            # a transposed C-ordered block, as riesz_solve's part.T
+            values = data.draw(st.lists(FINITE, min_size=rows * cols,
+                                        max_size=rows * cols))
+            a = np.array(values, dtype=float).reshape(cols, rows).T
+            assert a.flags.f_contiguous
+        for value in bad if a.size else []:
+            a.T.flat[data.draw(st.integers(0, a.size - 1))] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = all_finite(a)
+        assert isinstance(got, bool)
+        assert got == bool(np.isfinite(a).all())
+
+    @pytest.mark.parametrize("a", [np.empty(0), np.empty((0, 3)).T, np.empty((4, 0))])
+    def test_empty_is_finite(self, a):
+        assert all_finite(a) is True
 
 
 class TestTridiagSolve:

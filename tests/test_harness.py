@@ -527,10 +527,15 @@ class TestCli:
             **DEFAULT_CONFIG["kinetics"], "states": [
                 DEFAULT_CONFIG["kinetics"]["states"][0], {"name": "open", "v": 1.0}]}}),
          "state 'open' has no field 'c'"),
+        ("det", json.dumps({**SMALL, "p0": {"form": "uniform", "params": {}}}),
+         "p0 form 'uniform' has no field 'weights'"),
+        ("det", json.dumps({**SMALL, "v0": {"form": "gaussian_bump",
+                                            "params": {"amplitude": 0.5}}}),
+         "v0 form 'gaussian_bump' has no field 'width'"),
         ("sweep", None, "No such file or directory"),
         ("det", '{"cells": 40,', "Expecting property name enclosed in double quotes"),
     ], ids=["cells-2", "unknown-state", "p0-unknown-state", "state-without-c",
-            "missing-file", "malformed-json"])
+            "p0-without-weights", "v0-without-width", "missing-file", "malformed-json"])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, command, text, message):
         from axonsim.cli import main
 

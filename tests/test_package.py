@@ -9,6 +9,9 @@ SRC = Path(axonsim.__file__).parent
 # The one hat-scatter kernel.
 SCATTER_HOMES = {("grid.py", "hat_scatter")}
 
+# The one elementwise finiteness scan: the fallback of the exact primitive.
+FINITE_HOMES = {("grid.py", "all_finite")}
+
 # The replicate unit, and the callers each of its calls may have.
 CALL_HOMES = {
     "run_replicate": {("harness.py", "_run_batch"), ("cli.py", "_cmd_stoch")},
@@ -66,25 +69,39 @@ def _functions(tree):
     return out
 
 
+def _strays(pattern, function_homes):
+    """Lines of ``src/axonsim`` matching ``pattern``, code or text, outside
+    the (module, innermost function) pairs of ``function_homes``."""
+    strays = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        funcs = _functions(ast.parse(text))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if re.search(pattern, line):
+                homes = [name for name, lo, hi in funcs if lo <= lineno <= hi]
+                if not homes or (path.name, homes[-1]) not in function_homes:
+                    strays.append(f"{path.name}:{lineno}: {line.strip()}")
+    return strays
+
+
 def test_hat_scatter_has_one_home():
     """``np.add.at`` and ``bincount`` appear, code or text, only in the
     kernel; no module imports another's private hat or scatter helper."""
-    strays, private = [], []
+    private = []
     for path in sorted(SRC.glob("*.py")):
-        text = path.read_text()
-        tree = ast.parse(text)
-        funcs = _functions(tree)
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if re.search(r"np\.add\.at|bincount", line):
-                homes = [name for name, lo, hi in funcs if lo <= lineno <= hi]
-                if not homes or (path.name, homes[-1]) not in SCATTER_HOMES:
-                    strays.append(f"{path.name}:{lineno}: {line.strip()}")
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
                 private += [f"{path.name}: {a.name}" for a in node.names
                             if a.name.startswith("_") and re.search("hat|scatter", a.name)]
-    assert strays == []
+    assert _strays(r"np\.add\.at|bincount", SCATTER_HOMES) == []
     assert private == []
+
+
+def test_finiteness_scan_has_one_home():
+    """``np.isfinite(`` appears, code or text, only in ``grid.all_finite``:
+    every array check goes through the exact one-dot primitive, and scalars
+    use ``math.isfinite``."""
+    assert _strays(r"np\.isfinite\(", FINITE_HOMES) == []
 
 
 def test_crank_nicolson_operator_has_one_home():

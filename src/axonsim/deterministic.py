@@ -7,9 +7,9 @@ system dp/dt = G(v) p with G the clamped-rate generator.
 
 Time stepping is Strang splitting: an RK4 half-step of the proportions with
 the voltage frozen, a Crank-Nicolson step of the PDE with the reaction
-coefficients frozen at the proportion midpoint (one symmetric tridiagonal
-solve of :func:`grid.cn_bands`, with the mass matrix weighted by a as its
-reaction matrix), then a second proportion half-step.  RK4 on the linear
+coefficients frozen at the proportion midpoint (one step of the
+:class:`grid.CrankNicolson` workspace, with the mass matrix weighted by a as
+its reaction matrix), then a second proportion half-step.  RK4 on the linear
 proportion system preserves the nodal total sum(p) exactly up to roundoff.
 
 :func:`run_det` steps a Strang-step kernel on plain arrays.  The kernel
@@ -32,17 +32,15 @@ import numpy as np
 from .csvtext import csv_lines, write_csv, write_snapshot_csv
 from .errors import InvariantViolation
 from .grid import (
+    CrankNicolson,
     Grid,
     GridFunction,
     all_finite,
-    cn_bands,
     density_loads,
     gradient_sq,
     mass_bands,
     squared_norms,
     stiffness_bands,
-    tridiag_matvec,
-    tridiag_solve,
 )
 from .kinetics import ChannelKinetics, rate_table
 
@@ -165,6 +163,8 @@ def step_count(t_horizon: float, dt: float) -> int:
         return 0
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"time step must be positive and finite, got {dt}")
+    if not math.isfinite(t_horizon / dt):
+        raise ValueError(f"time step {dt} is too small for the horizon {t_horizon}")
     n_steps = int(round(t_horizon / dt))
     if abs(n_steps * dt - t_horizon) > 1e-9 * max(1.0, t_horizon):
         raise ValueError(f"horizon {t_horizon} is not a multiple of dt={dt}")
@@ -172,10 +172,11 @@ def step_count(t_horizon: float, dt: float) -> int:
 
 
 def _step_operators(grid: Grid, k: ChannelKinetics) -> tuple:
-    """What a Strang step reuses: the stiffness and mass bands (diagonal,
-    off-diagonal each), the source weights c_xi v_xi and a nodal voltage
-    buffer whose endpoints stay zero."""
-    return (stiffness_bands(grid), mass_bands(grid), k.conductance * k.driving,
+    """What a Strang step reuses: the Crank-Nicolson workspace of the
+    stiffness and mass bands, a buffer of stacked reaction bands, the source
+    weights c_xi v_xi and a nodal voltage buffer whose endpoints stay zero."""
+    return (CrankNicolson(stiffness_bands(grid), mass_bands(grid)),
+            np.zeros((2, grid.n_interior)), k.conductance * k.driving,
             np.zeros(grid.cells + 1))
 
 
@@ -187,18 +188,16 @@ def _strang_step(p: np.ndarray, v: np.ndarray, gen: np.ndarray, t: float, dt: fl
     generator at ``v`` and ``ops`` the :func:`_step_operators` of the grid.
     Returns the proportions and voltage at t + dt and the generator there.
     """
-    stiff, mass, cv, v_full = ops
+    cn, reaction, cv, v_full = ops
     p_mid = _clip_proportions(_rk4_prop(p, gen, 0.5 * dt), t)
 
     a = k.conductance @ p_mid
     b = cv @ p_mid
     if not (all_finite(a) and all_finite(b)):
         raise ValueError("nodal field values must be finite")
-    reaction = _weighted_mass_bands(a, grid.h)
-    lhs_d, lhs_o, rhs_d, rhs_o = cn_bands(stiff, mass, reaction, dt)
-    rhs = tridiag_matvec(rhs_d, rhs_o, v)
-    rhs += dt * density_loads(grid, b)
-    v_new = tridiag_solve(lhs_o, lhs_d, lhs_o, rhs)
+    reaction[0], reaction[1, :-1] = _weighted_mass_bands(a, grid.h)
+    v_new = np.empty_like(v)
+    cn.step(reaction, dt, density_loads(grid, b), v, v_new)
 
     v_full[1:-1] = v_new
     gen_new = _generator(k, v_full)

@@ -195,23 +195,94 @@ def tridiag_factor_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
     return _gttrs(*factor, rhs)[0]
 
 
-def cn_bands(stiff: tuple, mass: tuple, reaction: tuple, tau: float) -> tuple:
-    """(lhs diagonal, lhs off-diagonal, rhs diagonal, rhs off-diagonal) of a
-    Crank-Nicolson step of length tau: M +- tau/2 (K + A), from the
-    (diagonal, off-diagonal) bands of K, M and the reaction matrix A."""
-    (kd, ko), (md, mo), (ad, ao) = stiff, mass, reaction
-    half = 0.5 * tau
-    half_diag = half * (kd + ad)
-    half_off = half * (ko + ao)
-    return md + half_diag, mo + half_off, md - half_diag, mo - half_off
+def stacked_bands(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """(2, n) stack of a symmetric tridiagonal matrix's bands: the diagonal,
+    then the off-diagonal with a trailing zero pad."""
+    bands = np.zeros((2, diag.size))
+    bands[0] = diag
+    bands[1, :-1] = off
+    return bands
 
 
-def tridiag_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Product of the symmetric tridiagonal matrix with bands (diag, off) and x."""
-    y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
-    return y
+class CrankNicolson:
+    """Workspace of Crank-Nicolson steps on one mesh:
+
+        (M + tau/2 (K + A)) v' = (M - tau/2 (K + A)) v + tau load
+
+    with K, M and the reaction matrix A symmetric tridiagonal, each held as
+    a :func:`stacked_bands` stack, so that each band operation is one ufunc
+    over both bands; the pads stay zero.  The lhs bands and the rhs share
+    one contiguous (3, n) buffer, which one :func:`all_finite` checks, bands
+    and rhs together (LAPACK ``gtsv`` can return a finite solution from a
+    non-finite band), and ``gtsv`` solves in place.  Nothing is allocated
+    per step, and every operation has the operands and the order of forming
+    the bands, the matvec and :func:`tridiag_solve` in fresh arrays, so a
+    step gives their result bit for bit.
+    """
+
+    def __init__(self, stiff: tuple, mass: tuple):
+        n = stiff[0].size
+        self.stiff = stacked_bands(*stiff)
+        self.mass = stacked_bands(*mass)
+        self._half = np.empty((2, n))  # tau/2 (K + A)
+        self._rhs_bands = np.empty((2, n))
+        self._system = np.empty((3, n))  # lhs diagonal, lhs off-diagonal, rhs
+        self._upper = np.empty(n - 1)  # gtsv's du, which must not alias dl
+        self._product = np.empty(n - 1)
+        self._load = np.empty(n)
+        # views of the system, taken once: a slice costs a tenth of a band op
+        self._lhs, self._y = self._system[:2], self._system[2]
+        self._y_head, self._y_tail = self._y[:-1], self._y[1:]
+        self._diag, self._lower = self._system[0], self._system[1, :-1]
+
+    def bands(self, reaction: np.ndarray, tau: float) -> tuple:
+        """Stacked bands (lhs, rhs) of M +- tau/2 (K + A), from the stacked
+        reaction bands; both are workspace views the next call overwrites."""
+        half = self._half
+        np.add(self.stiff, reaction, out=half)
+        half *= 0.5 * tau
+        np.add(self.mass, half, out=self._lhs)
+        np.subtract(self.mass, half, out=self._rhs_bands)
+        return self._lhs, self._rhs_bands
+
+    def rhs(self, bands: np.ndarray, v: np.ndarray, load: np.ndarray) -> np.ndarray:
+        """bands @ v + load for stacked symmetric bands, in the workspace's
+        rhs row, which the next call overwrites."""
+        y, product = self._y, self._product
+        off = bands[1, :-1]
+        np.multiply(bands[0], v, out=y)
+        np.multiply(off, v[1:], out=product)
+        np.add(self._y_head, product, out=self._y_head)  # y[:-1] += off * v[1:]
+        np.multiply(off, v[:-1], out=product)
+        np.add(self._y_tail, product, out=self._y_tail)  # y[1:] += off * v[:-1]
+        y += load
+        return y
+
+    def step(self, reaction: np.ndarray, tau: float, load: np.ndarray, v: np.ndarray,
+             out: np.ndarray) -> None:
+        """One step of length tau from the interior voltage v, into out,
+        which may be v.
+
+        A non-finite band or rhs entry raises ``ValueError``, and a singular
+        matrix ``LinAlgError``, as :func:`tridiag_solve` does; either leaves
+        out untouched.  A 1x1 system is one division, as there.
+        """
+        _, rhs_bands = self.bands(reaction, tau)
+        np.multiply(load, tau, out=self._load)
+        self.rhs(rhs_bands, v, self._load)
+        if not all_finite(self._system):
+            raise ValueError("array must not contain infs or NaNs")
+        diag, lower, x = self._diag, self._lower, self._y
+        if diag.size == 1:
+            x /= diag[0]
+        else:
+            np.copyto(self._upper, lower)
+            # positional overwrite flags (dl, d, du, b): f2py parses them
+            # faster than keywords
+            info = _gtsv(lower, diag, self._upper, x, 1, 1, 1, 1)[4]
+            if info > 0:
+                raise LinAlgError("singular matrix")
+        out[...] = x
 
 
 def riesz_solve(cb: np.ndarray, loads: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .deterministic import (_LEDGER_BLOCK, DeterministicState, DetTrajectory, ru
                             step_count)
 from .fanout import parallel_map
 from .grid import Grid, build_grid, density_loads, hminus1_norms, squared_norms
-from .kinetics import ChannelKinetics, make_kinetics
+from .kinetics import ChannelKinetics, _of_kind, make_kinetics
 from .profiles import build_p0, build_v0
 from .stochastic import (
     StochasticState,
@@ -90,20 +90,27 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        merged = {**DEFAULT_CONFIG, **data}
+        """The config of a mapping over :data:`DEFAULT_CONFIG`; a value of
+        the wrong kind is a ValueError naming its field."""
+        merged = {**DEFAULT_CONFIG, **_of_kind(data, "a mapping", "a config")}
+
+        def get(key, kind):
+            return _of_kind(merged[key], kind, f"config field {key!r}")
+
         cfg = cls(
-            half_length=float(merged["half_length"]),
-            time_horizon=float(merged["time_horizon"]),
-            cells=int(merged["cells"]),
-            dt=float(merged["dt"]),
-            kinetics=merged["kinetics"],
-            v0=merged["v0"],
-            p0=merged["p0"],
-            sweep_n=[int(n) for n in merged["sweep_n"]],
-            replicates=int(merged["replicates"]),
-            seed=int(merged["seed"]),
-            init_mode=str(merged["init_mode"]),
-            out_dir=str(merged["out_dir"]),
+            half_length=float(get("half_length", "a number")),
+            time_horizon=float(get("time_horizon", "a number")),
+            cells=int(get("cells", "an integer")),
+            dt=float(get("dt", "a number")),
+            kinetics=get("kinetics", "a mapping"),
+            v0=get("v0", "a mapping"),
+            p0=get("p0", "a mapping"),
+            sweep_n=[int(_of_kind(n, "an integer", f"config field 'sweep_n' entry {i}"))
+                     for i, n in enumerate(get("sweep_n", "a list"))],
+            replicates=int(get("replicates", "an integer")),
+            seed=int(get("seed", "an integer")),
+            init_mode=get("init_mode", "a string"),
+            out_dir=get("out_dir", "a string"),
             raw=merged,
         )
         cfg.validate()

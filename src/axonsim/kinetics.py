@@ -58,6 +58,21 @@ class RateForm:
         return self.params[0]
 
 
+# The kinds of config value, by the phrase an error names them with.
+_KINDS = {"a mapping": dict, "a list": list, "a string": str, "a number": (int, float),
+          "an integer": (int, float)}
+
+
+def _of_kind(value, kind: str, what: str):
+    """value, if it is of ``kind`` (a key of :data:`_KINDS`; a bool is no
+    number, and an integer may be an integral float), else a ValueError
+    naming ``what``."""
+    if (isinstance(value, bool) or not isinstance(value, _KINDS[kind])
+            or kind == "an integer" and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
 def _field(spec: dict, key: str, what: str):
     if key not in spec:
         raise ValueError(f"{what} has no field {key!r}")

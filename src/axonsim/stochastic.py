@@ -17,14 +17,16 @@ The hybrid scheme per substep (t, t+dt]:
      on each sub-interval and each jump applied to it at its time.
 
 The point sources make the frozen-configuration PDE linear: the V(i/N)
-feedback assembles into a symmetric tridiagonal rank-accumulation B, so
-each sub-solve is the fluid model's Crank-Nicolson step
-(:func:`grid.cn_bands`) with B as its reaction matrix, a single tridiagonal
-solve (:func:`grid.tridiag_solve`), and the step is unconditionally stable.
-Only a jump changes the operator, so a substep without jumps reuses the LU
-factor and right-hand-side bands stored for the full dt
-(:func:`grid.tridiag_factor`) until the next jump that changes a
-conductance.
+feedback assembles into a symmetric tridiagonal rank-accumulation B, held
+as stacked bands that a jump updates in place, so each sub-solve is one
+step of the fluid model's Crank-Nicolson workspace
+(:class:`grid.CrankNicolson`) with B as its reaction matrix: band and
+right-hand-side arithmetic into preallocated buffers, one finiteness check
+and one in-place tridiagonal solve, and the step is unconditionally
+stable.  Only a jump changes the operator, so a substep without jumps
+reuses the LU factor and right-hand-side bands stored for the full dt
+(:func:`grid.tridiag_factor`), with its right-hand side formed in the same
+workspace, until the next jump that changes a conductance.
 
 Each substep draws the channels' first holding times before any rate: the
 exponential draw E_i of channel i gives its holding time E_i / exit_i.  The
@@ -52,10 +54,10 @@ import numpy as np
 from .csvtext import csv_lines, quote, write_csv, write_snapshot_csv
 from .errors import InvariantViolation
 from .grid import (
+    CrankNicolson,
     Grid,
     GridFunction,
     all_finite,
-    cn_bands,
     hat_interpolate,
     hat_scatter,
     hat_scatter_arrays,
@@ -64,8 +66,6 @@ from .grid import (
     stiffness_bands,
     tridiag_factor,
     tridiag_factor_solve,
-    tridiag_matvec,
-    tridiag_solve,
 )
 from .deterministic import _LEDGER_BLOCK, DissipationLedger, step_count, step_guard
 from .kinetics import ChannelKinetics, rate_table
@@ -134,12 +134,6 @@ class StochTrajectory:
     def n_times(self) -> int:
         return self.times.size
 
-    def final_states(self) -> np.ndarray:
-        s = self.initial_states.copy()
-        for i, b in zip(self.jump_channel, self.jump_dst):
-            s[i] = b
-        return s
-
 
 def init_channels(
     grid: Grid,
@@ -192,6 +186,10 @@ class _HybridCore:
         self.count = channels.count
         self.kd, self.ko = stiffness_bands(grid)
         self.md, self.mo = mass_bands(grid)
+        self.cn = CrankNicolson((self.kd, self.ko), (self.md, self.mo))
+        # the point sources' operator B as stacked bands; bd and bo view it
+        self.b_bands = np.zeros((2, grid.n_interior))
+        self.bd, self.bo = self.b_bands[0], self.b_bands[1, :-1]
         self.hats = hat_weights(grid, self.positions)
         self.scatter = hat_scatter_arrays(grid, self.positions)
         (self.idx_lo, self.idx_hi), (self.wt_lo, self.wt_hi) = self.scatter
@@ -200,9 +198,8 @@ class _HybridCore:
         self.v_full = np.zeros(grid.cells + 1)  # boundary nodes included
         self.v_full[1:-1] = v_interior
         self.step = 0  # substeps done; the snapshot index of v_full
-        # (dt, factor of the CN matrix, rhs diagonal, rhs off-diagonal, dt *
-        # load) of a whole no-jump substep; a jump that changes the operator
-        # drops it
+        # (dt, factor of the CN matrix, stacked rhs bands, dt * load) of a
+        # whole no-jump substep; a jump that changes the operator drops it
         self._full_step = None
         self._assemble_source()
 
@@ -214,8 +211,8 @@ class _HybridCore:
         cv = c * self.k.driving[self.states]
         index, weight = self.scatter
         n_int = self.grid.n_interior
-        self.bd = hat_scatter(c, (index, weight**2), n_int)
-        self.bo = hat_scatter(c, (self.off_idx[None], self.wt_cross[None]), n_int - 1)
+        self.bd[:] = hat_scatter(c, (index, weight**2), n_int)
+        self.bo[:] = hat_scatter(c, (self.off_idx[None], self.wt_cross[None]), n_int - 1)
         self.cload = hat_scatter(cv, self.scatter, n_int)
 
     def _apply_jump(self, i: int, dst: int) -> None:
@@ -236,14 +233,11 @@ class _HybridCore:
 
     def _advance_pde(self, tau: float) -> None:
         """Sub-solve over tau with the configuration held fixed: a
-        Crank-Nicolson step of :func:`grid.cn_bands` with reaction matrix B."""
+        :class:`grid.CrankNicolson` step with reaction matrix B."""
         if tau <= 0.0:
             return
-        lhs_d, lhs_o, rhs_d, rhs_o = cn_bands((self.kd, self.ko), (self.md, self.mo),
-                                              (self.bd, self.bo), tau)
-        rhs = tridiag_matvec(rhs_d, rhs_o, self.v_full[1:-1])
-        rhs += tau * self.cload
-        self.v_full[1:-1] = tridiag_solve(lhs_o, lhs_d, lhs_o, rhs)
+        v = self.v_full[1:-1]
+        self.cn.step(self.b_bands, tau, self.cload, v, v)
 
     def _advance_full(self, dt: float) -> None:
         """A whole substep without jumps, through the stored factor.
@@ -252,13 +246,12 @@ class _HybridCore:
         the rhs bands are the same arithmetic, done once per configuration.
         """
         if self._full_step is None or self._full_step[0] != dt:
-            lhs_d, lhs_o, rhs_d, rhs_o = cn_bands((self.kd, self.ko), (self.md, self.mo),
-                                                  (self.bd, self.bo), dt)
-            self._full_step = (dt, tridiag_factor(lhs_o, lhs_d, lhs_o), rhs_d, rhs_o,
+            (lhs_d, lhs_o), rhs_bands = self.cn.bands(self.b_bands, dt)
+            lhs_o = lhs_o[:-1]
+            self._full_step = (dt, tridiag_factor(lhs_o, lhs_d, lhs_o), rhs_bands.copy(),
                                dt * self.cload)
-        _, factor, rhs_d, rhs_o, load = self._full_step
-        rhs = tridiag_matvec(rhs_d, rhs_o, self.v_full[1:-1])
-        rhs += load
+        _, factor, rhs_bands, load = self._full_step
+        rhs = self.cn.rhs(rhs_bands, self.v_full[1:-1], load)
         self.v_full[1:-1] = tridiag_factor_solve(factor, rhs)
 
     def _jump_chain(self, i: int, first_time: float, dt: float, rates: np.ndarray,

@@ -9,6 +9,15 @@ settings.register_profile("axonsim", derandomize=True, deadline=None)
 settings.load_profile("axonsim")
 
 
+def final_states(traj):
+    """Each channel's state at the horizon: its initial state, replaced by
+    the target of each of its jumps in log order."""
+    states = traj.initial_states.copy()
+    for i, dst in zip(traj.jump_channel, traj.jump_dst):
+        states[i] = dst
+    return states
+
+
 @pytest.fixture
 def five_state_kinetics():
     """A fully connected 5-state chain with voltage-dependent rates."""

@@ -42,6 +42,7 @@ from axonsim.stochastic import (
     run_stoch,
 )
 from axonsim.validate import _frozen_reference_trajectory
+from conftest import final_states
 from test_grid import add_at_scatter
 
 
@@ -425,7 +426,7 @@ class TestMultiStateChain:
         for i, src, dst in zip(traj.jump_channel, traj.jump_src, traj.jump_dst):
             assert src == states[i] and dst != src
             states[i] = dst
-        assert np.array_equal(states, traj.final_states())
+        assert np.array_equal(states, final_states(traj))
         assert np.unique(np.concatenate([traj.jump_src, traj.jump_dst])).size > 2
 
         diag, loads = streamed_series(traj, kin, SERIES)

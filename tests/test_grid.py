@@ -8,11 +8,11 @@ from scipy.linalg import LinAlgError, cho_solve_banded, solve_banded
 
 from axonsim import grid
 from axonsim.grid import (
+    CrankNicolson,
     Grid,
     GridFunction,
     all_finite,
     build_grid,
-    cn_bands,
     delta_loads,
     density_loads,
     eval_at,
@@ -28,10 +28,10 @@ from axonsim.grid import (
     riesz_cholesky,
     riesz_solve,
     squared_norms,
+    stacked_bands,
     stiffness_bands,
     tridiag_factor,
     tridiag_factor_solve,
-    tridiag_matvec,
     tridiag_solve,
 )
 
@@ -379,22 +379,152 @@ def dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def cn_bands(stiff, mass, reaction, tau):
+    """(lhs diagonal, lhs off-diagonal, rhs diagonal, rhs off-diagonal) of
+    M +- tau/2 (K + A) in fresh arrays, from (diagonal, off-diagonal) pairs:
+    the oracle of ``CrankNicolson.bands``."""
+    (kd, ko), (md, mo), (ad, ao) = stiff, mass, reaction
+    half = 0.5 * tau
+    half_diag = half * (kd + ad)
+    half_off = half * (ko + ao)
+    return md + half_diag, mo + half_off, md - half_diag, mo - half_off
+
+
+def tridiag_matvec(diag, off, x):
+    """Symmetric tridiagonal product in fresh arrays: the oracle of
+    ``CrankNicolson.rhs``."""
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
+
+
+def fresh_step(stiff, mass, reaction, tau, load, v):
+    """A Crank-Nicolson step in fresh arrays: the oracle of ``CrankNicolson.step``."""
+    lhs_d, lhs_o, rhs_d, rhs_o = cn_bands(stiff, mass, reaction, tau)
+    rhs = tridiag_matvec(rhs_d, rhs_o, v)
+    rhs += tau * load
+    return tridiag_solve(lhs_o, lhs_d, lhs_o, rhs)
+
+
+def random_bands(rng, n, count):
+    """``count`` random (diagonal, off-diagonal) pairs of size n."""
+    return [(rng.normal(size=n), rng.normal(size=n - 1)) for _ in range(count)]
+
+
 class TestCrankNicolsonOperator:
-    """cn_bands and tridiag_matvec give (M +- tau/2 (K + A)) @ x."""
+    """The workspace's bands and matvec give (M +- tau/2 (K + A)) @ x."""
 
     @given(n=st.one_of(st.integers(1, 2), st.integers(3, 60)),
            tau=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
     def test_matches_dense_product(self, n, tau, seed):
         rng = np.random.default_rng(seed)
-        stiff, mass, reaction = ((rng.normal(size=n), rng.normal(size=n - 1))
-                                 for _ in range(3))
+        stiff, mass, reaction = random_bands(rng, n, 3)
         x = rng.normal(size=n)
-        lhs_d, lhs_o, rhs_d, rhs_o = cn_bands(stiff, mass, reaction, tau)
+        cn = CrankNicolson(stiff, mass)
+        lhs, rhs = cn.bands(stacked_bands(*reaction), tau)
         op = dense(*stiff) + dense(*reaction)
-        for (d, o), sign in (((lhs_d, lhs_o), 1.0), ((rhs_d, rhs_o), -1.0)):
+        for bands, sign in ((lhs, 1.0), (rhs, -1.0)):
             expected = (dense(*mass) + sign * 0.5 * tau * op) @ x
             mag = (np.abs(dense(*mass)) + 0.5 * tau * np.abs(op)) @ np.abs(x)
-            assert np.all(np.abs(tridiag_matvec(d, o, x) - expected) <= 1e-12 * mag)
+            got = cn.rhs(bands, x, np.zeros(n))
+            assert np.all(np.abs(got - expected) <= 1e-12 * mag)
+
+
+class TestCrankNicolsonStep:
+    """A workspace step is ``cn_bands``, ``tridiag_matvec`` and
+    ``tridiag_solve`` in fresh arrays, bit for bit, and fails as they do."""
+
+    @given(n=st.one_of(st.integers(1, 3), st.integers(4, 200)),
+           taus=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_fresh_arrays(self, n, taus, seed):
+        """Repeated steps on one workspace, each with its own tau, reaction,
+        load and voltage, in place and into a separate array."""
+        rng = np.random.default_rng(seed)
+        stiff, mass = random_bands(rng, n, 2)
+        cn = CrankNicolson(stiff, mass)
+        for call, tau in enumerate(taus):
+            (reaction,) = random_bands(rng, n, 1)
+            load, v = rng.normal(size=n), rng.normal(size=n)
+            lhs_d, lhs_o, rhs_d, rhs_o = cn_bands(stiff, mass, reaction, tau)
+            lhs, rhs = cn.bands(stacked_bands(*reaction), tau)
+            assert np.array_equal(lhs, stacked_bands(lhs_d, lhs_o))
+            assert np.array_equal(rhs, stacked_bands(rhs_d, rhs_o))
+            expected_rhs = tridiag_matvec(rhs_d, rhs_o, v)
+            expected_rhs += tau * load
+            assert np.array_equal(cn.rhs(rhs, v, tau * load), expected_rhs)
+
+            out = v if call % 2 else np.full(n, np.nan)
+            before = out.copy()
+            try:
+                expected = fresh_step(stiff, mass, reaction, tau, load, v)
+            except LinAlgError:
+                with pytest.raises(LinAlgError):
+                    cn.step(stacked_bands(*reaction), tau, load, v, out)
+                assert np.array_equal(out, before, equal_nan=True)
+                continue
+            cn.step(stacked_bands(*reaction), tau, load, v, out)
+            assert np.array_equal(out, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    @given(data=st.data())
+    def test_non_finite_input_raises_value_error(self, n, bad, data):
+        """At every position of every band and of the load and the voltage,
+        with the voltage stepped in place; the voltage is left alone."""
+        rng = np.random.default_rng(n)
+        stiff, mass, reaction = random_bands(rng, n, 3)
+        load, v = rng.normal(size=n), rng.normal(size=n)
+        arrays = [a for a in (*stiff, *mass, *reaction, load, v) if a.size]
+        target = data.draw(st.sampled_from(arrays))
+        target[data.draw(st.integers(0, target.size - 1))] = bad
+        with pytest.raises(ValueError) as expected:
+            fresh_step(stiff, mass, reaction, 0.1, load, v)
+        before = v.copy()
+        with pytest.raises(ValueError) as got:
+            CrankNicolson(stiff, mass).step(stacked_bands(*reaction), 0.1, load, v, v)
+        assert str(got.value) == str(expected.value)
+        assert np.array_equal(v, before, equal_nan=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_band_raises_where_gtsv_would_not(self, bad):
+        """The bands are checked, not only the rhs: a non-finite entry in the
+        reaction's off-diagonal pad reaches no LAPACK input, so ``gtsv`` on
+        the step's system returns a finite solution, and the step still
+        raises."""
+        rng = np.random.default_rng(3)
+        n = 6
+        stiff, mass, reaction = random_bands(rng, n, 3)
+        load, v = rng.normal(size=n), rng.normal(size=n)
+        bands = stacked_bands(*reaction)
+        bands[1, -1] = bad
+        cn = CrankNicolson(stiff, mass)
+        (lhs_d, lhs_o), rhs = cn.bands(bands, 0.1)
+        assert not np.isfinite(lhs_o[-1])
+        rhs = cn.rhs(rhs, v, 0.1 * load)
+        x, info = grid._gtsv(lhs_o[:-1], lhs_d, lhs_o[:-1], rhs)[3:]
+        assert info == 0 and np.isfinite(x).all()
+        before = v.copy()
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            cn.step(bands, 0.1, load, v, v)
+        assert np.array_equal(v, before)
+
+    @pytest.mark.parametrize("diag, off", [
+        ([1.0, 1.0], [1.0]),                  # rank one
+        ([1.0, 0.0, 2.0], [0.0, 0.0]),        # a zero pivot
+    ])
+    def test_singular_raises_lin_alg_error(self, diag, off):
+        """A singular lhs leaves the caller's voltage unchanged."""
+        diag, off = np.array(diag), np.array(off)
+        zero = (np.zeros(diag.size), np.zeros(off.size))
+        load, v = np.ones(diag.size), np.arange(1.0, diag.size + 1)
+        with pytest.raises(LinAlgError):
+            fresh_step(zero, (diag, off), zero, 0.1, load, v)
+        before = v.copy()
+        with pytest.raises(LinAlgError):
+            CrankNicolson(zero, (diag, off)).step(stacked_bands(*zero), 0.1, load, v, v)
+        assert np.array_equal(v, before)
 
 
 class TestDelta:

@@ -3,12 +3,15 @@ import csv
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from axonsim.errors import InvariantViolation
 from axonsim.fanout import default_workers, parallel_map
@@ -38,6 +41,21 @@ SMALL = {
     "replicates": 2,
     "seed": 7,
 }
+
+# Replacements for one top-level config value: every JSON kind, NaN, the
+# infinities, and negative and non-integral numbers.  Large positive integers
+# are well-formed values of every numeric field, so they are left out: a
+# config of 10**12 cells is not malformed, and building it exhausts memory.
+CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.one_of(st.none(), st.booleans(), st.integers(-2, 900), st.floats(),
+                       st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.none(), st.integers(), st.floats()),
+                    max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 2.5]),
+    st.integers(max_value=-1),
+    st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda x: x < 0 or not x.is_integer()))
 
 
 class TestRunConfig:
@@ -93,6 +111,16 @@ class TestRunConfig:
     def test_refined_doubles_resolution(self):
         cfg = RunConfig.from_dict(SMALL).refined()
         assert cfg.cells == 120 and cfg.dt == 1e-3
+
+    @given(key=st.sampled_from(sorted(DEFAULT_CONFIG)), value=CONFIG_VALUES)
+    def test_any_top_level_value_gives_a_config_or_a_value_error(self, key, value):
+        """``cli.main`` maps a ValueError to a usage error; any other
+        exception would end the command in a traceback."""
+        try:
+            cfg = RunConfig.from_dict({key: value})
+        except ValueError:
+            return
+        assert cfg.raw[key] is value
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -534,8 +562,21 @@ class TestCli:
          "v0 form 'gaussian_bump' has no field 'width'"),
         ("sweep", None, "No such file or directory"),
         ("det", '{"cells": 40,', "Expecting property name enclosed in double quotes"),
+        ("det", json.dumps({**SMALL, "sweep_n": 5}),
+         "config field 'sweep_n' must be a list, got 5"),
+        ("det", json.dumps({**SMALL, "kinetics": []}),
+         "config field 'kinetics' must be a mapping, got []"),
+        ("det", "[]", "a config must be a mapping, got []"),
+        ("det", json.dumps({**SMALL, "time_horizon": None}),
+         "config field 'time_horizon' must be a number, got None"),
+        ("det", json.dumps({**SMALL, "cells": 10.5}),
+         "config field 'cells' must be an integer, got 10.5"),
+        ("det", json.dumps({**SMALL, "replicates": 2.5}),
+         "config field 'replicates' must be an integer, got 2.5"),
     ], ids=["cells-2", "unknown-state", "p0-unknown-state", "state-without-c",
-            "p0-without-weights", "v0-without-width", "missing-file", "malformed-json"])
+            "p0-without-weights", "v0-without-width", "missing-file", "malformed-json",
+            "sweep-n-not-a-list", "kinetics-a-list", "top-level-list", "null-horizon",
+            "fractional-cells", "fractional-replicates"])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, command, text, message):
         from axonsim.cli import main
 

@@ -115,6 +115,18 @@ def test_crank_nicolson_operator_has_one_home():
     assert strays == []
 
 
+def test_lapack_calls_have_one_home():
+    """``get_lapack_funcs`` and the LAPACK routines it gives, ``_gtsv``,
+    ``_gttrf``, ``_gttrs`` and ``_pbtrs``, appear, code or text, only in
+    ``grid.py``: every tridiagonal and Riesz solve goes through its kernels."""
+    pattern = re.compile(r"get_lapack_funcs|\b_(gtsv|gttrf|gttrs|pbtrs)\b")
+    strays = [f"{path.name}:{lineno}: {line.strip()}"
+              for path in sorted(SRC.glob("*.py")) if path.name != "grid.py"
+              for lineno, line in enumerate(path.read_text().splitlines(), 1)
+              if pattern.search(line)]
+    assert strays == []
+
+
 def test_processes_start_only_in_the_fanout_module():
     """``ProcessPoolExecutor``, ``multiprocessing`` and ``os.fork`` appear,
     code or text, only in the one fan-out path."""

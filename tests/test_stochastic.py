@@ -36,6 +36,7 @@ from axonsim.stochastic import (
     write_voltage_csv,
     _HybridCore,
 )
+from conftest import final_states
 from test_decomposition import (
     CHAIN5,
     cached_replicate,
@@ -237,7 +238,7 @@ class TestStepStoch:
         dt = 1e-3
         traj = run_stoch(state, dt, dt, k, make_rng(42))
         assert traj.jump_times.size == 0
-        assert np.array_equal(traj.final_states(), cfg.states)
+        assert np.array_equal(final_states(traj), cfg.states)
         # against a hand-rolled single Crank-Nicolson solve with frozen sources
         from axonsim.grid import mass_bands, stiffness_bands
 
@@ -273,7 +274,7 @@ class TestStepStoch:
             assert src == states[i] and dst != src
             states[i] = dst
         assert [j[0] for j in jumps] == sorted(j[0] for j in jumps)
-        assert np.array_equal(traj.final_states(), states)
+        assert np.array_equal(final_states(traj), states)
 
     def test_guard(self):
         g = build_grid(1.0, 10)
@@ -294,7 +295,7 @@ class TestStepStoch:
         assert cfg.count == 10001
         state = StochasticState(0.0, GridFunction(g, np.zeros(39)), cfg)
         traj = run_stoch(state, 0.5, 0.05, k, rng)
-        frac_open = (traj.final_states() == 1).mean()
+        frac_open = (final_states(traj) == 1).mean()
         pi = alpha / (alpha + beta)
         expected = pi + (0.1 - pi) * np.exp(-(alpha + beta) * 0.5)
         se = np.sqrt(expected * (1 - expected) / cfg.count)

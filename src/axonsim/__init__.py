@@ -10,17 +10,11 @@ models are naturally posed in.
 __version__ = "0.1.0"
 
 from .errors import InvariantViolation, TruncationError
-from .grid import Grid, GridFunction, build_grid, eval_at, pairing
+from .grid import Grid, GridFunction, build_grid
 from .heat import KernelParams, absorbed_kernel, apply_semigroup
 from .kinetics import ChannelKinetics, make_kinetics, rate_table
-from .deterministic import DeterministicState, DetTrajectory, run_det
-from .stochastic import (
-    ChannelConfig,
-    StochasticState,
-    StochTrajectory,
-    init_channels,
-    run_stoch,
-)
+from .deterministic import DetTrajectory, run_det
+from .stochastic import ChannelConfig, StochTrajectory, init_channels, run_stoch
 from .decomposition import (
     martingale_norm_series,
     martingale_variance_bound,
@@ -33,7 +27,6 @@ __all__ = [
     "ChannelConfig",
     "ChannelKinetics",
     "DetTrajectory",
-    "DeterministicState",
     "DeviationMetrics",
     "Grid",
     "GridFunction",
@@ -41,19 +34,16 @@ __all__ = [
     "KernelParams",
     "RunConfig",
     "StochTrajectory",
-    "StochasticState",
     "TruncationError",
     "absorbed_kernel",
     "apply_semigroup",
     "build_grid",
     "deviation_metrics",
-    "eval_at",
     "fit_rate",
     "init_channels",
     "make_kinetics",
     "martingale_norm_series",
     "martingale_variance_bound",
-    "pairing",
     "path_log_likelihood",
     "rate_table",
     "run_det",

@@ -34,7 +34,6 @@ from .errors import InvariantViolation
 from .grid import (
     CrankNicolson,
     Grid,
-    GridFunction,
     all_finite,
     density_loads,
     gradient_sq,
@@ -48,39 +47,6 @@ PROP_SUM_TOL = 1e-9
 PROP_RANGE_TOL = 1e-9
 PROP_CLIP = 1e-9
 VOLTAGE_TOL = 1e-8
-
-
-@dataclass(eq=False)
-class DeterministicState:
-    """Instantaneous fluid-model state: time, voltage, per-state proportions.
-
-    ``p`` has shape (n_states, n_nodes); row order follows the kinetics
-    states.  At every node the proportions are in [0, 1] and sum to one.
-    """
-
-    t: float
-    v: GridFunction
-    p: np.ndarray
-
-    def validate(self, k: ChannelKinetics) -> None:
-        n_nodes = self.v.grid.cells + 1
-        if self.p.shape != (k.n_states, n_nodes):
-            raise ValueError(
-                f"proportions shape {self.p.shape} != ({k.n_states}, {n_nodes})"
-            )
-        if not all_finite(self.p):
-            # a NaN fails every comparison below, so it would pass them
-            raise ValueError(f"proportions must be finite at t={self.t}")
-        sums = self.p.sum(axis=0)
-        if np.max(np.abs(sums - 1.0)) > PROP_SUM_TOL:
-            raise InvariantViolation(
-                f"proportions sum off by {np.max(np.abs(sums - 1.0)):.3e} at t={self.t}"
-            )
-        if self.p.min() < -PROP_RANGE_TOL or self.p.max() > 1.0 + PROP_RANGE_TOL:
-            raise InvariantViolation(
-                f"proportions outside [0,1]: min={self.p.min():.3e}, "
-                f"max={self.p.max():.3e} at t={self.t}"
-            )
 
 
 @dataclass(eq=False)
@@ -171,6 +137,29 @@ def step_count(t_horizon: float, dt: float) -> int:
     return n_steps
 
 
+def check_start(grid: Grid, v0: np.ndarray, k: ChannelKinetics, p0=None) -> None:
+    """Reject a start the integrators cannot take: an interior voltage that
+    is not ``grid.n_interior`` values, or proportions ``p0``, when given,
+    that are not finite (n_states, n_nodes) columns on the simplex."""
+    if np.shape(v0) != (grid.n_interior,):
+        raise ValueError(
+            f"expected {grid.n_interior} interior values, got shape {np.shape(v0)}")
+    if p0 is None:
+        return
+    n_nodes = grid.cells + 1
+    if p0.shape != (k.n_states, n_nodes):
+        raise ValueError(f"proportions shape {p0.shape} != ({k.n_states}, {n_nodes})")
+    if not all_finite(p0):
+        # a NaN fails every comparison below, so it would pass them
+        raise ValueError("proportions must be finite at t=0.0")
+    sum_err = np.max(np.abs(p0.sum(axis=0) - 1.0))
+    if sum_err > PROP_SUM_TOL:
+        raise InvariantViolation(f"proportions sum off by {sum_err:.3e} at t=0.0")
+    if p0.min() < -PROP_RANGE_TOL or p0.max() > 1.0 + PROP_RANGE_TOL:
+        raise InvariantViolation(f"proportions outside [0,1]: min={p0.min():.3e}, "
+                                 f"max={p0.max():.3e} at t=0.0")
+
+
 def _step_operators(grid: Grid, k: ChannelKinetics) -> tuple:
     """What a Strang step reuses: the Crank-Nicolson workspace of the
     stiffness and mass bands, a buffer of stacked reaction bands, the source
@@ -232,12 +221,12 @@ class DissipationLedger:
     the first step whose integral exceeds :func:`dissipation_budget`.
     """
 
-    def __init__(self, v0: GridFunction, k: ChannelKinetics, n_steps: int):
-        l2sq, self._grad_sq = squared_norms(v0.grid, v0.values)
+    def __init__(self, grid: Grid, v0: np.ndarray, k: ChannelKinetics, n_steps: int):
+        l2sq, self._grad_sq = squared_norms(grid, v0)
         self.s0 = float(np.sqrt(l2sq))
-        self.sup_inf = float(np.max(np.abs(v0.values)))
+        self.sup_inf = float(np.max(np.abs(v0)))
         self.values = np.zeros(n_steps + 1)
-        self.grid = v0.grid
+        self.grid = grid
         self.k = k
         self._done = 0
 
@@ -299,10 +288,11 @@ def _first_guard_failure(p: np.ndarray, v: np.ndarray, times: np.ndarray,
         f"voltage [{lo:.6f}, {hi:.6f}] escaped [{v_lo}, {v_hi}] at t={t}"))
 
 
-def run_det(
-    init: DeterministicState, t_horizon: float, dt: float, k: ChannelKinetics
-) -> DetTrajectory:
-    """Integrate the fluid model to the horizon, sampling every step.
+def run_det(grid: Grid, v0: np.ndarray, p0: np.ndarray, t_horizon: float, dt: float,
+            k: ChannelKinetics) -> DetTrajectory:
+    """Integrate the fluid model from the interior voltage ``v0`` and the
+    (n_states, n_nodes) proportions ``p0`` at t = 0 to the horizon, sampling
+    every step.
 
     Aborts with :class:`InvariantViolation` if the proportion simplex, the
     voltage bounds, or the dissipation budget is violated beyond tolerance.
@@ -312,26 +302,25 @@ def run_det(
     first raises, at the step where a check after every step would.
     """
     n_steps = step_count(t_horizon, dt)
-    init.validate(k)
-    grid = init.v.grid
+    check_start(grid, v0, k, p0)
     if n_steps:
         step_guard(dt, k, limit=0.5)
 
-    v0_full = init.v.full()
-    v_lo = min(k.v_minus, float(v0_full.min()))
-    v_hi = max(k.v_plus, float(v0_full.max()))
+    # the driving band straddles zero, so the endpoint zeros change no bound
+    v_lo = min(k.v_minus, float(v0.min()))
+    v_hi = max(k.v_plus, float(v0.max()))
 
     times = np.empty(n_steps + 1)
     v_snaps = np.empty((n_steps + 1, grid.n_interior))
     p_snaps = np.empty((n_steps + 1, k.n_states, grid.cells + 1))
-    ledger = DissipationLedger(init.v, k, n_steps)
+    ledger = DissipationLedger(grid, v0, k, n_steps)
 
     ops = _step_operators(grid, k)
-    t, v, p = init.t, init.v.values, init.p
-    gen = _generator(k, v0_full)
-    times[0] = t
-    v_snaps[0] = v
-    p_snaps[0] = p
+    times[0] = t = 0.0
+    v_snaps[0] = v0
+    p_snaps[0] = p = p0
+    v = v_snaps[0]  # v0 as floats, whatever its dtype
+    gen = _generator(k, np.pad(v, 1))
     max_sum_err = float(np.max(np.abs(p.sum(axis=0) - 1.0)))
     checked = 0  # the last step every check has passed
 

@@ -11,7 +11,7 @@ interpolant:
     ||F||_H-1    = sqrt(loads . u),  (K + M) u = loads
 
 where K and M are the stiffness and mass matrices of the hat basis.  The
-dual norm is therefore the exact supremum of pairing(theta, loads) over grid
+dual norm is therefore the exact supremum of theta . loads over grid
 functions with ||theta||_H1 <= 1.
 """
 
@@ -66,10 +66,11 @@ def build_grid(half_length: float, cells: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Piecewise-linear function vanishing at both endpoints.
+    """Piecewise-linear function vanishing at both endpoints, as the
+    profile builders return it.
 
-    ``values`` holds the interior nodal values; the boundary values are
-    implicitly zero.
+    ``values`` holds the interior nodal values, the plain array both
+    integrators start from; the boundary values are implicitly zero.
     """
 
     grid: Grid
@@ -294,7 +295,7 @@ def riesz_solve(cb: np.ndarray, loads: np.ndarray) -> np.ndarray:
     return _pbtrs(cb, loads)[0]
 
 
-# --- norms and pairings -----------------------------------------------------
+# --- norms ------------------------------------------------------------------
 
 def _padded(grid: Grid, values: np.ndarray) -> np.ndarray:
     f = np.zeros(values.shape[:-1] + (grid.cells + 1,))
@@ -352,19 +353,6 @@ def hminus1_norms(grid: Grid, loads: np.ndarray) -> np.ndarray:
         part = flat[i:i + chunk]
         val[i:i + chunk] = np.einsum("ij,ij->i", part, riesz_solve(cb, part.T).T)
     return np.sqrt(np.maximum(val, 0.0)).reshape(loads.shape[:-1])
-
-
-def pairing(phi: GridFunction, loads: np.ndarray) -> float:
-    """Evaluate a load array on a grid function: sum_j phi_j * loads_j."""
-    return float(phi.values @ loads)
-
-
-def eval_at(u: GridFunction, x: float) -> float:
-    """Linear interpolation of u at x; zero at the endpoints."""
-    g = u.grid
-    if x < -g.half_length or x > g.half_length:
-        raise ValueError(f"x={x} outside [{-g.half_length}, {g.half_length}]")
-    return float(np.interp(x, g.nodes, u.full()))
 
 
 def hat_weights(grid: Grid, y: float | np.ndarray):

@@ -25,14 +25,12 @@ import numpy as np
 from . import __version__
 from .csvtext import csv_lines, quote, write_csv
 from .decomposition import scan_path
-from .deterministic import (_LEDGER_BLOCK, DeterministicState, DetTrajectory, run_det,
-                            step_count)
+from .deterministic import _LEDGER_BLOCK, DetTrajectory, run_det, step_count
 from .fanout import parallel_map
-from .grid import Grid, build_grid, density_loads, hminus1_norms, squared_norms
-from .kinetics import ChannelKinetics, _of_kind, make_kinetics
+from .grid import Grid, all_finite, build_grid, density_loads, hminus1_norms, squared_norms
+from .kinetics import ChannelKinetics, _field, _of_kind, make_kinetics
 from .profiles import build_p0, build_v0
 from .stochastic import (
-    StochasticState,
     StochTrajectory,
     init_channels,
     make_rng,
@@ -93,22 +91,19 @@ class RunConfig:
         """The config of a mapping over :data:`DEFAULT_CONFIG`; a value of
         the wrong kind is a ValueError naming its field."""
         merged = {**DEFAULT_CONFIG, **_of_kind(data, "a mapping", "a config")}
-
-        def get(key, kind):
-            return _of_kind(merged[key], kind, f"config field {key!r}")
-
+        get = functools.partial(_field, merged, what="config")
         cfg = cls(
-            half_length=float(get("half_length", "a number")),
-            time_horizon=float(get("time_horizon", "a number")),
-            cells=int(get("cells", "an integer")),
-            dt=float(get("dt", "a number")),
+            half_length=get("half_length", "a number"),
+            time_horizon=get("time_horizon", "a number"),
+            cells=get("cells", "an integer"),
+            dt=get("dt", "a number"),
             kinetics=get("kinetics", "a mapping"),
             v0=get("v0", "a mapping"),
             p0=get("p0", "a mapping"),
-            sweep_n=[int(_of_kind(n, "an integer", f"config field 'sweep_n' entry {i}"))
+            sweep_n=[_of_kind(n, "an integer", f"config field 'sweep_n' entry {i}")
                      for i, n in enumerate(get("sweep_n", "a list"))],
-            replicates=int(get("replicates", "an integer")),
-            seed=int(get("seed", "an integer")),
+            replicates=get("replicates", "an integer"),
+            seed=get("seed", "an integer"),
             init_mode=get("init_mode", "a string"),
             out_dir=get("out_dir", "a string"),
             raw=merged,
@@ -140,18 +135,21 @@ class RunConfig:
         if self.init_mode not in ("stratified", "iid"):
             raise ValueError(f"unknown init mode {self.init_mode!r}")
         grid, kin, v0, _ = self.build()
-        v0f = v0.full()
-        if v0f.min() < kin.v_minus - 1e-12 or v0f.max() > kin.v_plus + 1e-12:
+        # a NaN fails the band comparisons below, so it would pass them
+        if not all_finite(np.concatenate((grid.nodes, v0))):
+            raise ValueError("the mesh and v0 must be finite")
+        if v0.min() < kin.v_minus - 1e-12 or v0.max() > kin.v_plus + 1e-12:
             raise ValueError(
-                f"v0 range [{v0f.min()}, {v0f.max()}] escapes the driving band "
+                f"v0 range [{v0.min()}, {v0.max()}] escapes the driving band "
                 f"[{kin.v_minus}, {kin.v_plus}]"
             )
 
     def build(self):
-        """Instantiate (grid, kinetics, v0, p0) from the config."""
+        """Instantiate (grid, kinetics, v0, p0) from the config; v0 holds the
+        interior voltage and p0 the (n_states, n_nodes) proportions."""
         grid = build_grid(self.half_length, self.cells)
         kin = make_kinetics(self.kinetics)
-        v0 = build_v0(grid, self.v0)
+        v0 = build_v0(grid, self.v0).values
         p0 = build_p0(grid, kin, self.p0)
         return grid, kin, v0, p0
 
@@ -183,8 +181,7 @@ class DeviationMetrics:
 def run_reference(cfg: RunConfig) -> DetTrajectory:
     """The fluid-model reference run at the sweep resolution."""
     grid, kin, v0, p0 = cfg.build()
-    init = DeterministicState(t=0.0, v=v0, p=p0)
-    return run_det(init, cfg.time_horizon, cfg.dt, kin)
+    return run_det(grid, v0, p0, cfg.time_horizon, cfg.dt, kin)
 
 
 def run_replicate(cfg: RunConfig, n_scale: int, replicate: int) -> StochTrajectory:
@@ -193,8 +190,7 @@ def run_replicate(cfg: RunConfig, n_scale: int, replicate: int) -> StochTrajecto
     seq = replicate_seed_sequence(cfg.seed, n_scale, replicate)
     rng = make_rng(seq)
     channels = init_channels(grid, n_scale, p0, cfg.init_mode, rng)
-    init = StochasticState(t=0.0, v=v0, channels=channels)
-    return run_stoch(init, cfg.time_horizon, cfg.dt, kin, rng)
+    return run_stoch(grid, v0, channels, cfg.time_horizon, cfg.dt, kin, rng)
 
 
 def _sup_voltage_deviation(v_stoch: np.ndarray, v_det: np.ndarray,

@@ -60,43 +60,42 @@ class RateForm:
 
 # The kinds of config value, by the phrase an error names them with.
 _KINDS = {"a mapping": dict, "a list": list, "a string": str, "a number": (int, float),
-          "an integer": (int, float)}
+          "a finite number": (int, float), "an integer": (int, float)}
 
 
 def _of_kind(value, kind: str, what: str):
-    """value, if it is of ``kind`` (a key of :data:`_KINDS`; a bool is no
-    number, and an integer may be an integral float), else a ValueError
-    naming ``what``."""
+    """value as ``kind`` (a key of :data:`_KINDS`): a number as a float and
+    an integer as an int, where a bool is no number and an integer may be an
+    integral float.  A value of another kind is a ValueError naming ``what``."""
     if (isinstance(value, bool) or not isinstance(value, _KINDS[kind])
             or kind == "an integer" and isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} must be {kind}, got {value!r}")
-    return value
+    if kind == "a finite number" and not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return int(value) if kind == "an integer" else float(value) if "number" in kind else value
 
 
-def _field(spec: dict, key: str, what: str):
+def _field(spec: dict, key: str, kind: str, what: str, default=None):
+    """``spec[key]`` of ``kind``, or ``default`` where the key is missing and
+    a default is given; otherwise a ValueError naming ``what`` and the key."""
     if key not in spec:
-        raise ValueError(f"{what} has no field {key!r}")
-    return spec[key]
-
-
-def _finite(value, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value}")
-    return value
+        if default is None:
+            raise ValueError(f"{what} has no field {key!r}")
+        return default
+    return _of_kind(spec[key], kind, f"{what} field {key!r}")
 
 
 def parse_rate_form(spec: dict, label: str) -> RateForm:
-    kind = spec.get("form")
+    kind = _field(spec, "form", "a string", label)
     if kind not in _FORM_PARAMS:
         raise ValueError(f"unknown rate form {kind!r}; choose from {sorted(_FORM_PARAMS)}")
     names = _FORM_PARAMS[kind]
-    params = spec.get("params", {})
+    params = _field(spec, "params", "a mapping", label)
     missing = [n for n in names if n not in params]
     if missing:
         raise ValueError(f"rate form {kind!r} missing parameters {missing}")
-    return RateForm(kind, tuple(_finite(params[n], f"{label} parameter {n!r}")
-                                for n in names))
+    return RateForm(kind, tuple(_of_kind(params[n], "a finite number",
+                                         f"{label} parameter {n!r}") for n in names))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,28 +156,32 @@ def make_kinetics(spec: dict) -> ChannelKinetics:
          "rates":  [{"from": ..., "to": ..., "form": ..., "params": {...}}, ...],
          "clamp":  [alpha_min, alpha_max]}          # optional
     """
-    state_specs = spec.get("states", [])
+    state_specs = [_of_kind(s, "a mapping", f"state {i}")
+                   for i, s in enumerate(_field(spec, "states", "a list", "kinetics"))]
     if len(state_specs) < 2:
         raise ValueError("kinetics needs at least 2 states")
-    names = tuple(_field(s, "name", f"state {i}") for i, s in enumerate(state_specs))
+    names = tuple(_field(s, "name", "a string", f"state {i}")
+                  for i, s in enumerate(state_specs))
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate state names in {names}")
-    cond, driv = (np.array([_finite(_field(s, key, f"state {name!r}"),
-                                    f"state {name!r} field {key!r}")
-                            for name, s in zip(names, state_specs)]) for key in ("c", "v"))
+    cond, driv = (np.array([_field(s, key, "a finite number", f"state {name!r}")
+                            for name, s in zip(names, state_specs)])
+                  for key in ("c", "v"))
     if np.any(cond < 0):
         raise ValueError("conductances must be nonnegative")
     if driv.min() >= 0 or driv.max() <= 0:
         raise ValueError(
             f"driving potentials must straddle zero: min={driv.min()}, max={driv.max()}"
         )
-    clamp = tuple(_finite(c, "clamp bound") for c in spec.get("clamp", DEFAULT_CLAMP))
+    clamp = tuple(_of_kind(c, "a finite number", "clamp bound")
+                  for c in _field(spec, "clamp", "a list", "kinetics", DEFAULT_CLAMP))
     if len(clamp) != 2 or clamp[0] <= 0 or clamp[0] > clamp[1]:
         raise ValueError(f"clamp must satisfy 0 < alpha_min <= alpha_max, got {clamp}")
     index = {name: i for i, name in enumerate(names)}
     forms: dict[tuple[int, int], RateForm] = {}
-    for r, entry in enumerate(spec.get("rates", [])):
-        src, dst = (_field(entry, end, f"rate {r}") for end in ("from", "to"))
+    for r, entry in enumerate(_field(spec, "rates", "a list", "kinetics")):
+        entry = _of_kind(entry, "a mapping", f"rate {r}")
+        src, dst = (_field(entry, end, "a string", f"rate {r}") for end in ("from", "to"))
         unknown = [name for name in (src, dst) if name not in index]
         if unknown:
             raise ValueError(f"rate {src} -> {dst} names unknown "

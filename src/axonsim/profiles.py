@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Grid, GridFunction, all_finite
-from .kinetics import ChannelKinetics, _field
+from .kinetics import ChannelKinetics, _field, _of_kind
 
 
 def fundamental_mode(grid: Grid, mode: int = 1, amplitude: float = 1.0) -> GridFunction:
@@ -32,19 +32,18 @@ def gaussian_bump(grid: Grid, center: float, width: float, amplitude: float) -> 
 
 
 def build_v0(grid: Grid, spec: dict) -> GridFunction:
-    form = spec.get("form")
-    params = spec.get("params", {})
+    form = _field(spec, "form", "a string", "v0")
+    params = _field(spec, "params", "a mapping", "v0", {})
+
+    def number(key, default=None):
+        return _field(params, key, "a finite number", f"v0 form {form!r}", default)
+
     if form == "eigenfunction":
-        return fundamental_mode(
-            grid, int(params.get("mode", 1)), float(params.get("amplitude", 1.0))
-        )
+        mode = _field(params, "mode", "an integer", f"v0 form {form!r}", 1)
+        return fundamental_mode(grid, mode, number("amplitude", 1.0))
     if form == "gaussian_bump":
-        return gaussian_bump(
-            grid,
-            float(params.get("center", 0.0)),
-            float(_field(params, "width", f"v0 form {form!r}")),
-            float(params.get("amplitude", 1.0)),
-        )
+        return gaussian_bump(grid, number("center", 0.0), number("width"),
+                             number("amplitude", 1.0))
     raise ValueError(f"unknown v0 form {form!r}")
 
 
@@ -73,7 +72,8 @@ def _per_state(k: ChannelKinetics, table: dict, what: str) -> list:
 
 def uniform_proportions(grid: Grid, k: ChannelKinetics, weights: dict) -> np.ndarray:
     """Spatially constant proportions from per-state weights."""
-    w = np.array([[float(v)] for v in _per_state(k, weights, "p0 weights")])
+    w = np.array([[_of_kind(v, "a number", f"p0 weight of {name!r}")]
+                  for name, v in zip(k.states, _per_state(k, weights, "p0 weights"))])
     if np.any(w < 0):
         raise ValueError("proportion weights must be nonnegative")
     return _exact_simplex(np.repeat(w, grid.cells + 1, axis=1))
@@ -87,11 +87,12 @@ def logistic_proportions(grid: Grid, k: ChannelKinetics, profiles: dict) -> np.n
     """
     x = grid.nodes
     rows = []
-    for prof in _per_state(k, profiles, "p0 profiles"):
-        base = float(prof.get("base", 0.0))
-        amp = float(prof.get("amp", 0.0))
-        slope = float(prof.get("k", 1.0))
-        x0 = float(prof.get("x0", 0.0))
+    for name, prof in zip(k.states, _per_state(k, profiles, "p0 profiles")):
+        what = f"p0 profile of {name!r}"
+        prof = _of_kind(prof, "a mapping", what)
+        base, amp, slope, x0 = (_field(prof, key, "a number", what, default)
+                                for key, default in (("base", 0.0), ("amp", 0.0),
+                                                     ("k", 1.0), ("x0", 0.0)))
         rows.append(base + amp / (1.0 + np.exp(-slope * (x - x0))))
     w = np.asarray(rows)
     if np.any(w < 0):
@@ -100,10 +101,12 @@ def logistic_proportions(grid: Grid, k: ChannelKinetics, profiles: dict) -> np.n
 
 
 def build_p0(grid: Grid, k: ChannelKinetics, spec: dict) -> np.ndarray:
-    form = spec.get("form")
-    params = spec.get("params", {})
+    form = _field(spec, "form", "a string", "p0")
+    params = _field(spec, "params", "a mapping", "p0", {})
     if form == "uniform":
-        return uniform_proportions(grid, k, _field(params, "weights", f"p0 form {form!r}"))
+        return uniform_proportions(
+            grid, k, _field(params, "weights", "a mapping", f"p0 form {form!r}"))
     if form == "logistic":
-        return logistic_proportions(grid, k, _field(params, "profiles", f"p0 form {form!r}"))
+        return logistic_proportions(
+            grid, k, _field(params, "profiles", "a mapping", f"p0 form {form!r}"))
     raise ValueError(f"unknown p0 form {form!r}")

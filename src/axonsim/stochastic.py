@@ -56,7 +56,6 @@ from .errors import InvariantViolation
 from .grid import (
     CrankNicolson,
     Grid,
-    GridFunction,
     all_finite,
     hat_interpolate,
     hat_scatter,
@@ -67,7 +66,8 @@ from .grid import (
     tridiag_factor,
     tridiag_factor_solve,
 )
-from .deterministic import _LEDGER_BLOCK, DissipationLedger, step_count, step_guard
+from .deterministic import (_LEDGER_BLOCK, DissipationLedger, check_start, step_count,
+                            step_guard)
 from .kinetics import ChannelKinetics, rate_table
 
 STOCH_GUARD = 0.2
@@ -95,13 +95,6 @@ class ChannelConfig:
     @property
     def count(self) -> int:
         return self.positions.size
-
-
-@dataclass(eq=False)
-class StochasticState:
-    t: float
-    v: GridFunction
-    channels: ChannelConfig
 
 
 @dataclass(eq=False)
@@ -352,14 +345,10 @@ def seed_id(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def run_stoch(
-    init: StochasticState,
-    t_horizon: float,
-    dt: float,
-    k: ChannelKinetics,
-    seed,
-) -> StochTrajectory:
-    """Simulate the particle model to the horizon with substeps of length dt.
+def run_stoch(grid: Grid, v0: np.ndarray, channels: ChannelConfig, t_horizon: float,
+              dt: float, k: ChannelKinetics, seed) -> StochTrajectory:
+    """Simulate the particle model from the interior voltage ``v0`` and the
+    channels at t = 0 to the horizon with substeps of length dt.
 
     Records voltage snapshots at every substep boundary and the global jump
     log.  Aborts with :class:`InvariantViolation` if the voltage leaves the
@@ -367,17 +356,17 @@ def run_stoch(
     block of substeps at a time, from the snapshots; an error inside a block
     first flushes the ledger, so whichever check fails first raises.
     """
-    grid = init.v.grid
+    check_start(grid, v0, k)
     n_steps = step_count(t_horizon, dt)
     if n_steps:
         step_guard(dt, k, limit=STOCH_GUARD)
     rng = make_rng(seed)
-    core = _HybridCore(grid, k, init.channels, init.v.values)
+    core = _HybridCore(grid, k, channels, v0)
 
-    times = init.t + dt * np.arange(n_steps + 1)
+    times = dt * np.arange(n_steps + 1)
     v_snaps = np.empty((n_steps + 1, grid.n_interior))
-    v_snaps[0] = init.v.values
-    ledger = DissipationLedger(init.v, k, n_steps)
+    v_snaps[0] = v0
+    ledger = DissipationLedger(grid, v0, k, n_steps)
     jt: list[float] = []
     jc: list[int] = []
     js: list[int] = []
@@ -401,9 +390,9 @@ def run_stoch(
 
     return StochTrajectory(
         grid=grid,
-        n_scale=init.channels.n_scale,
-        positions=init.channels.positions,
-        initial_states=init.channels.states.copy(),
+        n_scale=channels.n_scale,
+        positions=channels.positions,
+        initial_states=channels.states.copy(),
         n_states=k.n_states,
         times=times,
         v=v_snaps,

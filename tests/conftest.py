@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -7,6 +8,19 @@ from axonsim.kinetics import make_kinetics
 # per-example time on a loaded host says nothing about correctness.
 settings.register_profile("axonsim", derandomize=True, deadline=None)
 settings.load_profile("axonsim")
+
+
+def pairing(phi, loads):
+    """A load array evaluated on a grid function: sum_j phi_j * loads_j."""
+    return float(phi.values @ loads)
+
+
+def eval_at(u, x):
+    """Linear interpolation of a grid function at x; zero at the endpoints."""
+    g = u.grid
+    if x < -g.half_length or x > g.half_length:
+        raise ValueError(f"x={x} outside [{-g.half_length}, {g.half_length}]")
+    return float(np.interp(x, g.nodes, u.full()))
 
 
 def final_states(traj):

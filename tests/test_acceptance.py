@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from axonsim.decomposition import SERIES
-from axonsim.deterministic import DeterministicState, dissipation_budget, run_det
+from axonsim.deterministic import dissipation_budget, run_det
 from axonsim.grid import GridFunction, build_grid, density_loads
 from axonsim.harness import (
     RunConfig,
@@ -84,7 +84,7 @@ def test_criterion_2_pde_vs_kernel():
         g = build_grid(1.0, cells)
         v0 = fundamental_mode(g)
         p = np.stack([0.5 * np.ones(cells + 1)] * 2)
-        traj = run_det(DeterministicState(0.0, v0, p), t_end, dt, zero_kin)
+        traj = run_det(g, v0.values, p, t_end, dt, zero_kin)
         target = np.exp(-((np.pi / 2) ** 2) * t_end) * v0.values
         return (l2_norm(g, traj.v[-1] - target)
                 / l2_norm(g, target))
@@ -102,7 +102,7 @@ def test_criterion_2_pde_vs_kernel():
 def test_criterion_3_conservation(default_cfg, default_det):
     traj = default_det
     grid, kin, v0, _ = default_cfg.build()
-    v0f = v0.full()
+    v0f = np.pad(v0, 1)
     lo = min(kin.v_minus, float(v0f.min())) - 1e-8
     hi = max(kin.v_plus, float(v0f.max())) + 1e-8
     vmin = min(float(traj.v.min()), 0.0)
@@ -115,7 +115,7 @@ def test_criterion_3_conservation(default_cfg, default_det):
 
 def test_criterion_4_dissipation_bounds(default_cfg, default_det, sweep_outcome):
     grid, kin, v0, _ = default_cfg.build()
-    s0 = l2_norm(grid, v0.values)
+    s0 = l2_norm(grid, v0)
     det = default_det
     det_ok = all(
         det.dissipation[i] <= dissipation_budget(

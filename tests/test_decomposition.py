@@ -28,21 +28,15 @@ from axonsim.grid import (
     hat_scatter_arrays,
     hat_weights,
     hminus1_norms,
-    pairing,
     riesz_chunk,
     squared_norms,
 )
 from axonsim.harness import RunConfig, deviation_metrics, run_reference, run_replicate
 from axonsim.kinetics import make_kinetics, rate_table
 from axonsim.profiles import fundamental_mode
-from axonsim.stochastic import (
-    StochasticState,
-    StochTrajectory,
-    make_rng,
-    run_stoch,
-)
+from axonsim.stochastic import StochTrajectory, make_rng
 from axonsim.validate import _frozen_reference_trajectory
-from conftest import final_states
+from conftest import final_states, pairing
 from test_grid import add_at_scatter
 
 

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from axonsim.deterministic import (
     _rk4_prop,
     _weighted_mass_bands,
     DetTrajectory,
-    DeterministicState,
     DissipationLedger,
+    check_start,
     dissipation_budget,
     run_det,
     step_guard,
@@ -26,7 +27,6 @@ from axonsim.deterministic import (
 )
 from axonsim.errors import InvariantViolation
 from axonsim.grid import (
-    GridFunction,
     build_grid,
     density_loads,
     gradient_sq,
@@ -38,6 +38,7 @@ from axonsim.harness import RunConfig
 from axonsim.heat import KernelParams, apply_semigroup
 from axonsim.kinetics import make_kinetics
 from axonsim.profiles import fundamental_mode, gaussian_bump
+from axonsim.stochastic import init_channels, make_rng, run_stoch
 from test_decomposition import CHAIN5
 
 
@@ -70,9 +71,11 @@ def l2_norm(g, values):
 
 
 def uniform_state(grid, v0, p_open):
+    """run_det's (grid, v0, p0) for the profile ``v0`` and spatially
+    constant proportions."""
     n = grid.cells + 1
     p = np.stack([(1 - p_open) * np.ones(n), p_open * np.ones(n)])
-    return DeterministicState(t=0.0, v=v0, p=p)
+    return grid, v0.values, p
 
 
 class TestStepDet:
@@ -80,13 +83,13 @@ class TestStepDet:
         g = build_grid(1.0, 20)
         state = uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3)
         with pytest.raises(ValueError):
-            run_det(state, 0.2, 0.2, kinetics(up=5.0, down=5.0))
+            run_det(*state, 0.2, 0.2, kinetics(up=5.0, down=5.0))
 
     def test_pure_heat_decay(self):
         g = build_grid(1.0, 400)
         k = kinetics(c_open=0.0)
         state = uniform_state(g, fundamental_mode(g), 0.5)
-        traj = run_det(state, 0.5, 1e-3, k)
+        traj = run_det(*state, 0.5, 1e-3, k)
         target = np.exp(-((np.pi / 2) ** 2) * 0.5) * fundamental_mode(g).values
         err = l2_norm(g, traj.v[-1] - target)
         assert err / l2_norm(g, target) < 1e-3
@@ -95,7 +98,7 @@ class TestStepDet:
         g = build_grid(1.0, 200)
         k = kinetics(c_open=0.0)
         bump = gaussian_bump(g, center=0.2, width=0.3, amplitude=0.4)
-        traj = run_det(uniform_state(g, bump, 0.5), 0.2, 1e-3, k)
+        traj = run_det(*uniform_state(g, bump, 0.5), 0.2, 1e-3, k)
         oracle = apply_semigroup(0.2, bump, KernelParams(1.0))
         assert np.max(np.abs(traj.v[-1] - oracle.values)) < 2e-4
 
@@ -103,7 +106,7 @@ class TestStepDet:
         alpha, beta = 0.8, 0.4
         g = build_grid(1.0, 50)
         k = kinetics(up=alpha, down=beta)
-        traj = run_det(uniform_state(g, fundamental_mode(g, amplitude=0.3), 0.1),
+        traj = run_det(*uniform_state(g, fundamental_mode(g, amplitude=0.3), 0.1),
                        1.0, 1e-3, k)
         pi_open = alpha / (alpha + beta)
         expected = pi_open + (0.1 - pi_open) * np.exp(-(alpha + beta))
@@ -113,12 +116,12 @@ class TestStepDet:
 class StepLedger:
     """The per-step dissipation ledger the block ledger replaced, as its oracle."""
 
-    def __init__(self, v0, k, n_steps):
-        l2sq, self._grad_sq = squared_norms(v0.grid, v0.values)
+    def __init__(self, grid, v0, k, n_steps):
+        l2sq, self._grad_sq = squared_norms(grid, v0)
         self.s0 = float(np.sqrt(l2sq))
-        self.sup_inf = float(np.max(np.abs(v0.values)))
+        self.sup_inf = float(np.max(np.abs(v0)))
         self.values = np.zeros(n_steps + 1)
-        self.grid = v0.grid
+        self.grid = grid
         self.k = k
 
     def record(self, step, t, dt, v):
@@ -158,12 +161,10 @@ class TestDissipationLedger:
         if nan_at is not None and nan_at <= n_steps:
             v[nan_at] = np.nan
         times = t0 + dt * np.arange(n_steps + 1)
-        v0 = GridFunction(g, v[0])
-
-        oracle = StepLedger(v0, k, n_steps)
+        oracle = StepLedger(g, v[0], k, n_steps)
         expected = ledger_outcome(lambda: [
             oracle.record(m, float(times[m]), dt, v[m]) for m in range(1, n_steps + 1)])
-        ledger = DissipationLedger(v0, k, n_steps)
+        ledger = DissipationLedger(g, v[0], k, n_steps)
         stops = [*range(block, n_steps, block), n_steps]
         got = ledger_outcome(lambda: [ledger.record(stop, times, dt, v) for stop in stops])
         assert got == expected
@@ -176,31 +177,45 @@ class TestRunDet:
     def test_zero_horizon_returns_initial(self):
         g = build_grid(1.0, 20)
         state = uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3)
-        traj = run_det(state, 0.0, 1e-3, kinetics())
+        traj = run_det(*state, 0.0, 1e-3, kinetics())
         assert traj.n_times == 1
-        assert np.array_equal(traj.v[0], state.v.values)
+        assert np.array_equal(traj.v[0], state[1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_proportions_rejected(self, bad):
         """A NaN fails the sum and range comparisons, so it is checked first."""
         g = build_grid(1.0, 20)
-        state = uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3)
-        state.p[1, 7] = bad
+        _, v0, p = uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3)
+        p[1, 7] = bad
         with pytest.raises(ValueError, match="proportions must be finite at t=0.0"):
-            state.validate(kinetics())
+            check_start(g, v0, kinetics(), p)
         with pytest.raises(ValueError, match="proportions must be finite"):
-            run_det(state, 0.0, 1e-3, kinetics())
+            run_det(g, v0, p, 0.0, 1e-3, kinetics())
+
+    @pytest.mark.parametrize("shape", [(18,), (20,), (1, 19), ()])
+    def test_start_voltage_must_be_the_interior_values(self, shape):
+        """Both integrators take the interior voltage as a plain array,
+        and both reject one of any other shape."""
+        g = build_grid(1.0, 20)
+        k = kinetics()
+        _, _, p = uniform_state(g, fundamental_mode(g), 0.3)
+        channels = init_channels(g, 5, p, "stratified", make_rng(0))
+        message = f"expected 19 interior values, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_det(g, np.zeros(shape), p, 0.01, 1e-3, k)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_stoch(g, np.zeros(shape), channels, 0.01, 1e-3, k, 0)
 
     def test_simplex_preserved_to_roundoff(self):
         g = build_grid(1.0, 100)
-        traj = run_det(uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
+        traj = run_det(*uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
                        0.5, 1e-3, kinetics(form="sigmoid"))
         assert traj.max_prop_sum_error < 1e-12
         assert traj.p.min() >= -1e-9 and traj.p.max() <= 1 + 1e-9
 
     def test_voltage_stays_in_band(self):
         g = build_grid(1.0, 100)
-        traj = run_det(uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
+        traj = run_det(*uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
                        1.0, 1e-3, kinetics(form="sigmoid"))
         assert traj.v.min() >= -0.2 - 1e-8
         assert traj.v.max() <= 1.0 + 1e-8
@@ -208,7 +223,7 @@ class TestRunDet:
     def test_dissipation_monotone_and_budgeted(self):
         g = build_grid(1.0, 100)
         k = kinetics(form="sigmoid")
-        traj = run_det(uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
+        traj = run_det(*uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
                        1.0, 1e-3, k)
         assert np.all(np.diff(traj.dissipation) >= 0)
         v0 = fundamental_mode(g, amplitude=0.5)
@@ -223,7 +238,7 @@ class TestRunDet:
         finals = {}
         for cells, dt in ((100, 2e-3), (200, 1e-3), (400, 5e-4)):
             g = build_grid(1.0, cells)
-            traj = run_det(uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
+            traj = run_det(*uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
                            0.4, dt, k)
             finals[cells] = traj.v[-1]
         coarse = np.max(np.abs(finals[200][1::2] - finals[100]))
@@ -235,7 +250,7 @@ class TestRunDet:
         sups = []
         for cells, dt in ((100, 2e-3), (200, 1e-3)):
             g = build_grid(1.0, cells)
-            traj = run_det(uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
+            traj = run_det(*uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
                            0.4, dt, k)
             full = np.zeros((traj.n_times, cells + 1))
             full[:, 1:-1] = traj.v
@@ -244,15 +259,16 @@ class TestRunDet:
         assert 0.8 <= sups[1] / sups[0] <= 1.25
 
 
-def reference_step_det(state, dt, k):
+def reference_step_det(grid, state, dt, k):
     """The Strang step with fresh bands on every call and scipy's banded
-    solve: the oracle for run_det's kernel."""
+    solve: the oracle for run_det's kernel.  ``state`` is the tuple (t,
+    interior voltage, proportions), and so is the result."""
+    t, v, p = state
     step_guard(dt, k, limit=0.5)
-    grid = state.v.grid
     kd, ko = stiffness_bands(grid)
     md, mo = mass_bands(grid)
-    p_mid = _rk4_prop(state.p, _generator(k, state.v.full()), 0.5 * dt)
-    p_mid = _clip_proportions(p_mid, state.t)
+    p_mid = _rk4_prop(p, _generator(k, np.pad(v, 1)), 0.5 * dt)
+    p_mid = _clip_proportions(p_mid, t)
     a = k.conductance @ p_mid
     b = (k.conductance * k.driving) @ p_mid
     ad, ao = _weighted_mass_bands(a, grid.h)
@@ -260,51 +276,50 @@ def reference_step_det(state, dt, k):
     lhs_o = mo + 0.5 * dt * (ko + ao)
     rhs_d = md - 0.5 * dt * (kd + ad)
     rhs_o = mo - 0.5 * dt * (ko + ao)
-    v = state.v.values
     rhs = rhs_d * v
     rhs[:-1] += rhs_o * v[1:]
     rhs[1:] += rhs_o * v[:-1]
     rhs += dt * density_loads(grid, b)
-    v_new = GridFunction(grid, solve_banded((1, 1), np.stack([
-        np.concatenate(([0.0], lhs_o)), lhs_d, np.concatenate((lhs_o, [0.0]))]), rhs))
-    p_new = _rk4_prop(p_mid, _generator(k, v_new.full()), 0.5 * dt)
-    p_new = _clip_proportions(p_new, state.t + dt)
-    return DeterministicState(t=state.t + dt, v=v_new, p=p_new)
+    v_new = solve_banded((1, 1), np.stack([
+        np.concatenate(([0.0], lhs_o)), lhs_d, np.concatenate((lhs_o, [0.0]))]), rhs)
+    p_new = _rk4_prop(p_mid, _generator(k, np.pad(v_new, 1)), 0.5 * dt)
+    p_new = _clip_proportions(p_new, t + dt)
+    return t + dt, v_new, p_new
 
 
-def per_step_run_det(init, t_horizon, dt, k, step_fn=reference_step_det):
+def per_step_run_det(grid, v0, p0, t_horizon, dt, k, step_fn=reference_step_det):
     """run_det as one step and one ledger record per step, as its oracle."""
-    grid = init.v.grid
     n_steps = int(round(t_horizon / dt)) if t_horizon > 0 else 0
-    v0_full = init.v.full()
+    v0_full = np.pad(v0, 1)
     v_lo = min(k.v_minus, float(v0_full.min()))
     v_hi = max(k.v_plus, float(v0_full.max()))
     times = np.empty(n_steps + 1)
     v_snaps = np.empty((n_steps + 1, grid.n_interior))
     p_snaps = np.empty((n_steps + 1, k.n_states, grid.cells + 1))
-    ledger = DissipationLedger(init.v, k, n_steps)
-    state = init
-    times[0] = init.t
-    v_snaps[0] = init.v.values
-    p_snaps[0] = init.p
-    max_sum_err = float(np.max(np.abs(init.p.sum(axis=0) - 1.0)))
+    ledger = DissipationLedger(grid, v0, k, n_steps)
+    state = (0.0, v0, p0)
+    times[0] = 0.0
+    v_snaps[0] = v0
+    p_snaps[0] = p0
+    max_sum_err = float(np.max(np.abs(p0.sum(axis=0) - 1.0)))
     for step in range(1, n_steps + 1):
-        state = step_fn(state, dt, k)
-        times[step] = state.t
-        v_snaps[step] = state.v.values
-        p_snaps[step] = state.p
-        sum_err = float(np.max(np.abs(state.p.sum(axis=0) - 1.0)))
+        state = step_fn(grid, state, dt, k)
+        t, v, p = state
+        times[step] = t
+        v_snaps[step] = v
+        p_snaps[step] = p
+        sum_err = float(np.max(np.abs(p.sum(axis=0) - 1.0)))
         max_sum_err = max(max_sum_err, sum_err)
         if sum_err > PROP_SUM_TOL:
             raise InvariantViolation(
-                f"proportion total off by {sum_err:.3e} at t={state.t}"
+                f"proportion total off by {sum_err:.3e} at t={t}"
             )
-        vmin, vmax = float(state.v.values.min()), float(state.v.values.max())
+        vmin, vmax = float(v.min()), float(v.max())
         vmin, vmax = min(vmin, 0.0), max(vmax, 0.0)
         if vmin < v_lo - VOLTAGE_TOL or vmax > v_hi + VOLTAGE_TOL:
             raise InvariantViolation(
                 f"voltage [{vmin:.6f}, {vmax:.6f}] escaped "
-                f"[{v_lo}, {v_hi}] at t={state.t}"
+                f"[{v_lo}, {v_hi}] at t={t}"
             )
         ledger.record(step, times, dt, v_snaps)
     return DetTrajectory(grid=grid, state_names=k.states, times=times, v=v_snaps,
@@ -315,9 +330,8 @@ def per_step_run_det(init, t_horizon, dt, k, step_fn=reference_step_det):
 def det_args(overrides):
     """run_det's arguments for the reference run of a config."""
     cfg = RunConfig.from_dict(overrides)
-    _, kin, v0, p0 = cfg.build()
-    init = DeterministicState(t=0.0, v=v0, p=p0)
-    return init, cfg.time_horizon, cfg.dt, kin
+    grid, kin, v0, p0 = cfg.build()
+    return grid, v0, p0, cfg.time_horizon, cfg.dt, kin
 
 
 def run_outcome(run, *args, **kwargs):
@@ -411,10 +425,10 @@ class TestRunDetMatchesStepLoop:
             p, v, gen = kernel(p, v, gen, t, *rest)
             return (*inject(p, v, t), gen)
 
-        def faulty_reference(state, dt, k):
-            new = reference_step_det(state, dt, k)
-            p, v = inject(new.p, new.v.values, state.t)
-            return DeterministicState(t=new.t, v=GridFunction(new.v.grid, v), p=p)
+        def faulty_reference(grid, state, dt, k):
+            t, v, p = reference_step_det(grid, state, dt, k)
+            p, v = inject(p, v, state[0])
+            return t, v, p
 
         monkeypatch.setattr(deterministic, "_strang_step", faulty)
         got = run_outcome(run_det, *args)
@@ -486,7 +500,7 @@ EDGE_FLOATS = st.one_of(
 class TestExports:
     def test_trajectory_csv(self, tmp_path):
         g = build_grid(1.0, 10)
-        traj = run_det(uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
+        traj = run_det(*uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
                        0.02, 1e-2, kinetics())
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
@@ -498,7 +512,7 @@ class TestExports:
 
     def test_summary_csv(self, tmp_path):
         g = build_grid(1.0, 10)
-        traj = run_det(uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
+        traj = run_det(*uniform_state(g, fundamental_mode(g, amplitude=0.5), 0.3),
                        0.02, 1e-2, kinetics())
         path = tmp_path / "summary.csv"
         write_summary_csv(traj, path)
@@ -517,8 +531,8 @@ class TestExports:
         else:
             k = five_state_kinetics
             p = np.full((5, g.cells + 1), 0.2)
-            init = DeterministicState(t=0.0, v=fundamental_mode(g, amplitude=0.5), p=p)
-        traj = run_det(init, 0.07, 1e-2, k)
+            init = (g, fundamental_mode(g, amplitude=0.5).values, p)
+        traj = run_det(*init, 0.07, 1e-2, k)
         assert traj.n_times % 3 != 0
         assert_same_bytes(write_trajectory_csv, reference_trajectory_csv, traj,
                           tmp_path, stride)

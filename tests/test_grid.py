@@ -15,7 +15,6 @@ from axonsim.grid import (
     build_grid,
     delta_loads,
     density_loads,
-    eval_at,
     hat_interpolate,
     hat_scatter,
     hat_scatter_arrays,
@@ -24,7 +23,6 @@ from axonsim.grid import (
     hat_weights,
     hminus1_norms,
     mass_bands,
-    pairing,
     riesz_cholesky,
     riesz_solve,
     squared_norms,
@@ -34,6 +32,7 @@ from axonsim.grid import (
     tridiag_factor_solve,
     tridiag_solve,
 )
+from conftest import eval_at, pairing
 
 GAUSS2 = np.polynomial.legendre.leggauss(2)
 

@@ -1,10 +1,13 @@
 import concurrent.futures
+import copy
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import multiprocessing
+import operator
 import os
 from concurrent.futures.process import BrokenProcessPool
 
@@ -56,6 +59,28 @@ CONFIG_VALUES = st.one_of(
     st.integers(max_value=-1),
     st.floats(allow_nan=False, allow_infinity=False).filter(
         lambda x: x < 0 or not x.is_integer()))
+
+# Replacements for a value at any path of the config tree: every JSON kind,
+# NaN, the infinities, the largest magnitudes, and negative and non-integral
+# numbers.
+NESTED_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(-2, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]),
+    st.integers(max_value=-1),
+    st.floats(-1e3, 1e3).filter(lambda x: not x.is_integer()))
+
+
+def config_paths(node, path=()):
+    """The path, as keys and list indices, of every value in a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [found for key, child in items
+            for found in [path + (key,), *config_paths(child, path + (key,))]]
 
 
 class TestRunConfig:
@@ -121,6 +146,29 @@ class TestRunConfig:
         except ValueError:
             return
         assert cfg.raw[key] is value
+
+    @given(data=st.data())
+    def test_nested_mutations_give_a_config_or_a_value_error(self, data):
+        """One to three mutations of the default config, each at a drawn path
+        of its tree (a state's field, a rate parameter, a clamp bound, a
+        ``v0`` or ``p0`` param, ...): the key is deleted, or its value
+        replaced.  No top-level size (``cells``, ``replicates``,
+        ``sweep_n``) is drawn: a cell count of 10**12 is well formed, and
+        validation allocates its mesh.  The top-level test above covers
+        their kinds."""
+        config = copy.deepcopy(DEFAULT_CONFIG)
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from([p for p in config_paths(config) if p[0] not in (
+                "cells", "replicates", "sweep_n")]))
+            parent = functools.reduce(operator.getitem, path[:-1], config)
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(NESTED_VALUES)
+        try:
+            RunConfig.from_dict(config)
+        except ValueError:
+            pass
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -573,10 +621,30 @@ class TestCli:
          "config field 'cells' must be an integer, got 10.5"),
         ("det", json.dumps({**SMALL, "replicates": 2.5}),
          "config field 'replicates' must be an integer, got 2.5"),
+        ("det", json.dumps({**SMALL, "kinetics": {"states": 5}}),
+         "kinetics field 'states' must be a list, got 5"),
+        ("det", json.dumps({**SMALL, "kinetics": {"states": [1, 2]}}),
+         "state 0 must be a mapping, got 1"),
+        ("det", json.dumps({**SMALL, "kinetics": {**DEFAULT_CONFIG["kinetics"], "rates": 3}}),
+         "kinetics field 'rates' must be a list, got 3"),
+        ("det", json.dumps({**SMALL, "kinetics": {**DEFAULT_CONFIG["kinetics"], "clamp": 5}}),
+         "kinetics field 'clamp' must be a list, got 5"),
+        ("det", json.dumps({**SMALL, "v0": {"form": "eigenfunction", "params": []}}),
+         "v0 field 'params' must be a mapping, got []"),
+        ("det", json.dumps({**SMALL, "v0": {"form": "eigenfunction",
+                                            "params": {"mode": None}}}),
+         "v0 form 'eigenfunction' field 'mode' must be an integer, got None"),
+        ("det", json.dumps({**SMALL, "v0": {"form": "eigenfunction",
+                                            "params": {"mode": 1.5}}}),
+         "v0 form 'eigenfunction' field 'mode' must be an integer, got 1.5"),
+        ("det", json.dumps({**SMALL, "half_length": 1.5e308}),
+         "the mesh and v0 must be finite"),
     ], ids=["cells-2", "unknown-state", "p0-unknown-state", "state-without-c",
             "p0-without-weights", "v0-without-width", "missing-file", "malformed-json",
             "sweep-n-not-a-list", "kinetics-a-list", "top-level-list", "null-horizon",
-            "fractional-cells", "fractional-replicates"])
+            "fractional-cells", "fractional-replicates", "states-not-a-list",
+            "state-not-a-mapping", "rates-not-a-list", "clamp-not-a-list",
+            "v0-params-a-list", "null-mode", "fractional-mode", "overflowing-mesh"])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, command, text, message):
         from axonsim.cli import main
 

@@ -21,10 +21,6 @@ CALL_HOMES = {
 # Acceptance entry points that the acceptance suite calls and no program path does.
 ACCEPTANCE_ENTRY_POINTS = {"self_convergence_suite", "strip_wall_clock"}
 
-# The tests' independent oracles: point evaluation by ``np.interp`` and the
-# plain dot product of a grid function with a load array.
-TEST_ORACLES = {"eval_at", "pairing"}
-
 
 def test_all_is_sorted_unique_and_resolves():
     names = list(axonsim.__all__)
@@ -36,21 +32,29 @@ def test_all_is_sorted_unique_and_resolves():
 
 
 def test_no_test_only_definitions():
-    """Every module-level function and class is referenced by a package
-    module other than ``__init__``, or is an allowlisted acceptance entry
-    point or test oracle; exporting a name in ``__all__`` does not keep it."""
+    """Every module-level function and class, and every method and property
+    of a package class, is referenced by a package module other than
+    ``__init__``, or is an allowlisted acceptance entry point; exporting a
+    name in ``__all__`` does not keep it.  Dunder methods are called by
+    Python itself, so they need no reference."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined, referenced = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        defined.update((node.name, path.name) for node in tree.body if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        for node in tree.body:
+            if isinstance(node, defs):
+                defined[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                defined.update((f"{node.name}.{member.name}", path.name)
+                               for member in node.body if isinstance(member, defs)
+                               and not member.name.startswith("__"))
         if path.name != "__init__.py":
             referenced.update(node.id if isinstance(node, ast.Name) else node.attr
                               for node in ast.walk(tree)
                               if isinstance(node, (ast.Name, ast.Attribute)))
-    kept = referenced | ACCEPTANCE_ENTRY_POINTS | TEST_ORACLES
+    kept = referenced | ACCEPTANCE_ENTRY_POINTS
     assert sorted(f"{module}: {name}" for name, module in defined.items()
-                  if name not in kept) == []
+                  if name.rsplit(".", 1)[-1] not in kept) == []
 
 
 def _functions(tree):

@@ -12,7 +12,6 @@ from axonsim.grid import (
     GridFunction,
     build_grid,
     density_loads,
-    eval_at,
     hat_interpolate,
     hat_scatter,
     hat_scatter_arrays,
@@ -25,7 +24,6 @@ from axonsim.kinetics import make_kinetics, rate_table
 from axonsim.profiles import fundamental_mode
 from axonsim.deterministic import _LEDGER_BLOCK
 from axonsim.stochastic import (
-    StochasticState,
     StochTrajectory,
     channel_positions,
     init_channels,
@@ -36,7 +34,7 @@ from axonsim.stochastic import (
     write_voltage_csv,
     _HybridCore,
 )
-from conftest import final_states
+from conftest import eval_at, final_states
 from test_decomposition import (
     CHAIN5,
     cached_replicate,
@@ -70,8 +68,7 @@ def initial_c_loads(cfg, g):
     """The empirical distributions C_xi(0) as the replay scatters them: the
     (n_states, n_int) ``c`` loads at time 0 of a zero-horizon run."""
     k = kinetics()
-    state = StochasticState(0.0, GridFunction(g, np.zeros(g.n_interior)), cfg)
-    traj = run_stoch(state, 0.0, 1e-3, k, 0)
+    traj = run_stoch(g, np.zeros(g.n_interior), cfg, 0.0, 1e-3, k, 0)
     return streamed_series(traj, k, ("c",))[1]["c"][0]
 
 
@@ -221,33 +218,32 @@ class TestChannelSource:
         cfg = RunConfig.from_dict({"default": {}, "chain5": CHAIN5}[config])
         grid, kin, v0, p0 = cfg.build()
         channels = init_channels(grid, n_scale, p0, cfg.init_mode, make_rng(5))
-        core = _HybridCore(grid, kin, channels, v0.values)
+        core = _HybridCore(grid, kin, channels, v0)
         for got, ref in zip((core.bd, core.bo, core.cload),
                             add_at_source(grid, kin, channels)):
             assert np.array_equal(got, ref)
 
 
 class TestStepStoch:
-    """One-substep runs: ``run_stoch(init, dt, dt, k, rng)``."""
+    """One-substep runs: ``run_stoch(grid, v0, channels, dt, dt, k, rng)``."""
 
     def test_no_jump_branch_is_static_source_solve(self):
         g = build_grid(1.0, 50)
         k = kinetics(up=0.01, down=0.01)  # alpha_min floor, jumps unlikely
         cfg = init_channels(g, 20, uniform_p0(g, 0.5), "stratified", make_rng(0))
-        state = StochasticState(0.0, fundamental_mode(g, amplitude=0.5), cfg)
+        v = fundamental_mode(g, amplitude=0.5).values
         dt = 1e-3
-        traj = run_stoch(state, dt, dt, k, make_rng(42))
+        traj = run_stoch(g, v, cfg, dt, dt, k, make_rng(42))
         assert traj.jump_times.size == 0
         assert np.array_equal(final_states(traj), cfg.states)
         # against a hand-rolled single Crank-Nicolson solve with frozen sources
         from axonsim.grid import mass_bands, stiffness_bands
 
-        core = _HybridCore(g, k, cfg, state.v.values)
+        core = _HybridCore(g, k, cfg, v)
         kd, ko = stiffness_bands(g)
         md, mo = mass_bands(g)
         diag = kd + core.bd
         off = ko + core.bo
-        v = state.v.values
         rhs = (md - dt / 2 * diag) * v
         rhs[:-1] += (mo - dt / 2 * off) * v[1:]
         rhs[1:] += (mo - dt / 2 * off) * v[:-1]
@@ -263,8 +259,8 @@ class TestStepStoch:
         g = build_grid(1.0, 20)
         k = kinetics(up=2.0, down=2.0)
         cfg = init_channels(g, 20, uniform_p0(g, 0.5), "stratified", make_rng(0))
-        state = StochasticState(0.0, fundamental_mode(g, amplitude=0.5), cfg)
-        traj = run_stoch(state, 0.05, 0.05, k, make_rng(3))
+        traj = run_stoch(g, fundamental_mode(g, amplitude=0.5).values, cfg, 0.05, 0.05,
+                         k, make_rng(3))
         jumps = list(zip(traj.jump_times.tolist(), traj.jump_channel.tolist(),
                          traj.jump_src.tolist(), traj.jump_dst.tolist()))
         assert jumps
@@ -279,9 +275,8 @@ class TestStepStoch:
     def test_guard(self):
         g = build_grid(1.0, 10)
         cfg = init_channels(g, 5, uniform_p0(g, 0.5), "stratified", make_rng(0))
-        state = StochasticState(0.0, GridFunction(g, np.zeros(9)), cfg)
         with pytest.raises(ValueError):
-            run_stoch(state, 0.5, 0.5, kinetics(), make_rng(0))
+            run_stoch(g, np.zeros(9), cfg, 0.5, 0.5, kinetics(), make_rng(0))
 
     def test_decoupled_marginal_matches_closed_form(self):
         # conductance zero decouples everything: each channel is an
@@ -293,8 +288,7 @@ class TestStepStoch:
         rng = make_rng(123)
         cfg = init_channels(g, 5001, p0, "iid", rng)
         assert cfg.count == 10001
-        state = StochasticState(0.0, GridFunction(g, np.zeros(39)), cfg)
-        traj = run_stoch(state, 0.5, 0.05, k, rng)
+        traj = run_stoch(g, np.zeros(39), cfg, 0.5, 0.05, k, rng)
         frac_open = (final_states(traj) == 1).mean()
         pi = alpha / (alpha + beta)
         expected = pi + (0.1 - pi) * np.exp(-(alpha + beta) * 0.5)
@@ -309,8 +303,8 @@ class TestStepStoch:
         def one():
             rng = make_rng(77)
             cfg = init_channels(g, 50, p0, "iid", rng)
-            state = StochasticState(0.0, fundamental_mode(g, amplitude=0.5), cfg)
-            return run_stoch(state, 0.2, 1e-3, k, rng)
+            return run_stoch(g, fundamental_mode(g, amplitude=0.5).values, cfg, 0.2, 1e-3,
+                             k, rng)
 
         a, b = one(), one()
         assert np.array_equal(a.v, b.v)
@@ -322,8 +316,7 @@ class TestRunStoch:
     def test_zero_horizon(self):
         g = build_grid(1.0, 20)
         cfg = init_channels(g, 10, uniform_p0(g, 0.5), "stratified", make_rng(0))
-        traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
-                         0.0, 1e-3, kinetics(), 5)
+        traj = run_stoch(g, fundamental_mode(g, 0.5).values, cfg, 0.0, 1e-3, kinetics(), 5)
         assert traj.n_times == 1 and traj.jump_times.size == 0
 
     @pytest.mark.parametrize("cells", [2, 3])
@@ -331,12 +324,12 @@ class TestRunStoch:
         """A one-node grid has no off-diagonal for the point sources' operator."""
         g = build_grid(1.0, cells)
         cfg = init_channels(g, 3, uniform_p0(g, 0.5), "stratified", make_rng(0))
-        init = StochasticState(0.0, fundamental_mode(g, 0.5), cfg)
+        start = (g, fundamental_mode(g, 0.5).values, cfg)
         if cells < 3:
             with pytest.raises(ValueError, match="cells >= 3, got 2"):
-                run_stoch(init, 0.01, 1e-3, kinetics(), 0)
+                run_stoch(*start, 0.01, 1e-3, kinetics(), 0)
         else:
-            traj = run_stoch(init, 0.01, 1e-3, kinetics(), 0)
+            traj = run_stoch(*start, 0.01, 1e-3, kinetics(), 0)
             assert traj.n_times == 11 and np.all(np.isfinite(traj.v))
 
     def test_zero_conductance_matches_heat_oracle(self):
@@ -344,7 +337,7 @@ class TestRunStoch:
         k = kinetics(c_open=0.0)
         cfg = init_channels(g, 100, uniform_p0(g, 0.3), "stratified", make_rng(7))
         v0 = fundamental_mode(g, amplitude=0.5)
-        traj = run_stoch(StochasticState(0.0, v0, cfg), 0.2, 1e-3, k, 7)
+        traj = run_stoch(g, v0.values, cfg, 0.2, 1e-3, k, 7)
         oracle = apply_semigroup(0.2, v0, KernelParams(1.0))
         assert np.max(np.abs(traj.v[-1] - oracle.values)) < 1e-4
 
@@ -356,7 +349,7 @@ class TestRunStoch:
         counts = []
         for rep in range(20):
             cfg = init_channels(g, 50, uniform_p0(g, 0.3), "stratified", make_rng(rep))
-            traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
+            traj = run_stoch(g, fundamental_mode(g, 0.5).values, cfg,
                              t_hor, 5e-3, k, rep)
             counts.append(traj.jump_times.size)
         mean = np.mean(counts)
@@ -368,7 +361,7 @@ class TestRunStoch:
         g = build_grid(1.0, 40)
         k = kinetics()
         cfg = init_channels(g, 60, uniform_p0(g, 0.3), "stratified", make_rng(3))
-        traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
+        traj = run_stoch(g, fundamental_mode(g, 0.5).values, cfg,
                          0.5, 2e-3, k, 3)
         total0 = cfg.count
         states = traj.initial_states.copy()
@@ -382,7 +375,7 @@ class TestRunStoch:
         g = build_grid(1.0, 40)
         k = kinetics()
         cfg = init_channels(g, 60, uniform_p0(g, 0.3), "stratified", make_rng(9))
-        traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
+        traj = run_stoch(g, fundamental_mode(g, 0.5).values, cfg,
                          0.3, 2e-3, k, 9)
         assert traj.jump_times.size > 0
         c_loads = streamed_series(traj, k, ("c",))[1]["c"]
@@ -397,7 +390,7 @@ class TestRunStoch:
         cfg = init_channels(g, 40, uniform_p0(g, 0.5), "stratified", make_rng(1))
         # channels in the outermost cells exercise the truncated hat weights
         assert np.max(np.abs(cfg.positions)) > g.nodes[-2]
-        traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
+        traj = run_stoch(g, fundamental_mode(g, 0.5).values, cfg,
                          0.1, 1e-3, k, 1)
         assert traj.v.shape[1] == g.n_interior
 
@@ -439,7 +432,7 @@ class TestExports:
         g = build_grid(1.0, 10)
         k = kinetics()
         cfg = init_channels(g, 10, uniform_p0(g, 0.5), "stratified", make_rng(0))
-        traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
+        traj = run_stoch(g, fundamental_mode(g, 0.5).values, cfg,
                          0.05, 1e-2, k, 11)
         write_voltage_csv(traj, tmp_path / "v.csv")
         write_jump_csv(traj, tmp_path / "jumps.csv", state_names=k.states)
@@ -465,7 +458,7 @@ class TestExports:
         k = kinetics() if chain == "two-state" else five_state_kinetics
         p0 = np.full((k.n_states, g.cells + 1), 1.0 / k.n_states)
         cfg = init_channels(g, 20, p0, "iid", make_rng(3))
-        traj = run_stoch(StochasticState(0.0, fundamental_mode(g, 0.5), cfg),
+        traj = run_stoch(g, fundamental_mode(g, 0.5).values, cfg,
                          0.07, 1e-2, k, 5)
         assert traj.n_times % 3 != 0 and traj.jump_times.size > 0
         write_voltage_csv(traj, tmp_path / "v.csv", stride=stride)

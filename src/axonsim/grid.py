@@ -13,6 +13,11 @@ interpolant:
 where K and M are the stiffness and mass matrices of the hat basis.  The
 dual norm is therefore the exact supremum of theta . loads over grid
 functions with ||theta||_H1 <= 1.
+
+Two kernels solve.  :class:`CrankNicolson` takes every voltage step of
+both integrators: it holds a step's system, formed once per operator and
+step length, and steps any voltage with it.  :func:`riesz_solve` takes the
+dual-norm solves with the banded Cholesky factor of K + M.
 """
 
 from __future__ import annotations
@@ -119,17 +124,17 @@ def riesz_cholesky(grid: Grid) -> np.ndarray:
 
 # --- direct LAPACK solves ---------------------------------------------------
 #
-# scipy.linalg's banded solvers call these same routines on the same bands,
-# so the results are bit-identical to theirs; calling them directly skips
-# the per-call argument handling, which costs several times the solve of one
-# tridiagonal system.  Their input checks stay: non-finite input raises
-# ValueError and a singular matrix LinAlgError.  The finiteness check is
-# :func:`all_finite`, one BLAS dot per array, which gives the elementwise
-# scan's answer for about half its cost: on a system of a few hundred
-# unknowns the scan of the four arrays cost as much as the solve.
+# Two LAPACK routines make every solve: ``gtsv`` in :meth:`CrankNicolson.solve`
+# each tridiagonal one, and ``pbtrs`` in :func:`riesz_solve` each dual-norm
+# one.  scipy.linalg's banded solvers call the same routines on the same
+# bands, so the results are bit-identical to theirs; calling them directly
+# skips the per-call argument handling, which costs several times the solve
+# of one tridiagonal system.  Their input checks stay: non-finite input
+# raises ValueError and a singular matrix LinAlgError.  The finiteness check
+# is :func:`all_finite`, one BLAS dot per array, which gives the elementwise
+# scan's answer for about half its cost.
 
-_gtsv, _gttrf, _gttrs, _pbtrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs", "pbtrs"),
-                                                 dtype=np.float64)
+_gtsv, _pbtrs = get_lapack_funcs(("gtsv", "pbtrs"), dtype=np.float64)
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -145,55 +150,6 @@ def all_finite(a: np.ndarray) -> bool:
     """
     flat = a.ravel(order="K")
     return math.isfinite(np.vdot(flat, flat)) or bool(np.isfinite(a).all())
-
-
-def _check_finite(*arrays: np.ndarray) -> None:
-    """The banded solvers' input check: ValueError unless every entry of
-    every array is finite, as scipy's ``check_finite`` raises it."""
-    for a in {id(a): a for a in arrays}.values():  # one check of an array passed twice
-        if not all_finite(a):
-            raise ValueError("array must not contain infs or NaNs")
-
-
-def tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with the given bands by LAPACK ``gtsv``.
-
-    A 1x1 system is one division, as in scipy.
-    """
-    _check_finite(lower, diag, upper, rhs)
-    if diag.size == 1:
-        return rhs / diag[0]
-    x, info = _gtsv(lower, diag, upper, rhs)[3:]
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    return x
-
-
-def tridiag_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
-    """LU factor (LAPACK ``gttrf``) of a tridiagonal matrix, for repeated solves.
-
-    :func:`tridiag_factor_solve` on it does the arithmetic of
-    :func:`tridiag_solve` on the same bands, so their results are equal.
-    A singular matrix raises ``LinAlgError`` here, or, below 3x3, in the solve.
-    """
-    _check_finite(lower, diag, upper)
-    if diag.size <= 2:
-        # scipy's gttrf wrapper rejects n = 2; so small a system keeps its
-        # bands, and each solve is a tridiag_solve
-        return (lower.copy(), diag.copy(), upper.copy())
-    *factor, info = _gttrf(lower, diag, upper)
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    return tuple(factor)
-
-
-def tridiag_factor_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a factor from :func:`tridiag_factor` (LAPACK ``gttrs``)."""
-    if len(factor) == 3:
-        return tridiag_solve(*factor, rhs)
-    _check_finite(rhs)
-    return _gttrs(*factor, rhs)[0]
 
 
 def stacked_bands(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -212,13 +168,15 @@ class CrankNicolson:
 
     with K, M and the reaction matrix A symmetric tridiagonal, each held as
     a :func:`stacked_bands` stack, so that each band operation is one ufunc
-    over both bands; the pads stay zero.  The lhs bands and the rhs share
-    one contiguous (3, n) buffer, which one :func:`all_finite` checks, bands
-    and rhs together (LAPACK ``gtsv`` can return a finite solution from a
-    non-finite band), and ``gtsv`` solves in place.  Nothing is allocated
-    per step, and every operation has the operands and the order of forming
-    the bands, the matvec and :func:`tridiag_solve` in fresh arrays, so a
-    step gives their result bit for bit.
+    over both bands; the pads stay zero.  :meth:`system` forms and holds a
+    step's bands and tau load, for any number of :meth:`solve` calls.  Each
+    solve restores the held lhs, with the copy of its off-diagonal that
+    ``gtsv`` takes as the upper one, next to the rhs it forms, in one
+    contiguous (4, n) buffer that one :func:`all_finite` checks (LAPACK
+    ``gtsv`` can return a finite solution from a non-finite band) and
+    ``gtsv`` solves in place.  Nothing is allocated per step, and every
+    operation has the operands and order of the fresh-array arithmetic and
+    scipy's ``solve_banded``, so each solve gives their result bit for bit.
     """
 
     def __init__(self, stiff: tuple, mass: tuple):
@@ -226,64 +184,64 @@ class CrankNicolson:
         self.stiff = stacked_bands(*stiff)
         self.mass = stacked_bands(*mass)
         self._half = np.empty((2, n))  # tau/2 (K + A)
+        self._held = np.empty((3, n))  # lhs diagonal, off-diagonal, its copy
         self._rhs_bands = np.empty((2, n))
-        self._system = np.empty((3, n))  # lhs diagonal, lhs off-diagonal, rhs
-        self._upper = np.empty(n - 1)  # gtsv's du, which must not alias dl
+        self._system = np.empty((4, n))  # lhs diagonal, gtsv's unaliased dl and du, rhs
         self._product = np.empty(n - 1)
-        self._load = np.empty(n)
-        # views of the system, taken once: a slice costs a tenth of a band op
-        self._lhs, self._y = self._system[:2], self._system[2]
+        self._load = np.empty(n)  # tau load
+        # views, taken once: a slice costs a tenth of a band op
+        self._lhs_bands, self._held_off, self._held_copy = self._held[:2], *self._held[1:]
+        self._rhs_diag, self._rhs_off = self._rhs_bands[0], self._rhs_bands[1, :-1]
+        self._lhs, self._y = self._system[:3], self._system[3]
         self._y_head, self._y_tail = self._y[:-1], self._y[1:]
-        self._diag, self._lower = self._system[0], self._system[1, :-1]
+        self._diag, self._lower, self._upper = self._system[0], *self._system[1:3, :-1]
 
-    def bands(self, reaction: np.ndarray, tau: float) -> tuple:
-        """Stacked bands (lhs, rhs) of M +- tau/2 (K + A), from the stacked
-        reaction bands; both are workspace views the next call overwrites."""
+    def system(self, reaction: np.ndarray, tau: float, load: np.ndarray) -> tuple:
+        """Form and hold the system of a step of length tau, from the
+        stacked reaction bands; returns the stacked bands (lhs, rhs) of
+        M +- tau/2 (K + A), workspace views the next call overwrites."""
         half = self._half
         np.add(self.stiff, reaction, out=half)
         half *= 0.5 * tau
-        np.add(self.mass, half, out=self._lhs)
+        np.add(self.mass, half, out=self._lhs_bands)
+        np.copyto(self._held_copy, self._held_off)
         np.subtract(self.mass, half, out=self._rhs_bands)
-        return self._lhs, self._rhs_bands
+        np.multiply(load, tau, out=self._load)
+        return self._lhs_bands, self._rhs_bands
 
-    def rhs(self, bands: np.ndarray, v: np.ndarray, load: np.ndarray) -> np.ndarray:
-        """bands @ v + load for stacked symmetric bands, in the workspace's
-        rhs row, which the next call overwrites."""
-        y, product = self._y, self._product
-        off = bands[1, :-1]
-        np.multiply(bands[0], v, out=y)
+    def solve(self, v: np.ndarray, out: np.ndarray) -> None:
+        """One step of the held system from the interior voltage v, into
+        out, which may be v.
+
+        A non-finite band or rhs entry raises ``ValueError``, and a singular
+        matrix ``LinAlgError``, as ``solve_banded`` does; either leaves out
+        untouched.  A 1x1 system is one division, as there.
+        """
+        np.copyto(self._lhs, self._held)  # the last solve overwrote it
+        y, product, off = self._y, self._product, self._rhs_off
+        np.multiply(self._rhs_diag, v, out=y)
         np.multiply(off, v[1:], out=product)
         np.add(self._y_head, product, out=self._y_head)  # y[:-1] += off * v[1:]
         np.multiply(off, v[:-1], out=product)
         np.add(self._y_tail, product, out=self._y_tail)  # y[1:] += off * v[:-1]
-        y += load
-        return y
+        y += self._load
+        if not all_finite(self._system):
+            raise ValueError("array must not contain infs or NaNs")
+        diag = self._diag
+        if diag.size == 1:
+            y /= diag[0]
+        else:
+            # positional overwrite flags (dl, d, du, b): f2py parses them faster
+            info = _gtsv(self._lower, diag, self._upper, y, 1, 1, 1, 1)[4]
+            if info > 0:
+                raise LinAlgError("singular matrix")
+        out[...] = y
 
     def step(self, reaction: np.ndarray, tau: float, load: np.ndarray, v: np.ndarray,
              out: np.ndarray) -> None:
-        """One step of length tau from the interior voltage v, into out,
-        which may be v.
-
-        A non-finite band or rhs entry raises ``ValueError``, and a singular
-        matrix ``LinAlgError``, as :func:`tridiag_solve` does; either leaves
-        out untouched.  A 1x1 system is one division, as there.
-        """
-        _, rhs_bands = self.bands(reaction, tau)
-        np.multiply(load, tau, out=self._load)
-        self.rhs(rhs_bands, v, self._load)
-        if not all_finite(self._system):
-            raise ValueError("array must not contain infs or NaNs")
-        diag, lower, x = self._diag, self._lower, self._y
-        if diag.size == 1:
-            x /= diag[0]
-        else:
-            np.copyto(self._upper, lower)
-            # positional overwrite flags (dl, d, du, b): f2py parses them
-            # faster than keywords
-            info = _gtsv(lower, diag, self._upper, x, 1, 1, 1, 1)[4]
-            if info > 0:
-                raise LinAlgError("singular matrix")
-        out[...] = x
+        """:meth:`system`, then :meth:`solve`: one step of length tau."""
+        self.system(reaction, tau, load)
+        self.solve(v, out)
 
 
 def riesz_solve(cb: np.ndarray, loads: np.ndarray) -> np.ndarray:
@@ -291,7 +249,8 @@ def riesz_solve(cb: np.ndarray, loads: np.ndarray) -> np.ndarray:
 
     One LAPACK ``pbtrs`` call, as scipy's banded Cholesky solve makes it.
     """
-    _check_finite(loads)
+    if not all_finite(loads):
+        raise ValueError("array must not contain infs or NaNs")
     return _pbtrs(cb, loads)[0]
 
 

@@ -146,9 +146,20 @@ class RunConfig:
 
     def build(self):
         """Instantiate (grid, kinetics, v0, p0) from the config; v0 holds the
-        interior voltage and p0 the (n_states, n_nodes) proportions."""
-        grid = build_grid(self.half_length, self.cells)
+        interior voltage and p0 the (n_states, n_nodes) proportions.  Before
+        the mesh, a config whose reference-run snapshots alone exceed the
+        physical memory the platform reports, if any, is a ValueError."""
         kin = make_kinetics(self.kinetics)
+        try:
+            mem = max(os.sysconf("SC_PHYS_PAGES"), 0) * os.sysconf("SC_PAGE_SIZE")
+        except (AttributeError, ValueError, OSError):
+            mem = 0
+        need = ((step_count(self.time_horizon, self.dt) + 1) * (kin.n_states + 1)
+                * (self.cells + 1) * 8)
+        if mem > 0 and need > mem:
+            raise ValueError(f"the reference run's snapshots need {need} bytes, "
+                             f"more than the {mem} of physical memory")
+        grid = build_grid(self.half_length, self.cells)
         v0 = build_v0(grid, self.v0).values
         p0 = build_p0(grid, kin, self.p0)
         return grid, kin, v0, p0

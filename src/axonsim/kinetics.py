@@ -66,13 +66,20 @@ _KINDS = {"a mapping": dict, "a list": list, "a string": str, "a number": (int, 
 def _of_kind(value, kind: str, what: str):
     """value as ``kind`` (a key of :data:`_KINDS`): a number as a float and
     an integer as an int, where a bool is no number and an integer may be an
-    integral float.  A value of another kind is a ValueError naming ``what``."""
+    integral float.  A value of another kind, or an integer beyond the float
+    range where a number is asked for, is a ValueError naming ``what``."""
     if (isinstance(value, bool) or not isinstance(value, _KINDS[kind])
             or kind == "an integer" and isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} must be {kind}, got {value!r}")
+    if "number" not in kind:
+        return int(value) if kind == "an integer" else value
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a number in the float range") from None
     if kind == "a finite number" and not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
-    return int(value) if kind == "an integer" else float(value) if "number" in kind else value
+    return value
 
 
 def _field(spec: dict, key: str, kind: str, what: str, default=None):

@@ -18,15 +18,13 @@ The hybrid scheme per substep (t, t+dt]:
 
 The point sources make the frozen-configuration PDE linear: the V(i/N)
 feedback assembles into a symmetric tridiagonal rank-accumulation B, held
-as stacked bands that a jump updates in place, so each sub-solve is one
-step of the fluid model's Crank-Nicolson workspace
-(:class:`grid.CrankNicolson`) with B as its reaction matrix: band and
-right-hand-side arithmetic into preallocated buffers, one finiteness check
-and one in-place tridiagonal solve, and the step is unconditionally
-stable.  Only a jump changes the operator, so a substep without jumps
-reuses the LU factor and right-hand-side bands stored for the full dt
-(:func:`grid.tridiag_factor`), with its right-hand side formed in the same
-workspace, until the next jump that changes a conductance.
+as stacked bands that a jump updates in place, so every voltage update,
+a jump substep's sub-solve or a whole substep without jumps, is one solve
+of the fluid model's Crank-Nicolson workspace (:class:`grid.CrankNicolson`)
+with B as its reaction matrix, and is unconditionally stable.  The
+workspace holds the system of the last step length; it is formed again
+only when the step length differs or a jump changed a conductance, so a
+run of jump-free substeps forms it once.
 
 Each substep draws the channels' first holding times before any rate: the
 exponential draw E_i of channel i gives its holding time E_i / exit_i.  The
@@ -63,8 +61,6 @@ from .grid import (
     hat_weights,
     mass_bands,
     stiffness_bands,
-    tridiag_factor,
-    tridiag_factor_solve,
 )
 from .deterministic import (_LEDGER_BLOCK, DissipationLedger, check_start, step_count,
                             step_guard)
@@ -191,9 +187,7 @@ class _HybridCore:
         self.v_full = np.zeros(grid.cells + 1)  # boundary nodes included
         self.v_full[1:-1] = v_interior
         self.step = 0  # substeps done; the snapshot index of v_full
-        # (dt, factor of the CN matrix, stacked rhs bands, dt * load) of a
-        # whole no-jump substep; a jump that changes the operator drops it
-        self._full_step = None
+        self._tau = None  # step length of the held CN system; None once B changes
         self._assemble_source()
 
     def _assemble_source(self) -> None:
@@ -222,30 +216,19 @@ class _HybridCore:
             self.bo[self.off_idx[i]] += dc * self.wt_cross[i]
             self.cload[self.idx_lo[i]] += dcv * self.wt_lo[i]
             self.cload[self.idx_hi[i]] += dcv * self.wt_hi[i]
-            self._full_step = None
+            self._tau = None
 
     def _advance_pde(self, tau: float) -> None:
-        """Sub-solve over tau with the configuration held fixed: a
-        :class:`grid.CrankNicolson` step with reaction matrix B."""
+        """Solve over tau with the configuration held fixed: a
+        :class:`grid.CrankNicolson` solve with reaction matrix B, whose
+        system is formed only if tau or B changed since the last one."""
         if tau <= 0.0:
             return
+        if tau != self._tau:
+            self.cn.system(self.b_bands, tau, self.cload)
+            self._tau = tau
         v = self.v_full[1:-1]
-        self.cn.step(self.b_bands, tau, self.cload, v, v)
-
-    def _advance_full(self, dt: float) -> None:
-        """A whole substep without jumps, through the stored factor.
-
-        The result equals ``_advance_pde(dt)`` bit for bit: the factor and
-        the rhs bands are the same arithmetic, done once per configuration.
-        """
-        if self._full_step is None or self._full_step[0] != dt:
-            (lhs_d, lhs_o), rhs_bands = self.cn.bands(self.b_bands, dt)
-            lhs_o = lhs_o[:-1]
-            self._full_step = (dt, tridiag_factor(lhs_o, lhs_d, lhs_o), rhs_bands.copy(),
-                               dt * self.cload)
-        _, factor, rhs_bands, load = self._full_step
-        rhs = self.cn.rhs(rhs_bands, self.v_full[1:-1], load)
-        self.v_full[1:-1] = tridiag_factor_solve(factor, rhs)
+        self.cn.solve(v, v)
 
     def _jump_chain(self, i: int, first_time: float, dt: float, rates: np.ndarray,
                     t0: float, rng: np.random.Generator) -> list[tuple]:
@@ -275,8 +258,8 @@ class _HybridCore:
 
         Each substep draws the channels' exponentials E_i first and passes
         those with ``E_i / exit_bound <= dt`` on as candidates; a substep
-        without a candidate, or whose candidates do not jump, takes the
-        stored-factor solve.  Each substep's end voltage is written to
+        without a candidate, or whose candidates do not jump, is one solve
+        over dt.  Each substep's end voltage is written to
         ``snaps`` at the substep count ``self.step`` reaches with it; a
         non-finite one raises instead, and an error leaves ``self.step`` at
         the substep that failed.
@@ -289,7 +272,7 @@ class _HybridCore:
                 events = self._jump_substep(float(times[self.step]), dt, draws,
                                             candidates, rng)
             if not events:
-                self._advance_full(dt)
+                self._advance_pde(dt)
             v = self.v_full[1:-1]
             if not all_finite(v):
                 raise InvariantViolation(f"voltage not finite at t={times[self.step + 1]}")

@@ -28,9 +28,6 @@ from axonsim.grid import (
     squared_norms,
     stacked_bands,
     stiffness_bands,
-    tridiag_factor,
-    tridiag_factor_solve,
-    tridiag_solve,
 )
 from conftest import eval_at, pairing
 
@@ -251,18 +248,18 @@ def banded(lower, diag, upper):
     return ab
 
 
-def tridiag_bands(n, seed, slack, symmetric):
-    """Random diagonally dominant bands: |d_i| = (1 + slack)(|l_i-1| + |u_i|)."""
+def tridiag_bands(n, seed, slack):
+    """Random diagonally dominant symmetric bands (diag, off) and a rhs:
+    |d_i| = (1 + slack)(|o_i-1| + |o_i|)."""
     rng = np.random.default_rng(seed)
-    lower = rng.uniform(-1.0, 1.0, n - 1)
-    upper = lower.copy() if symmetric else rng.uniform(-1.0, 1.0, n - 1)
-    off = np.zeros(n)
-    off[1:] += np.abs(lower)
-    off[:-1] += np.abs(upper)
-    off[off == 0.0] = rng.uniform(0.5, 2.0)
-    diag = rng.choice([-1.0, 1.0], n) * off * (1.0 + slack)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    total = np.zeros(n)
+    total[1:] += np.abs(off)
+    total[:-1] += np.abs(off)
+    total[total == 0.0] = rng.uniform(0.5, 2.0)
+    diag = rng.choice([-1.0, 1.0], n) * total * (1.0 + slack)
     rhs = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
-    return lower, diag, upper, rhs
+    return diag, off, rhs
 
 
 # Finite values at the ends of the float64 range: squares that overflow or
@@ -302,77 +299,6 @@ class TestAllFinite:
         assert all_finite(a) is True
 
 
-class TestTridiagSolve:
-    """The direct LAPACK helpers do scipy's banded solve, bit for bit."""
-
-    @given(n=st.one_of(st.integers(1, 3), st.integers(4, 300)),
-           slack=st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 1.0]),
-           symmetric=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_solve_banded(self, n, slack, symmetric, seed):
-        lower, diag, upper, rhs = tridiag_bands(n, seed, slack, symmetric)
-        try:
-            expected = solve_banded((1, 1), banded(lower, diag, upper), rhs)
-        except LinAlgError:
-            with pytest.raises(LinAlgError):
-                tridiag_solve(lower, diag, upper, rhs)
-            with pytest.raises(LinAlgError):
-                tridiag_factor_solve(tridiag_factor(lower, diag, upper), rhs)
-            return
-        x = tridiag_solve(lower, diag, upper, rhs)
-        assert np.array_equal(x, expected)
-        factor = tridiag_factor(lower, diag, upper)
-        assert np.array_equal(tridiag_factor_solve(factor, rhs), x)
-        assert np.array_equal(tridiag_factor_solve(factor, 2.0 * rhs),
-                              tridiag_solve(lower, diag, upper, 2.0 * rhs))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("n, band", [
-        (1, "diag"), (1, "rhs"),
-        *((n, band) for n in (2, 6) for band in ("lower", "diag", "upper", "rhs")),
-    ])
-    @given(data=st.data())
-    def test_non_finite_input_raises_value_error(self, n, band, bad, data):
-        """At every position of every band, and with one array as both
-        off-diagonals, as the program passes them.  The bands must be
-        checked, not only the result: LAPACK ``gtsv`` can return an
-        all-finite solution for an infinite band entry."""
-        shared = data.draw(st.booleans())
-        lower, diag, upper, rhs = tridiag_bands(n, n, 0.5, shared)
-        if shared:
-            upper = lower
-        bands = dict(zip(("lower", "diag", "upper", "rhs"), (lower, diag, upper, rhs)))
-        bands[band][data.draw(st.integers(0, bands[band].size - 1))] = bad
-        with pytest.raises(ValueError):
-            solve_banded((1, 1), banded(lower, diag, upper), rhs)
-        with pytest.raises(ValueError):
-            tridiag_solve(lower, diag, upper, rhs)
-        with pytest.raises(ValueError):
-            tridiag_factor_solve(tridiag_factor(lower, diag, upper), rhs)
-
-    @pytest.mark.parametrize("lower, diag, upper", [
-        ([1.0], [1.0, 1.0], [1.0]),                         # rank one
-        ([0.0, 0.0], [1.0, 0.0, 2.0], [0.0, 0.0]),          # a zero pivot
-        ([2.0, 1.0], [1.0, 2.0, 1.0], [1.0, 0.0]),          # after row swaps
-    ])
-    def test_singular_raises_lin_alg_error(self, lower, diag, upper):
-        lower, diag, upper = map(np.array, (lower, diag, upper))
-        rhs = np.ones(diag.size)
-        with pytest.raises(LinAlgError):
-            solve_banded((1, 1), banded(lower, diag, upper), rhs)
-        with pytest.raises(LinAlgError):
-            tridiag_solve(lower, diag, upper, rhs)
-        with pytest.raises(LinAlgError):
-            tridiag_factor_solve(tridiag_factor(lower, diag, upper), rhs)
-
-    def test_inputs_untouched(self):
-        lower, diag, upper, rhs = tridiag_bands(9, 3, 0.1, True)
-        before = [a.copy() for a in (lower, diag, upper, rhs)]
-        tridiag_solve(lower, diag, upper, rhs)
-        tridiag_factor_solve(tridiag_factor(lower, diag, upper), rhs)
-        for a, b in zip((lower, diag, upper, rhs), before):
-            assert np.array_equal(a, b)
-
-
 def dense(diag, off):
     """The full matrix of a symmetric tridiagonal one's bands."""
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -381,7 +307,7 @@ def dense(diag, off):
 def cn_bands(stiff, mass, reaction, tau):
     """(lhs diagonal, lhs off-diagonal, rhs diagonal, rhs off-diagonal) of
     M +- tau/2 (K + A) in fresh arrays, from (diagonal, off-diagonal) pairs:
-    the oracle of ``CrankNicolson.bands``."""
+    the oracle of ``CrankNicolson.system``."""
     (kd, ko), (md, mo), (ad, ao) = stiff, mass, reaction
     half = 0.5 * tau
     half_diag = half * (kd + ad)
@@ -390,8 +316,8 @@ def cn_bands(stiff, mass, reaction, tau):
 
 
 def tridiag_matvec(diag, off, x):
-    """Symmetric tridiagonal product in fresh arrays: the oracle of
-    ``CrankNicolson.rhs``."""
+    """Symmetric tridiagonal product in fresh arrays: the oracle of the
+    rhs that ``CrankNicolson.solve`` forms."""
     y = diag * x
     y[:-1] += off * x[1:]
     y[1:] += off * x[:-1]
@@ -399,11 +325,25 @@ def tridiag_matvec(diag, off, x):
 
 
 def fresh_step(stiff, mass, reaction, tau, load, v):
-    """A Crank-Nicolson step in fresh arrays: the oracle of ``CrankNicolson.step``."""
+    """A Crank-Nicolson step in fresh arrays, solved by scipy: the oracle of
+    ``CrankNicolson.step`` and of each ``solve`` of a held system."""
     lhs_d, lhs_o, rhs_d, rhs_o = cn_bands(stiff, mass, reaction, tau)
     rhs = tridiag_matvec(rhs_d, rhs_o, v)
     rhs += tau * load
-    return tridiag_solve(lhs_o, lhs_d, lhs_o, rhs)
+    return solve_banded((1, 1), banded(lhs_o, lhs_d, lhs_o), rhs)
+
+
+def workspace_solve(diag, off, rhs):
+    """x with (diag, off) x = rhs, by a workspace step from v = 0 with zero
+    stiffness and reaction and tau = 1: its lhs is then the mass matrix
+    (diag, off) and its rhs the load, bit for bit.  A non-finite band
+    entry times v = 0 is NaN, which the step rejects."""
+    n = diag.size
+    zero = (np.zeros(n), np.zeros(n - 1))
+    x = np.zeros(n)
+    with np.errstate(invalid="ignore"):
+        CrankNicolson(zero, (diag, off)).step(stacked_bands(*zero), 1.0, rhs, x, x)
+    return x
 
 
 def random_bands(rng, n, count):
@@ -411,8 +351,72 @@ def random_bands(rng, n, count):
     return [(rng.normal(size=n), rng.normal(size=n - 1)) for _ in range(count)]
 
 
+class TestTridiagSolve:
+    """The workspace's tridiagonal solve, the package's only one, is
+    scipy's banded solve of the symmetric system, bit for bit, and fails as
+    it does."""
+
+    @given(n=st.one_of(st.integers(1, 3), st.integers(4, 300)),
+           slack=st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_solve_banded(self, n, slack, seed):
+        diag, off, rhs = tridiag_bands(n, seed, slack)
+        try:
+            expected = solve_banded((1, 1), banded(off, diag, off), rhs)
+        except LinAlgError:
+            with pytest.raises(LinAlgError):
+                workspace_solve(diag, off, rhs)
+            return
+        assert np.array_equal(workspace_solve(diag, off, rhs), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n, band", [
+        (1, "diag"), (1, "rhs"),
+        *((n, band) for n in (2, 6) for band in ("lower", "diag", "upper", "rhs")),
+    ])
+    @given(data=st.data())
+    def test_non_finite_input_raises_value_error(self, n, band, bad, data):
+        """At every position of every band.  A symmetric system's lower and
+        upper bands are its one off-diagonal, so both names corrupt it.
+        The bands must be checked, not only the result: LAPACK ``gtsv`` can
+        return an all-finite solution for an infinite band entry."""
+        diag, off, rhs = tridiag_bands(n, n, 0.5)
+        bands = {"lower": off, "diag": diag, "upper": off, "rhs": rhs}
+        bands[band][data.draw(st.integers(0, bands[band].size - 1))] = bad
+        with pytest.raises(ValueError):
+            solve_banded((1, 1), banded(off, diag, off), rhs)
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            workspace_solve(diag, off, rhs)
+
+    @pytest.mark.parametrize("lower, diag, upper", [
+        ([1.0], [1.0, 1.0], [1.0]),                         # rank one
+        ([0.0, 0.0], [1.0, 0.0, 2.0], [0.0, 0.0]),          # a zero pivot
+        ([1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0]),          # after row swaps
+    ])
+    def test_singular_raises_lin_alg_error(self, lower, diag, upper):
+        assert lower == upper  # the workspace's systems are symmetric
+        off, diag = np.array(lower), np.array(diag)
+        rhs = np.ones(diag.size)
+        with pytest.raises(LinAlgError):
+            solve_banded((1, 1), banded(off, diag, off), rhs)
+        with pytest.raises(LinAlgError):
+            workspace_solve(diag, off, rhs)
+
+    def test_inputs_untouched(self):
+        """A step into a separate array leaves every array it was given alone."""
+        rng = np.random.default_rng(3)
+        stiff, mass, reaction = random_bands(rng, 9, 3)
+        bands = stacked_bands(*reaction)
+        load, v = rng.normal(size=9), rng.normal(size=9)
+        inputs = [*stiff, *mass, bands, load, v]
+        before = [a.copy() for a in inputs]
+        CrankNicolson(stiff, mass).step(bands, 0.1, load, v, np.empty(9))
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+
+
 class TestCrankNicolsonOperator:
-    """The workspace's bands and matvec give (M +- tau/2 (K + A)) @ x."""
+    """The workspace's held bands give (M +- tau/2 (K + A)) @ x."""
 
     @given(n=st.one_of(st.integers(1, 2), st.integers(3, 60)),
            tau=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
@@ -421,18 +425,19 @@ class TestCrankNicolsonOperator:
         stiff, mass, reaction = random_bands(rng, n, 3)
         x = rng.normal(size=n)
         cn = CrankNicolson(stiff, mass)
-        lhs, rhs = cn.bands(stacked_bands(*reaction), tau)
+        lhs, rhs = cn.system(stacked_bands(*reaction), tau, np.zeros(n))
         op = dense(*stiff) + dense(*reaction)
         for bands, sign in ((lhs, 1.0), (rhs, -1.0)):
             expected = (dense(*mass) + sign * 0.5 * tau * op) @ x
             mag = (np.abs(dense(*mass)) + 0.5 * tau * np.abs(op)) @ np.abs(x)
-            got = cn.rhs(bands, x, np.zeros(n))
+            got = tridiag_matvec(bands[0], bands[1, :-1], x)
             assert np.all(np.abs(got - expected) <= 1e-12 * mag)
 
 
 class TestCrankNicolsonStep:
-    """A workspace step is ``cn_bands``, ``tridiag_matvec`` and
-    ``tridiag_solve`` in fresh arrays, bit for bit, and fails as they do."""
+    """A workspace step, and each solve of a held system, is ``cn_bands``,
+    ``tridiag_matvec`` and ``solve_banded`` in fresh arrays, bit for bit,
+    and fails as they do."""
 
     @given(n=st.one_of(st.integers(1, 3), st.integers(4, 200)),
            taus=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=4),
@@ -447,12 +452,9 @@ class TestCrankNicolsonStep:
             (reaction,) = random_bands(rng, n, 1)
             load, v = rng.normal(size=n), rng.normal(size=n)
             lhs_d, lhs_o, rhs_d, rhs_o = cn_bands(stiff, mass, reaction, tau)
-            lhs, rhs = cn.bands(stacked_bands(*reaction), tau)
+            lhs, rhs = cn.system(stacked_bands(*reaction), tau, load)
             assert np.array_equal(lhs, stacked_bands(lhs_d, lhs_o))
             assert np.array_equal(rhs, stacked_bands(rhs_d, rhs_o))
-            expected_rhs = tridiag_matvec(rhs_d, rhs_o, v)
-            expected_rhs += tau * load
-            assert np.array_equal(cn.rhs(rhs, v, tau * load), expected_rhs)
 
             out = v if call % 2 else np.full(n, np.nan)
             before = out.copy()
@@ -465,6 +467,61 @@ class TestCrankNicolsonStep:
                 continue
             cn.step(stacked_bands(*reaction), tau, load, v, out)
             assert np.array_equal(out, expected, equal_nan=True)
+
+    @given(n=st.one_of(st.integers(1, 3), st.integers(4, 200)),
+           systems=st.lists(st.tuples(st.floats(1e-6, 10.0), st.integers(1, 4)),
+                            min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_held_system_matches_fresh_steps(self, n, systems, seed):
+        """``system`` calls interleaved with several ``solve`` calls each,
+        from changing voltages, in place and into a separate array.  Every
+        solve is the fresh-array step of the held system, whatever became
+        of the arrays the system was formed from."""
+        rng = np.random.default_rng(seed)
+        stiff, mass = random_bands(rng, n, 2)
+        cn = CrankNicolson(stiff, mass)
+        call = 0
+        for tau, solves in systems:
+            (reaction,) = random_bands(rng, n, 1)
+            load = rng.normal(size=n)
+            bands, given_load = stacked_bands(*reaction), load.copy()
+            cn.system(bands, tau, given_load)
+            bands[...] = np.nan
+            given_load[...] = np.nan
+            for _ in range(solves):
+                v = rng.normal(size=n)
+                out = v if call % 2 else np.full(n, np.nan)
+                call += 1
+                before = out.copy()
+                try:
+                    expected = fresh_step(stiff, mass, reaction, tau, load, v)
+                except LinAlgError:
+                    with pytest.raises(LinAlgError):
+                        cn.solve(v, out)
+                    assert np.array_equal(out, before, equal_nan=True)
+                    continue
+                cn.solve(v, out)
+                assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @given(data=st.data())
+    def test_non_finite_held_band_raises_on_every_solve(self, bad, data):
+        """A non-finite entry anywhere in the held reaction bands, pad
+        included, fails each solve of the system, and each leaves the
+        voltage alone."""
+        rng = np.random.default_rng(5)
+        n = data.draw(st.sampled_from([1, 2, 6]))
+        stiff, mass, reaction = random_bands(rng, n, 3)
+        bands = stacked_bands(*reaction)
+        bands[data.draw(st.integers(0, 1)), data.draw(st.integers(0, n - 1))] = bad
+        cn = CrankNicolson(stiff, mass)
+        cn.system(bands, 0.1, rng.normal(size=n))
+        for in_place in (True, False, True):
+            v = rng.normal(size=n)
+            before = v.copy()
+            with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+                cn.solve(v, v if in_place else np.empty(n))
+            assert np.array_equal(v, before)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [1, 2, 6])
@@ -499,10 +556,10 @@ class TestCrankNicolsonStep:
         bands = stacked_bands(*reaction)
         bands[1, -1] = bad
         cn = CrankNicolson(stiff, mass)
-        (lhs_d, lhs_o), rhs = cn.bands(bands, 0.1)
-        assert not np.isfinite(lhs_o[-1])
-        rhs = cn.rhs(rhs, v, 0.1 * load)
-        x, info = grid._gtsv(lhs_o[:-1], lhs_d, lhs_o[:-1], rhs)[3:]
+        lhs, rhs_bands = cn.system(bands, 0.1, load)
+        assert not np.isfinite(lhs[1, -1])
+        rhs = tridiag_matvec(rhs_bands[0], rhs_bands[1, :-1], v) + 0.1 * load
+        x, info = grid._gtsv(lhs[1, :-1], lhs[0], lhs[1, :-1], rhs)[3:]
         assert info == 0 and np.isfinite(x).all()
         before = v.copy()
         with pytest.raises(ValueError, match="array must not contain infs or NaNs"):

@@ -153,9 +153,8 @@ class TestRunConfig:
         of its tree (a state's field, a rate parameter, a clamp bound, a
         ``v0`` or ``p0`` param, ...): the key is deleted, or its value
         replaced.  No top-level size (``cells``, ``replicates``,
-        ``sweep_n``) is drawn: a cell count of 10**12 is well formed, and
-        validation allocates its mesh.  The top-level test above covers
-        their kinds."""
+        ``sweep_n``) is drawn: the top-level test above covers their kinds,
+        and the CLI cases and the memory-check test their magnitudes."""
         config = copy.deepcopy(DEFAULT_CONFIG)
         for _ in range(data.draw(st.integers(1, 3))):
             path = data.draw(st.sampled_from([p for p in config_paths(config) if p[0] not in (
@@ -169,6 +168,25 @@ class TestRunConfig:
             RunConfig.from_dict(config)
         except ValueError:
             pass
+
+    def test_memory_check_comes_before_the_mesh(self, monkeypatch):
+        """A config whose reference-run snapshots exceed the physical memory
+        the platform reports is rejected before the mesh is built; where
+        the platform reports none, the check is skipped."""
+        def no_mesh(*args):
+            raise AssertionError("built")
+
+        def unreported(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("axonsim.harness.build_grid", no_mesh)
+            patch.setattr(os, "sysconf", lambda name: 64)  # 4 KiB in all
+            with pytest.raises(ValueError, match="snapshots need 147864 bytes, more than "
+                                                 "the 4096 of physical memory"):
+                RunConfig.from_dict(SMALL)
+        monkeypatch.setattr(os, "sysconf", unreported)
+        assert RunConfig.from_dict(SMALL).cells == 60
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -639,12 +657,17 @@ class TestCli:
          "v0 form 'eigenfunction' field 'mode' must be an integer, got 1.5"),
         ("det", json.dumps({**SMALL, "half_length": 1.5e308}),
          "the mesh and v0 must be finite"),
+        ("det", '{"dt": 1' + "0" * 400 + "}",
+         "config field 'dt' must be a number in the float range"),
+        ("det", json.dumps({**SMALL, "cells": 10**12}), "the reference run's snapshots need"),
+        ("det", json.dumps({**SMALL, "cells": 1e12}), "the reference run's snapshots need"),
     ], ids=["cells-2", "unknown-state", "p0-unknown-state", "state-without-c",
             "p0-without-weights", "v0-without-width", "missing-file", "malformed-json",
             "sweep-n-not-a-list", "kinetics-a-list", "top-level-list", "null-horizon",
             "fractional-cells", "fractional-replicates", "states-not-a-list",
             "state-not-a-mapping", "rates-not-a-list", "clamp-not-a-list",
-            "v0-params-a-list", "null-mode", "fractional-mode", "overflowing-mesh"])
+            "v0-params-a-list", "null-mode", "fractional-mode", "overflowing-mesh",
+            "overflowing-dt", "terabyte-mesh", "terabyte-float-mesh"])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, command, text, message):
         from axonsim.cli import main
 

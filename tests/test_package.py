@@ -12,6 +12,10 @@ SCATTER_HOMES = {("grid.py", "hat_scatter")}
 # The one elementwise finiteness scan: the fallback of the exact primitive.
 FINITE_HOMES = {("grid.py", "all_finite")}
 
+# The one tridiagonal solve and the one Riesz solve, each a LAPACK call.
+SOLVE_HOMES = {"_gtsv": {("grid.py", "CrankNicolson.solve")},
+               "_pbtrs": {("grid.py", "riesz_solve")}}
+
 # The replicate unit, and the callers each of its calls may have.
 CALL_HOMES = {
     "run_replicate": {("harness.py", "_run_batch"), ("cli.py", "_cmd_stoch")},
@@ -129,6 +133,13 @@ def test_lapack_calls_have_one_home():
               for lineno, line in enumerate(path.read_text().splitlines(), 1)
               if pattern.search(line)]
     assert strays == []
+
+
+def test_each_lapack_routine_is_called_in_one_kernel():
+    """``_gtsv(`` is called only in ``CrankNicolson.solve`` and ``_pbtrs(``
+    only in ``riesz_solve``: one path for each kind of solve."""
+    for routine, homes in SOLVE_HOMES.items():
+        assert _strays(rf"\b{routine}\(", homes) == []
 
 
 def test_processes_start_only_in_the_fanout_module():

@@ -9,6 +9,7 @@ from scipy.linalg import solve_banded
 from axonsim import deterministic, stochastic
 from axonsim.errors import InvariantViolation
 from axonsim.grid import (
+    CrankNicolson,
     GridFunction,
     build_grid,
     density_loads,
@@ -504,7 +505,7 @@ class TestExports:
 
 
 def uncached_advance_pde(self, tau):
-    """The sub-solve before the stored factor: bands and solve rebuilt every call."""
+    """A solve with no held system: bands, rhs and scipy's solve rebuilt every call."""
     if tau <= 0.0:
         return
     half = 0.5 * tau
@@ -523,33 +524,51 @@ def uncached_advance_pde(self, tau):
     self.v_full[1:-1] = solve_banded((1, 1), ab, rhs)
 
 
-def expected_factorizations(traj, kin):
-    """(factorizations, no-jump substeps, jumps that keep the operator).
+def expected_systems(traj, kin, dt):
+    """(step lengths of the run's ``CrankNicolson.system`` calls, how many of
+    them jump-free substeps made, jump-free substeps, jumps that keep the
+    operator), from the jump log.
 
-    A factorization happens at each no-jump substep that follows an operator
-    change or starts the run.  A jump changes the operator unless source and
-    target states have the same conductance and the same conductance times
+    Every solve over tau > 0 forms a system unless the held one has the same
+    tau and no jump changed the operator since.  A jump substep solves up to
+    each of its jumps in turn and then to its end, and a jump-free substep
+    solves over dt.  A jump changes the operator unless source and target
+    states have the same conductance and the same conductance times
     driving potential.
     """
     sub = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
+    first = np.searchsorted(sub, np.arange(traj.n_times))  # each substep's first jump
     cv = kin.conductance * kin.driving
     changes = ((kin.conductance[traj.jump_src] != kin.conductance[traj.jump_dst])
                | (cv[traj.jump_src] != cv[traj.jump_dst]))
-    has_jump = np.zeros(traj.n_times - 1, dtype=bool)
-    has_jump[sub] = True
-    changed = np.zeros(traj.n_times - 1, dtype=bool)
-    changed[sub[changes]] = True
-    count, stale = 0, True
+    formed, held = [], None  # (tau, made by a jump-free substep) per system call
+
+    def solve(tau, quiet=False):
+        nonlocal held
+        if 0.0 < tau != held:
+            formed.append((tau, quiet))
+            held = tau
+
     for step in range(traj.n_times - 1):
-        if has_jump[step]:
-            stale = stale or changed[step]
-        elif stale:
-            count, stale = count + 1, False
-    return count, int((~has_jump).sum()), int((~changes).sum())
+        t0 = cursor = float(traj.times[step])
+        lo, hi = first[step], first[step + 1]
+        if lo == hi:
+            solve(dt, quiet=True)
+            continue
+        for te, change in zip(traj.jump_times[lo:hi].tolist(), changes[lo:hi].tolist()):
+            solve(te - cursor)
+            held = None if change else held
+            cursor = te
+        solve(t0 + dt - cursor)
+    taus = [tau for tau, _ in formed]
+    quiet = sum(quiet for _, quiet in formed)
+    return taus, quiet, int((first[1:] == first[:-1]).sum()), int((~changes).sum())
 
 
 class TestStoredFactor:
-    """No-jump substeps through the stored factor equal uncached sub-solves."""
+    """Jump-free substeps reuse the held Crank-Nicolson system, formed
+    exactly when the step length or the operator changes, and every solve
+    equals an uncached sub-solve."""
 
     @pytest.mark.parametrize("config, n_scale, replicate", [
         ("default", 25, 0), ("default", 200, 0), ("default", 800, 0), ("chain5", 50, 2),
@@ -558,30 +577,44 @@ class TestStoredFactor:
         traj, kin = cached_replicate(config, n_scale, replicate)
         if config == "chain5":
             assert most_jumps_in_one_substep(traj) >= 2
-        factors = []
-        factor = stochastic.tridiag_factor
+        taus = []
+        system = CrankNicolson.system
 
-        def counting_factor(*bands):
-            factors.append(1)
-            return factor(*bands)
+        def counting_system(self, reaction, tau, load):
+            taus.append(tau)
+            return system(self, reaction, tau, load)
 
-        monkeypatch.setattr(stochastic, "tridiag_factor", counting_factor)
+        monkeypatch.setattr(CrankNicolson, "system", counting_system)
         cfg = RunConfig.from_dict({"default": {}, "chain5": CHAIN5}[config])
         counted = run_replicate(cfg, n_scale, replicate)
         assert np.array_equal(counted.v, traj.v)
-        expected, no_jump, unchanged = expected_factorizations(traj, kin)
-        assert len(factors) == expected
-        assert expected < no_jump  # the factor is reused
+        expected, quiet, no_jump, unchanged = expected_systems(traj, kin, cfg.dt)
+        assert taus == expected  # every call, in order, at its tau
+        assert quiet < no_jump  # the held system is reused
         if config == "chain5":
             assert unchanged > 0  # jumps between zero-conductance states keep it
 
         monkeypatch.setattr(_HybridCore, "_advance_pde", uncached_advance_pde)
-        monkeypatch.setattr(_HybridCore, "_advance_full", uncached_advance_pde)
         oracle = run_replicate(cfg, n_scale, replicate)
         assert np.array_equal(oracle.v, traj.v)
         for name in ("jump_times", "jump_channel", "jump_src", "jump_dst", "dissipation"):
             assert np.array_equal(getattr(oracle, name), getattr(traj, name))
         assert oracle.sup_v_inf == traj.sup_v_inf
+
+    def test_changing_jump_drops_the_held_system(self):
+        """After a jump that changes the operator, a solve at the held step
+        length forms its system again."""
+        grid, kin, v0, p0 = RunConfig.from_dict({}).build()
+        channels = init_channels(grid, 25, p0, "stratified", make_rng(0))
+        core, oracle = (_HybridCore(grid, kin, channels, v0) for _ in range(2))
+        dst = int(np.argmax(kin.conductance != kin.conductance[channels.states[0]]))
+        assert kin.conductance[dst] != kin.conductance[channels.states[0]]
+        for engine, advance in ((core, _HybridCore._advance_pde),
+                                (oracle, uncached_advance_pde)):
+            advance(engine, 1e-3)
+            engine._apply_jump(0, dst)
+            advance(engine, 1e-3)
+        assert np.array_equal(core.v_full, oracle.v_full)
 
 
 def reference_advance(self, times, stop, dt, rng, snaps):
@@ -719,23 +752,24 @@ class TestBlockLedger:
 
     @staticmethod
     def inject_at_stored_factor(monkeypatch, fault):
-        """``inject`` for a run_stoch fault in the stored-factor solve, the
-        seam every jump-free substep's voltage passes, wherever the substep
-        falls in one ``advance`` call."""
+        """``inject`` for a run_stoch fault in a jump-free substep's
+        ``CrankNicolson.solve``, the seam every such substep's voltage
+        passes, wherever the substep falls in one ``advance`` call."""
         def inject(traj, bad):
             sub = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
             assert bad - 1 not in sub  # substep bad - 1 is jump-free
-            solve = stochastic.tridiag_factor_solve
+            solve = CrankNicolson.solve
 
-            def faulty(factor, rhs):
-                v = solve(factor, rhs)
-                if np.array_equal(v, traj.v[bad]):
+            def faulty(self, v, out):
+                x = np.empty_like(out)
+                solve(self, v, x)
+                if np.array_equal(x, traj.v[bad]):
                     if fault == "raise":
                         raise ValueError("array must not contain infs or NaNs")
-                    v = np.full_like(v, np.nan)
-                return v
+                    x[...] = np.nan
+                out[...] = x
 
-            monkeypatch.setattr(stochastic, "tridiag_factor_solve", faulty)
+            monkeypatch.setattr(CrankNicolson, "solve", faulty)
 
         return inject
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -54,9 +55,10 @@ def _load_config(args) -> RunConfig:
 def _cmd_det(args) -> int:
     traj = run_reference(_load_config(args))
     os.makedirs(args.out, exist_ok=True)
-    write_trajectory_csv(traj, os.path.join(args.out, "det_trajectory.csv"),
-                         stride=args.stride)
-    write_summary_csv(traj, os.path.join(args.out, "det_summary.csv"))
+    out = functools.partial(os.path.join, args.out)
+    write_trajectory_csv(traj, out("det_trajectory.csv"), args.stride,
+                         beside=[functools.partial(write_summary_csv, traj,
+                                                   out("det_summary.csv"))])
     print(f"deterministic run: {traj.n_times} samples, "
           f"dissipation {traj.dissipation[-1]:.6f}, sup|v| {traj.sup_v_inf:.6f}")
     return 0
@@ -70,17 +72,17 @@ def _cmd_stoch(args) -> int:
     n_scale = cfg.sweep_n[0] if args.n is None else args.n
     traj = run_replicate(cfg, n_scale, args.replicate)
     os.makedirs(args.out, exist_ok=True)
-    write_voltage_csv(traj, os.path.join(args.out, "stoch_voltage.csv"),
-                      stride=args.stride)
-    write_jump_csv(traj, os.path.join(args.out, "stoch_jumps.csv"),
-                   state_names=kin.states)
-    write_run_manifest(traj, os.path.join(args.out, "stoch_manifest.json"),
-                       config_digest=cfg.digest())
+    out = functools.partial(os.path.join, args.out)
+    beside = [functools.partial(write_jump_csv, traj, out("stoch_jumps.csv"),
+                                state_names=kin.states),
+              functools.partial(write_run_manifest, traj, out("stoch_manifest.json"),
+                                config_digest=cfg.digest())]
     if args.diagnostics:
         from .decomposition import write_martingale_norm_csv
 
-        write_martingale_norm_csv(traj, kin, grid,
-                                  os.path.join(args.out, "stoch_mart_norms.csv"))
+        beside.append(functools.partial(write_martingale_norm_csv, traj, kin, grid,
+                                        out("stoch_mart_norms.csv")))
+    write_voltage_csv(traj, out("stoch_voltage.csv"), args.stride, beside=beside)
     print(f"stochastic run: N={n_scale}, {traj.positions.size} channels, "
           f"{traj.jump_times.size} jumps, sup|V| {traj.sup_v_inf:.6f}")
     return 0

@@ -6,18 +6,21 @@ which never need quoting; header and state-name cells go through
 :func:`quote`.  Files are written block by block, so no file is ever held
 as one string.
 
-A snapshot export large enough to pay for worker processes is cut into
-contiguous parts of its sampled rows, one per worker
-(:func:`~axonsim.fanout.default_workers`), formatted through
-:func:`~axonsim.fanout.parallel_map`.  Each worker streams its part to its
-own file in the output directory: part 0 to the target, under the header,
-the others to temporary files.  The parent appends those files in order,
-and removes them however the write ends.  No part comes back to the parent
-as a string, and the bytes are those of the one-part write.  The split
-happens only where the pool forks its workers
-(:func:`~axonsim.fanout.pool_forks`): a worker started any other way would
-receive the whole trajectory pickled and import numpy and scipy again, which
-costs about what the split saves, so there the export is one in-process part.
+A ``det`` or ``stoch`` command writes all its files through one
+:func:`write_snapshot_csv` call: the snapshot export, and beside it the
+command's other files, each written whole by one call.  An export large
+enough to pay for worker processes is cut into contiguous parts of its
+sampled rows, a few per worker (:func:`~axonsim.fanout.default_workers`),
+and one :func:`~axonsim.fanout.parallel_map` runs the whole-file writes
+first, then the parts.  Each worker streams its part to its own file in the
+output directory: part 0 to the target, under the header, the others to
+temporary files.  The parent appends those files in order, and removes them
+however the write ends.  No part comes back to the parent as a string, and
+the bytes are those of the one-part write.  The split happens only where the
+pool forks its workers (:func:`~axonsim.fanout.pool_forks`): a worker
+started any other way would receive the whole trajectory pickled and import
+numpy and scipy again, which costs about what the split saves.  Without a
+split, every write runs in this process, the export first.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import functools
 import os
 import shutil
 import tempfile
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .fanout import default_workers, parallel_map, pool_forks
 
@@ -36,6 +39,10 @@ from .fanout import default_workers, parallel_map, pool_forks
 # 100k-cell export took 48-50 ms in one part or two, and a 200k-cell one
 # 95-102 ms in one part against 76-79 ms in two.
 MIN_PART_CELLS = 50_000
+
+# Parts per pool worker in a split export: enough for the pool to even out
+# its workers around the whole-file writes that go first.
+PARTS_PER_WORKER = 4
 
 
 def quote(cell: str) -> str:
@@ -60,8 +67,12 @@ def write_csv(path, header: Sequence[str], blocks: Iterable[str]) -> None:
             fh.write(block)
 
 
-def _write_snapshot_part(lead, times, v, extra, task) -> None:
-    """One part of a snapshot export: its header, then its sampled rows."""
+def _write_task(lead, times, v, extra, beside, task) -> None:
+    """One task of an export: a whole-file write ``beside[task]``, or one
+    part of the snapshot, its header and then its sampled rows."""
+    if isinstance(task, int):
+        beside[task]()
+        return
     path, header, rows = task
 
     def blocks():
@@ -75,21 +86,25 @@ def _write_snapshot_part(lead, times, v, extra, task) -> None:
 
 
 def write_snapshot_csv(path, columns: Sequence[str], nodes, times, v, stride: int = 1,
-                       extra=None) -> None:
+                       extra=None, beside: Sequence[Callable[[], None]] = ()) -> None:
     """Long-format nodal snapshots, header (t, node, x, *columns), at sample
     times ``0, stride, ...``: per node, the voltage (``v[i]`` holds the
     interior nodes, the endpoints are 0.0), then a value from each row of
-    ``extra[i]``, if given.
+    ``extra[i]``, if given.  Then each call in ``beside``, which writes
+    one other file whole.
 
-    The sampled rows are split over up to ``default_workers()`` forked
-    processes, as long as each part holds at least ``MIN_PART_CELLS`` cells.
+    With ``default_workers()`` above 1, a forking pool, and room for two
+    parts of ``MIN_PART_CELLS`` cells, the sampled rows are cut into up to
+    ``PARTS_PER_WORKER`` parts per worker, and the ``beside`` calls, which
+    cannot be cut, go to the pool before them.
     """
     lead = [f",{j},{x!r}" for j, x in enumerate(nodes.tolist())]
     rows = range(0, len(times), stride)
     cells = len(rows) * len(lead) * (3 + len(columns))
-    n_parts = max(1, min(default_workers(), len(rows), cells // MIN_PART_CELLS))
-    if n_parts > 1 and not pool_forks():
-        n_parts = 1
+    workers = default_workers()
+    n_parts = min(PARTS_PER_WORKER * workers, len(rows), cells // MIN_PART_CELLS)
+    if workers == 1 or n_parts < 2 or not pool_forks():
+        workers = n_parts = 1
     cuts = [len(rows) * k // n_parts for k in range(n_parts + 1)]
     paths = [path]
     try:
@@ -99,10 +114,11 @@ def write_snapshot_csv(path, columns: Sequence[str], nodes, times, v, stride: in
                                         dir=os.path.dirname(os.path.abspath(path)))
             os.close(fd)
             paths.append(part)
-        tasks = [(p, ["t", "node", "x", *columns] if k == 0 else [],
+        parts = [(p, ["t", "node", "x", *columns] if k == 0 else [],
                   rows[cuts[k]:cuts[k + 1]]) for k, p in enumerate(paths)]
-        parallel_map(functools.partial(_write_snapshot_part, lead, times, v, extra),
-                     tasks, n_parts)
+        whole = list(range(len(beside)))
+        parallel_map(functools.partial(_write_task, lead, times, v, extra, beside),
+                     whole + parts if workers > 1 else parts + whole, workers)
         if n_parts > 1:
             with open(path, "ab") as out:
                 for part in paths[1:]:

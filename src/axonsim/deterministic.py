@@ -368,10 +368,12 @@ def run_det(grid: Grid, v0: np.ndarray, p0: np.ndarray, t_horizon: float, dt: fl
     )
 
 
-def write_trajectory_csv(traj: DetTrajectory, path, stride: int = 1) -> None:
-    """Long-format nodal snapshots: (t, node index, x, v, p_<state>...)."""
+def write_trajectory_csv(traj: DetTrajectory, path, stride: int = 1, beside=()) -> None:
+    """Long-format nodal snapshots: (t, node index, x, v, p_<state>...); then
+    the whole-file writes ``beside``, through the same pool
+    (:func:`~axonsim.csvtext.write_snapshot_csv`)."""
     write_snapshot_csv(path, ["v"] + [f"p_{s}" for s in traj.state_names],
-                       traj.grid.nodes, traj.times, traj.v, stride, traj.p)
+                       traj.grid.nodes, traj.times, traj.v, stride, traj.p, beside)
 
 
 def write_summary_csv(traj: DetTrajectory, path, stride: int = 1) -> None:

@@ -63,6 +63,14 @@ class Grid:
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[1:-1]
 
+    @cached_property
+    def riesz_factor(self) -> np.ndarray:
+        """:func:`riesz_cholesky` of this grid, built on first use and held
+        read-only for every later dual-norm solve."""
+        cb = riesz_cholesky(self)
+        cb.flags.writeable = False
+        return cb
+
 
 def build_grid(half_length: float, cells: int) -> Grid:
     """Construct a uniform grid; rejects cells < 2 or half_length <= 0."""
@@ -305,7 +313,7 @@ def hminus1_norms(grid: Grid, loads: np.ndarray) -> np.ndarray:
     """
     loads = np.asarray(loads, dtype=float)
     flat = loads.reshape(-1, grid.n_interior)
-    cb = riesz_cholesky(grid)
+    cb = grid.riesz_factor
     chunk = riesz_chunk(grid)
     val = np.empty(flat.shape[0])
     for i in range(0, flat.shape[0], chunk):

@@ -123,6 +123,9 @@ class RunConfig:
         if not (math.isfinite(self.half_length) and self.half_length > 0
                 and math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("half_length and dt must be positive and finite")
+        if not math.isfinite(2.0 * self.half_length):  # the mesh width
+            raise ValueError(f"the mesh and v0 must be finite: the width "
+                             f"2 * {self.half_length!r} overflows")
         step_count(self.time_horizon, self.dt)
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
@@ -231,19 +234,18 @@ def deviation_metrics(stoch: StochTrajectory, det: DetTrajectory,
     if stoch.n_times != det.n_times or not np.allclose(stoch.times, det.times):
         raise ValueError("trajectories do not share the sample time grid")
     sup_l2, sup_h10 = _sup_voltage_deviation(stoch.v, det.v, grid)
-    peaks = []  # per chunk and state: the max C - mu.p and M dual norms
+    peaks = []  # per chunk, series (C - mu.p, then M) and state: the max dual norm
 
     def take(start, loads):
         cmp_loads, m_loads = loads["c"], loads["m"]
         cmp_loads -= density_loads(stoch.grid, det.p[start:start + cmp_loads.shape[0]])
-        peaks.append([(hminus1_norms(grid, cmp_loads[:, s]).max(),
-                       hminus1_norms(grid, m_loads[:, s]).max())
-                      for s in range(kin.n_states)])
+        peaks.append([hminus1_norms(grid, cmp_loads).max(axis=0),
+                      hminus1_norms(grid, m_loads).max(axis=0)])
 
     scan_path(stoch, kin, want_series=("c", "m"), consumer=take)
     sup = np.max(peaks, axis=0)
-    sup_hm1 = {name: float(sup[s, 0]) for s, name in enumerate(kin.states)}
-    sup_mart = {name: float(sup[s, 1]) for s, name in enumerate(kin.states)}
+    sup_hm1 = {name: float(sup[0, s]) for s, name in enumerate(kin.states)}
+    sup_mart = {name: float(sup[1, s]) for s, name in enumerate(kin.states)}
     return DeviationMetrics(sup_l2=sup_l2, sup_h10=sup_h10, sup_hm1=sup_hm1,
                             sup_mart_hm1=sup_mart)
 

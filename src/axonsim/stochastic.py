@@ -148,13 +148,16 @@ def init_channels(
         states = (u[None, :] > cum).sum(axis=0)
         states = np.minimum(states, n_states - 1)
     elif mode == "stratified":
-        states = np.empty(count, dtype=np.int64)
-        owed = np.zeros(n_states)
-        for i in range(count):
-            owed += probs[:, i]
-            pick = int(np.argmax(owed))
+        # on Python floats, the first maximum as np.argmax picks it: the
+        # same sums, and a third of the numpy loop's time
+        picks = []
+        owed = [0.0] * n_states
+        for column in probs.T.tolist():
+            owed = [debt + p for debt, p in zip(owed, column)]
+            pick = owed.index(max(owed))
             owed[pick] -= 1.0
-            states[i] = pick
+            picks.append(pick)
+        states = np.array(picks, dtype=np.int64)
     else:
         raise ValueError(f"unknown init mode {mode!r}")
     return ChannelConfig(n_scale=n_scale, positions=x, states=states)
@@ -389,9 +392,12 @@ def run_stoch(grid: Grid, v0: np.ndarray, channels: ChannelConfig, t_horizon: fl
     )
 
 
-def write_voltage_csv(traj: StochTrajectory, path, stride: int = 1) -> None:
-    """Voltage snapshots in long format: (t, node, x, V), rows ``0, stride, ...``."""
-    write_snapshot_csv(path, ["V"], traj.grid.nodes, traj.times, traj.v, stride)
+def write_voltage_csv(traj: StochTrajectory, path, stride: int = 1, beside=()) -> None:
+    """Voltage snapshots in long format: (t, node, x, V), rows ``0, stride, ...``;
+    then the whole-file writes ``beside``, through the same pool
+    (:func:`~axonsim.csvtext.write_snapshot_csv`)."""
+    write_snapshot_csv(path, ["V"], traj.grid.nodes, traj.times, traj.v, stride,
+                       beside=beside)
 
 
 def write_jump_csv(traj: StochTrajectory, path,

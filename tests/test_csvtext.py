@@ -1,5 +1,6 @@
-"""The split snapshot writer: the same bytes as one part, and no part file
-or worker process left behind, whether the write succeeds or a part fails."""
+"""The split snapshot writer and the one pool of a ``det`` or ``stoch``
+command: the same bytes as one process, and no part file or worker process
+left behind, whether the write succeeds or a task fails."""
 
 import contextlib
 import json
@@ -89,7 +90,10 @@ class TestSplitEquivalence:
               mock.patch.object(csvtext, "MIN_PART_CELLS", 1), patch):
             write_snapshot_csv(out / "split.csv", columns, nodes, times, v, stride, extra)
         rows = len(range(0, n_times, stride))
-        assert [len(tasks) for tasks in calls] == [min(n_workers, rows)]
+        # the cut rule at MIN_PART_CELLS = 1: one part with one worker, else
+        # PARTS_PER_WORKER parts a worker, at most one a sampled row
+        parts = min(csvtext.PARTS_PER_WORKER * n_workers, rows) if n_workers > 1 else 1
+        assert [len(tasks) for tasks in calls] == [parts]
         assert (out / "split.csv").read_bytes() == (out / "one.csv").read_bytes()
         assert_clean(out, "one.csv", "split.csv")
 
@@ -100,7 +104,10 @@ class TestSplitEquivalence:
         patch, calls = counting_parallel_map()
         with workers(2), patch:
             write_trajectory_csv(traj, tmp_path / "two.csv")
-        assert [len(tasks) for tasks in calls] == [2]
+        # 2001 rows x 201 nodes x 6 cells: room for 48 parts of MIN_PART_CELLS,
+        # so the cut rule's PARTS_PER_WORKER parts a worker
+        assert 2001 * 201 * 6 // csvtext.MIN_PART_CELLS >= 2 * csvtext.PARTS_PER_WORKER
+        assert [len(tasks) for tasks in calls] == [2 * csvtext.PARTS_PER_WORKER]
         assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
         assert_clean(tmp_path, "one.csv", "two.csv")
 
@@ -133,6 +140,71 @@ class TestOnlyForkedPoolsSplit:
         assert [len(tasks) for tasks in calls] == [1]
         assert (tmp_path / "v.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
         assert_clean(tmp_path, "one.csv", "v.csv")
+
+
+def run_command(argv, cfg_path, out):
+    from axonsim.cli import main
+
+    assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 0
+
+
+def read_outputs(directory):
+    return {f.name: f.read_bytes() for f in directory.iterdir()}
+
+
+STOCH = ["stoch", "--n", "25", "--diagnostics"]
+
+
+class TestOneCommandPool:
+    """Each command writes its snapshot parts and its other files, the
+    ``stoch --diagnostics`` norm series among them, through one
+    ``parallel_map`` call."""
+
+    @pytest.mark.parametrize("method, n_workers",
+                             [("fork", 1), ("fork", 2), ("fork", 4), ("spawn", 2)])
+    @pytest.mark.parametrize("command", [["det"], STOCH], ids=["det", "stoch"])
+    def test_forced_split_writes_the_one_process_bytes(self, tmp_path, method, n_workers,
+                                                       command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        with workers(1):
+            run_command(command, cfg_path, tmp_path / "one")
+        patch, calls = counting_parallel_map()
+        with (start_method(method), workers(n_workers),
+              mock.patch.object(csvtext, "MIN_PART_CELLS", 1), patch):
+            run_command(command, cfg_path, tmp_path / "pool")
+        one = read_outputs(tmp_path / "one")
+        assert len(one) == (2 if command == ["det"] else 4)
+        assert read_outputs(tmp_path / "pool") == one
+        assert_clean(tmp_path / "pool", *one)
+        # the SMALL run samples 101 rows; the whole-file writes, numbered
+        # 0, 1, ..., go first where the rows are split, last where they are not
+        whole = list(range(len(one) - 1))
+        if method == "fork" and n_workers > 1:
+            parts = min(csvtext.PARTS_PER_WORKER * n_workers, 101)
+            assert [len(tasks) for tasks in calls] == [len(whole) + parts]
+            assert calls[0][:len(whole)] == whole
+        else:
+            assert [len(tasks) for tasks in calls] == [1 + len(whole)]
+            assert calls[0][1:] == whole
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_a_failing_norm_task_stops_the_command(self, tmp_path, monkeypatch, forked,
+                                                   n_workers):
+        from axonsim import decomposition
+
+        def failing(*args):
+            raise RuntimeError("the norm series failed")
+
+        # the command imports the norm writer when it runs, and forked workers inherit it
+        monkeypatch.setattr(decomposition, "write_martingale_norm_csv", failing)
+        monkeypatch.setattr(csvtext, "MIN_PART_CELLS", 1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        out = tmp_path / "out"
+        with workers(n_workers), pytest.raises(RuntimeError, match="the norm series failed"):
+            run_command(STOCH, cfg_path, out)
+        assert_clean(out, "stoch_voltage.csv", "stoch_jumps.csv", "stoch_manifest.json")
 
 
 WRITE_CSV = csvtext.write_csv
@@ -197,4 +269,5 @@ class TestSplitFaults:
         assert proc.returncode != 0
         assert "BrokenProcessPool" in proc.stderr
         assert "children 0" in proc.stderr
-        assert_clean(out, "det_trajectory.csv")
+        # the summary goes to the pool first, so it may be written before a part dies
+        assert_clean(out, "det_trajectory.csv", "det_summary.csv")

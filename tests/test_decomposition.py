@@ -976,10 +976,20 @@ class TestStreamedSeries:
             return solve(cb, loads)
 
         monkeypatch.setattr(grid_module, "riesz_solve", counting_solve)
-        deviation_metrics(traj, det, traj.grid, kin)
-        # one solve per state and series for each of the 7 chunks of 2,001 times
-        assert len(calls) == 28
-        assert calls[:4] == [riesz_chunk(traj.grid)] * 4
+        built = []
+        factor = grid_module.riesz_cholesky
+        monkeypatch.setattr(grid_module, "riesz_cholesky",
+                            lambda g: built.append(g) or factor(g))
+        grid = dataclasses.replace(traj.grid)  # a fresh grid, whose factor is not yet built
+        deviation_metrics(traj, det, grid, kin)
+        # each series' (rows, 2 states, n_int) loads of the 7 chunks of 2,001
+        # times go to one hminus1_norms call, which solves riesz_chunk columns
+        # at a time: 2 solves for each of the 6 full chunks and 1 for the
+        # 27-row rest, twice
+        chunk = riesz_chunk(grid)
+        assert 2001 == 6 * chunk + 27
+        assert calls == ([chunk] * 4) * 6 + [27 * 2] * 2
+        assert built == [grid]
 
     # about 1.25 times the peaks measured in a fresh process: 4.08, 4.36
     # and 2.77 MB

@@ -24,6 +24,7 @@ from axonsim.grid import (
     hminus1_norms,
     mass_bands,
     riesz_cholesky,
+    riesz_chunk,
     riesz_solve,
     squared_norms,
     stacked_bands,
@@ -237,6 +238,21 @@ class TestChunkedDualNorm:
         assert np.array_equal(hminus1_norms(g, loads), whole)
         assert calls == [columns] * (46 // columns) + [46 % columns] * (46 % columns > 0)
         assert np.array_equal(hminus1_norms(g, loads[:, 1]), whole_slice)
+
+
+    def test_series_call_matches_a_call_per_state(self):
+        # a replay chunk's shape at the default mesh: riesz_chunk rows, 2 states
+        g = build_grid(1.0, 200)
+        loads = np.random.default_rng(12).normal(size=(riesz_chunk(g), 2, g.n_interior))
+        per_state = np.stack([hminus1_norms(g, loads[:, s]) for s in range(2)], axis=1)
+        assert np.array_equal(hminus1_norms(g, loads), per_state)
+
+    def test_factor_is_built_once_and_held_read_only(self):
+        g = build_grid(1.0, 30)
+        cb = g.riesz_factor
+        assert g.riesz_factor is cb
+        assert not cb.flags.writeable
+        assert np.array_equal(cb, riesz_cholesky(g))
 
 
 def banded(lower, diag, upper):

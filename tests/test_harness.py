@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import operator
 import os
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -682,6 +683,20 @@ class TestCli:
         assert err.startswith("usage:")
         assert f"axonsim {command}: error: " in err and message in err
         assert not out.exists()
+
+    def test_overflowing_mesh_is_rejected_before_it_is_built(self, tmp_path, capsys):
+        """2 * half_length overflows: a usage error, and no mesh, no v0 and no
+        warning on the way."""
+        from axonsim.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"half_length": 1.5e308}))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["det", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "the mesh and v0 must be finite" in capsys.readouterr().err
 
     def test_stoch_on_an_empty_sweep_needs_n(self, tmp_path, capsys):
         from axonsim.cli import main

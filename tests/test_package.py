@@ -155,7 +155,8 @@ def test_processes_start_only_in_the_fanout_module():
 
 def test_replicates_run_and_fan_out_only_in_the_unit():
     """``run_replicate(`` is called only by the replicate unit and ``axonsim
-    stoch``; ``parallel_map(`` only by the unit and the snapshot writer."""
+    stoch``; ``parallel_map(`` only by the unit and the export runner, the
+    snapshot writer that also runs a command's whole-file writes."""
     callers = {name: set() for name in CALL_HOMES}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())

@@ -119,6 +119,23 @@ class TestChannelLattice:
         assert np.all(np.abs(x) < 1.3)
 
 
+def numpy_stratified(grid, n_scale, p0):
+    """The stratified greedy loop on numpy arrays, as ``init_channels`` ran it
+    before its Python-float loop: the oracle of that loop."""
+    x = channel_positions(n_scale, grid.half_length)
+    probs = hat_interpolate(p0, hat_weights(grid, x))
+    probs = probs / probs.sum(axis=0)
+    n_states, count = probs.shape
+    states = np.empty(count, dtype=np.int64)
+    owed = np.zeros(n_states)
+    for i in range(count):
+        owed += probs[:, i]
+        pick = int(np.argmax(owed))
+        owed[pick] -= 1.0
+        states[i] = pick
+    return states
+
+
 class TestInitChannels:
     def test_concentrated_proportions(self):
         g = build_grid(1.0, 20)
@@ -142,6 +159,21 @@ class TestInitChannels:
             cfg = init_channels(g, n, p0, "stratified", make_rng(1))
             errs.append(float(hminus1_norms(g, initial_c_loads(cfg, g)[1] - target)))
         assert all(b < a for a, b in zip(errs, errs[1:]))
+
+    @given(n_states=st.integers(2, 5), n_scale=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1), tied=st.booleans(),
+           cells=st.integers(3, 40))
+    def test_stratified_matches_the_numpy_loop(self, n_states, n_scale, seed, tied, cells):
+        g = build_grid(1.0, cells)
+        rng = np.random.default_rng(seed)
+        # tied: equal weights everywhere, so every pick breaks a tie
+        p0 = (np.ones((n_states, cells + 1)) if tied
+              else rng.random((n_states, cells + 1)) * rng.integers(0, 2, (n_states, 1)))
+        p0[0] += 1e-3  # no node without weight
+        p0 /= p0.sum(axis=0)
+        cfg = init_channels(g, n_scale, p0, "stratified", make_rng(0))
+        assert cfg.states.dtype == np.int64
+        assert np.array_equal(cfg.states, numpy_stratified(g, n_scale, p0))
 
     def test_unknown_mode(self):
         g = build_grid(1.0, 10)
